@@ -49,14 +49,13 @@ func main() {
 		variant  = flag.String("variant", "page-coloring", "mapping variant (page-coloring, bin-hopping, bin-hopping-unaligned, cdpc, cdpc-touch, coloring-touch, dynamic-recoloring, padded-coloring, padded-bin-hopping, first-touch)")
 		machine  = flag.String("machine", "base", "machine preset (base, alpha)")
 		prefetch = flag.Bool("prefetch", false, "enable compiler-inserted prefetching")
-		fast     = flag.Bool("fast", false, "cache-counting-only fast simulator (SimOS's high-speed mode, §3.2)")
 		progFile = flag.String("program", "", "run a custom program from a text-format file instead of a bundled workload")
 		machFile = flag.String("machine-file", "", "load a custom machine configuration from a JSON file")
 		dumpMach = flag.Bool("dump-machine", false, "print the resolved machine configuration as JSON and exit")
 		attr     = flag.Bool("attr", false, "collect and print per-color/per-page miss attribution and the color-by-set miss heatmap")
 		traceN   = flag.Int("trace", 0, "keep the last N observability events (faults, hint outcomes, recolorings, conflict bursts) and print them")
 		audit    = flag.Bool("audit", false, "check conservation invariants after the run; violations exit non-zero")
-		sampled  = flag.Bool("sampled", false, "phase-sampled execution: detail-simulate one representative window per phase with functional warm-up (~10x faster, <2% MCPI error)")
+		sampled  = flag.Bool("sampled", false, "phase-sampled execution: detail-simulate one representative window per phase with functional warm-up (~10x faster; MCPI within 2% of full only at the 2-CPU page-coloring shape ext-sampling measures, ~30% off on 8-16 CPU fig6/cdpc specs)")
 		procs    = flag.Int("procs", 1, "co-schedule N identical instances of the workload on one machine")
 		corun    = flag.String("corun", "", "comma-separated co-runners, each workload[/variant]; empty fields inherit the primary")
 		schedF   = flag.String("sched", "", "space-sharing discipline for multiprocess runs (timeslice, partition; default timeslice)")
@@ -110,8 +109,8 @@ func main() {
 		spec.Sched = harness.SchedKind(*schedF)
 		spec.Quantum = *quantum
 		spec.Isolate = *isolate
-		if *progFile != "" || *fast {
-			fmt.Fprintln(os.Stderr, "cdpcsim: -procs/-corun need a bundled workload on the full simulator (no -program, no -fast)")
+		if *progFile != "" {
+			fmt.Fprintln(os.Stderr, "cdpcsim: -procs/-corun need a bundled workload (no -program)")
 			os.Exit(1)
 		}
 	} else if *schedF != "" || *quantum != 0 || *isolate {
@@ -128,9 +127,6 @@ func main() {
 		case multi:
 			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled is incompatible with -procs/-corun (co-scheduled runs cannot be sampled)")
 			os.Exit(1)
-		case *fast:
-			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled is incompatible with -fast (the fast simulator has no detailed windows to sample)")
-			os.Exit(1)
 		case spec.Variant == harness.DynamicRecoloring:
 			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled is incompatible with -variant dynamic-recoloring (the policy reacts to per-page miss counts the sampled run skips)")
 			os.Exit(1)
@@ -141,9 +137,6 @@ func main() {
 		switch {
 		case *progFile != "":
 			fmt.Fprintln(os.Stderr, "cdpcsim: -trace-file and -program are mutually exclusive")
-			os.Exit(1)
-		case *fast:
-			fmt.Fprintln(os.Stderr, "cdpcsim: -trace-file needs the full simulator (no -fast)")
 			os.Exit(1)
 		case multi:
 			fmt.Fprintln(os.Stderr, "cdpcsim: trace runs are single-process (no -procs/-corun)")
@@ -248,16 +241,6 @@ func main() {
 		post(res)
 		return
 	}
-	if *fast {
-		if *attr || ring != nil || *audit {
-			fmt.Fprintln(os.Stderr, "cdpcsim: -attr/-trace/-audit need the full simulator; ignored in -fast mode")
-		}
-		if err := runFast(spec); err != nil {
-			fmt.Fprintln(os.Stderr, "cdpcsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if multi {
 		mr, err := harness.RunMulti(spec)
 		if err != nil {
@@ -343,21 +326,6 @@ func printMulti(mr *sim.MultiResult, spec harness.Spec) {
 
 	fmt.Println("\nmachine total:")
 	print(mr.Total, spec)
-}
-
-// runFast positions the workload with the cache-counting simulator.
-func runFast(spec harness.Spec) error {
-	res, err := harness.FastRun(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fast mode: %s on %d CPUs (%s)\n", res.Workload, res.NumCPUs, spec.Config().Name)
-	fmt.Printf("  refs        %d\n", res.Refs)
-	fmt.Printf("  L1 hits     %d (%.1f%%)\n", res.L1Hits, 100*float64(res.L1Hits)/float64(res.Refs))
-	fmt.Printf("  L2 hits     %d\n", res.L2Hits)
-	fmt.Printf("  L2 misses   %d (miss ratio %.4f)\n", res.L2Misses, res.MissRatio())
-	fmt.Printf("  page faults %d, TLB misses %d, footprint %d pages\n", res.PageFaults, res.TLBMisses, res.PagesTouched)
-	return nil
 }
 
 func print(res *sim.Result, spec harness.Spec) {

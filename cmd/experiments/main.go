@@ -39,7 +39,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		audit    = flag.Bool("audit", false, "check conservation invariants on every simulation; violations exit non-zero")
 		procsN   = flag.Int("procs", 0, "override the co-scheduling degree swept by ext-multiprog (0 = default sweep)")
-		sampled  = flag.Bool("sampled", false, "run compatible simulations phase-sampled (~10x faster, <2% MCPI error; incompatible specs keep full fidelity)")
+		sampled  = flag.Bool("sampled", false, "run compatible simulations phase-sampled (~10x faster; MCPI within 2% of full only at the 2-CPU page-coloring shape ext-sampling measures, ~30% off on 8-16 CPU fig6/cdpc specs; incompatible specs keep full fidelity)")
 		topology = flag.String("topology", "", "cache topology for every simulation (see MACHINES.md; specs that pin their own, like ext-topology, keep it)")
 	)
 	flag.Parse()

@@ -36,9 +36,10 @@ type ExpOptions struct {
 	Procs int
 	// Sampled runs every compatible simulation in phase-sampled mode
 	// (representative windows with functional warm-up) for ~10x
-	// throughput at <2% MCPI error. Specs that need the full reference
-	// stream (attribution, co-scheduling, dynamic recoloring) silently
-	// keep full fidelity.
+	// throughput; MCPI stays within 2% of full fidelity only at
+	// ext-sampling's 2-CPU page-coloring shape. Specs that need the full
+	// reference stream (attribution, co-scheduling, dynamic recoloring)
+	// silently keep full fidelity.
 	Sampled bool
 	// Topology runs every simulation on the named cache topology
 	// (MACHINES.md) instead of the preset's default hierarchy. Specs

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -232,9 +233,10 @@ type Spec struct {
 	Sampled bool
 
 	// CoRunners lists additional processes co-scheduled with the primary
-	// workload. Non-empty CoRunners routes execution through RunMulti's
-	// multiprogramming methodology (no warm-up discard, phases once,
-	// unweighted); Run and RunCtx reject such specs.
+	// workload. Non-empty CoRunners selects the multiprogramming
+	// methodology (no warm-up discard, phases once, unweighted); Run
+	// returns such a mix's machine total, RunMulti every process's
+	// result as well.
 	CoRunners []CoRunner
 	// Sched selects the space-sharing discipline for multiprocess runs
 	// ("" → time-slicing). Ignored without co-runners.
@@ -389,66 +391,118 @@ func Prepare(s Spec) (*ir.Program, *compiler.Summary, arch.Config, error) {
 	return prog, compiler.Summarize(prog), cfg, nil
 }
 
-// Run executes one spec end to end.
+// Run executes one spec end to end and returns its result; for a spec
+// with co-runners that is the machine total (RunMulti also returns each
+// process's own result).
 func Run(s Spec) (*sim.Result, error) {
 	return RunCtx(context.Background(), s)
 }
 
-// RunCtx is Run with cancellation: ctx is polled at nest boundaries
+// RunCtx is Run with cancellation: ctx is polled at region boundaries
 // inside the simulator, so a canceled or expired context aborts the
 // simulation at the next synchronization point with ctx's error. The
 // cdpcd server threads every request's context through here.
 func RunCtx(ctx context.Context, s Spec) (*sim.Result, error) {
-	s = s.withDefaults()
-	if s.Trace != nil {
-		return runTraceCtx(ctx, s)
+	mr, err := execute(ctx, s, Prepare)
+	if err != nil {
+		return nil, err
 	}
-	prog, sum, cfg, err := Prepare(s)
+	return mr.Total, nil
+}
+
+// RunMulti executes a spec and its co-runners as one multiprogrammed
+// machine under the spec's space-sharing discipline; a solo spec is a
+// mix of one.
+func RunMulti(s Spec) (*sim.MultiResult, error) {
+	return RunMultiCtx(context.Background(), s)
+}
+
+// RunMultiCtx is RunMulti with cancellation (see RunCtx). Every process
+// is prepared through the regular compiler pipeline; placement policy
+// and CDPC hints are installed per process, and all processes draw
+// frames from the machine's single shared allocator. Variants that need
+// machine-wide mechanisms (touch ordering, dynamic recoloring) cannot
+// be co-scheduled and are rejected, as are trace-backed specs.
+func RunMultiCtx(ctx context.Context, s Spec) (*sim.MultiResult, error) {
+	if s.Trace != nil {
+		return nil, errTraceMix
+	}
+	return execute(ctx, s, Prepare)
+}
+
+// errTraceMix rejects trace-backed specs at the RunMulti entry points:
+// a recorded trace is one process and has no per-process breakdown.
+var errTraceMix = errors.New("harness: trace-backed specs are single-process; use Run")
+
+// prepareFunc resolves a spec's compiled program: Prepare, or a
+// Scheduler's memoizing program cache.
+type prepareFunc func(Spec) (*ir.Program, *compiler.Summary, arch.Config, error)
+
+// execute is the one execution path behind every Run entry point and
+// the Scheduler. It decides the spec's shape once: co-runners run as a
+// multiprogrammed mix (runMix); a solo spec — bundled workload or
+// external trace — runs alone and comes back as a mix of one, the shape
+// sim.RunProcesses gives a single process.
+func execute(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult, error) {
+	s = s.withDefaults()
+	if err := validateSpec(s); err != nil {
+		return nil, err
+	}
+	if len(s.CoRunners) > 0 {
+		return runMix(ctx, s, prepare)
+	}
+	res, err := runSolo(ctx, s, prepare)
+	if err != nil {
+		return nil, err
+	}
+	return &sim.MultiResult{Sched: sim.SchedTimeSlice.String(), PerProcess: []*sim.Result{res}, Total: res}, nil
+}
+
+// runSolo runs a spec without co-runners: an external trace, or a
+// bundled workload through the compiler pipeline.
+func runSolo(ctx context.Context, s Spec, prepare prepareFunc) (*sim.Result, error) {
+	if s.Trace != nil {
+		return runTrace(ctx, s)
+	}
+	prog, sum, cfg, err := prepare(s)
 	if err != nil {
 		return nil, err
 	}
 	return runPrepared(ctx, prog, sum, cfg, s)
 }
 
-// runTraceCtx executes a trace-backed spec: no compiler pipeline runs;
-// the variant resolves to its placement policy directly, and the CDPC
-// variant substitutes the online access-pattern summarizer
-// (trace.PreferredColors) for the compiler's per-page color summary —
-// CDPC without the compiler.
-func runTraceCtx(ctx context.Context, s Spec) (*sim.Result, error) {
-	if err := validateSpec(s); err != nil {
-		return nil, err
-	}
-	cfg := s.Config()
+// simOptions returns the simulator options a spec runs under on machine
+// cfg, before the variant's knobs are installed.
+func (s Spec) simOptions(ctx context.Context, cfg arch.Config) sim.Options {
 	opts := sim.Options{Config: cfg, DisableClassification: s.DisableClassification, Obs: s.Obs}
 	if ctx.Done() != nil {
+		// Only contexts that can actually be canceled pay for the
+		// region-boundary poll; Background keeps the serial path untouched.
 		opts.Cancel = ctx.Err
 	}
-	colors := cfg.Colors()
-	var hints map[uint64]int
-	switch s.Variant {
-	case PageColoring:
-		opts.Policy = vm.PageColoring{Colors: colors}
-	case BinHopping:
-		opts.Policy = &vm.BinHopping{Colors: colors}
-	case FirstTouch:
-		// The allocator does not exist yet; sim.New binds it.
-		opts.Policy = &vm.FirstTouch{}
-	case CDPC:
-		opts.Policy = vm.PageColoring{Colors: colors} // fallback for unhinted pages
-		hints = trace.PreferredColors(s.Trace.File, cfg.PageSize, colors, 0)
-	case DynamicRecoloring:
-		opts.Policy = vm.PageColoring{Colors: colors}
-		policy := vm.DefaultRecolorPolicy()
-		opts.Recolor = &policy
-	default:
-		return nil, fmt.Errorf("harness: unknown variant %q", s.Variant)
+	return opts
+}
+
+// runTrace executes a trace-backed spec: no compiler pipeline runs; the
+// variant resolves to its placement policy directly, and the CDPC
+// variant substitutes the online access-pattern summarizer
+// (trace.PreferredColors) for the compiler's per-page color summary —
+// CDPC without the compiler. The hints ride on the trace source.
+func runTrace(ctx context.Context, s Spec) (*sim.Result, error) {
+	cfg := s.Config()
+	k, err := variantOptions(s, cfg, nil, func() (*core.Hints, error) {
+		return &core.Hints{Colors: trace.PreferredColors(s.Trace.File, cfg.PageSize, cfg.Colors(), 0)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	opts := s.simOptions(ctx, cfg)
+	opts.Policy, opts.Recolor = k.Policy, k.Recolor
 	m, err := sim.New(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.RunSource(sim.NewTraceSource(s.Trace.Name, s.Trace.File, hints))
+	res, err := m.RunSource(sim.NewTraceSource(s.Trace.Name, s.Trace.File, k.Hints))
 	if err != nil {
 		return nil, err
 	}
@@ -463,11 +517,15 @@ func RunProgram(prog *ir.Program, s Spec) (*sim.Result, error) {
 	return RunProgramCtx(context.Background(), prog, s)
 }
 
-// RunProgramCtx is RunProgram with cancellation (see RunCtx).
+// RunProgramCtx is RunProgram with cancellation (see RunCtx). A custom
+// program runs alone; co-runners are rejected.
 func RunProgramCtx(ctx context.Context, prog *ir.Program, s Spec) (*sim.Result, error) {
 	s = s.withDefaults()
 	if err := validateSpec(s); err != nil {
 		return nil, err
+	}
+	if len(s.CoRunners) > 0 {
+		return nil, fmt.Errorf("harness: custom programs cannot be co-scheduled")
 	}
 	cfg := s.Config()
 	layout := layoutFor(s.Variant, cfg)
@@ -489,23 +547,21 @@ type variantKnobs struct {
 	Recolor    *vm.RecolorPolicy
 }
 
-// variantOptions maps a spec's variant to the simulator knobs it needs.
-// Shared by the single-process path (which installs them machine-wide)
-// and RunMulti (which installs policy and hints per process).
-func variantOptions(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (variantKnobs, error) {
+// variantOptions is the one variant→policy table, shared by solo
+// programs (knobs installed machine-wide), co-scheduled processes
+// (policy and hints per process) and trace replays. hints supplies the
+// CDPC page colors and touch order — the compiler summary's for a
+// program (programKnobs), the online summarizer's for a trace — and is
+// called only by the variants that consume them. prog is nil for
+// traces, whose variants (CanTraceVariant) never need it.
+func variantOptions(s Spec, cfg arch.Config, prog *ir.Program, hints func() (*core.Hints, error)) (variantKnobs, error) {
 	var k variantKnobs
 	colors := cfg.Colors()
 
-	needHints := s.Variant == CDPC || s.Variant == CDPCTouch
-	var hints *core.Hints
-	if needHints {
+	var h *core.Hints
+	if s.Variant == CDPC || s.Variant == CDPCTouch {
 		var err error
-		hints, err = core.ComputeHintsOpt(prog, sum, core.Params{
-			NumCPUs:   cfg.NumCPUs,
-			NumColors: colors,
-			PageSize:  cfg.PageSize,
-		}, s.CDPCOptions)
-		if err != nil {
+		if h, err = hints(); err != nil {
 			return k, err
 		}
 	}
@@ -517,10 +573,10 @@ func variantOptions(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s 
 		k.Policy = &vm.BinHopping{Colors: colors}
 	case CDPC:
 		k.Policy = vm.PageColoring{Colors: colors} // fallback for unhinted pages
-		k.Hints = hints.Colors
+		k.Hints = h.Colors
 	case CDPCTouch:
 		k.Policy = &vm.BinHopping{Colors: colors}
-		k.TouchOrder = hints.Order
+		k.TouchOrder = h.Order
 	case ColoringTouch:
 		k.Policy = &vm.BinHopping{Colors: colors}
 		k.TouchOrder = ascendingDataPages(prog, cfg.PageSize)
@@ -541,21 +597,31 @@ func variantOptions(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s 
 	return k, nil
 }
 
-// runPrepared maps the variant to simulator options and runs.
+// programKnobs is variantOptions for a compiled program, its CDPC hints
+// computed from the compiler's summary.
+func programKnobs(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (variantKnobs, error) {
+	return variantOptions(s, cfg, prog, func() (*core.Hints, error) {
+		return compilerHints(prog, sum, cfg, s)
+	})
+}
+
+// compilerHints runs the CDPC algorithm over a prepared program.
+func compilerHints(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (*core.Hints, error) {
+	return core.ComputeHintsOpt(prog, sum, core.Params{
+		NumCPUs:   cfg.NumCPUs,
+		NumColors: cfg.Colors(),
+		PageSize:  cfg.PageSize,
+	}, s.CDPCOptions)
+}
+
+// runPrepared maps the variant to simulator options and runs a prepared
+// program alone on the machine.
 func runPrepared(ctx context.Context, prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (*sim.Result, error) {
-	if len(s.CoRunners) > 0 {
-		return nil, fmt.Errorf("harness: spec has co-runners; use RunMulti")
-	}
-	opts := sim.Options{Config: cfg, DisableClassification: s.DisableClassification, Obs: s.Obs}
+	opts := s.simOptions(ctx, cfg)
 	if s.Sampled {
 		opts.Sampling = sim.SamplingOptions{Enabled: true, Clusters: samplingClusters(prog)}
 	}
-	if ctx.Done() != nil {
-		// Only contexts that can actually be canceled pay for the
-		// nest-boundary poll; Background keeps the serial path untouched.
-		opts.Cancel = ctx.Err
-	}
-	k, err := variantOptions(prog, sum, cfg, s)
+	k, err := programKnobs(prog, sum, cfg, s)
 	if err != nil {
 		return nil, err
 	}
@@ -576,26 +642,8 @@ func runPrepared(ctx context.Context, prog *ir.Program, sum *compiler.Summary, c
 	return res, nil
 }
 
-// RunMulti executes a spec and its co-runners as one multiprogrammed
-// machine under the spec's space-sharing discipline.
-func RunMulti(s Spec) (*sim.MultiResult, error) {
-	return RunMultiCtx(context.Background(), s)
-}
-
-// RunMultiCtx is RunMulti with cancellation (see RunCtx). Every process
-// is prepared through the regular compiler pipeline; placement policy
-// and CDPC hints are installed per process, and all processes draw
-// frames from the machine's single shared allocator. Variants that need
-// machine-wide mechanisms (touch ordering, dynamic recoloring) cannot
-// be co-scheduled and are rejected.
-func RunMultiCtx(ctx context.Context, s Spec) (*sim.MultiResult, error) {
-	s = s.withDefaults()
-	if s.Trace != nil {
-		return nil, fmt.Errorf("harness: trace-backed specs are single-process; use Run")
-	}
-	if err := validateSpec(s); err != nil {
-		return nil, err
-	}
+// runMix runs a spec with co-runners as one multiprogrammed machine.
+func runMix(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult, error) {
 	sched, err := simSched(s.Sched, s.Quantum)
 	if err != nil {
 		return nil, err
@@ -606,20 +654,18 @@ func RunMultiCtx(ctx context.Context, s Spec) (*sim.MultiResult, error) {
 		if !CanCoSchedule(ps.Variant) {
 			return nil, fmt.Errorf("harness: variant %q needs machine-wide state and cannot be co-scheduled", ps.Variant)
 		}
-		prog, sum, cfg, err := Prepare(ps)
+		prog, sum, cfg, err := prepare(ps)
 		if err != nil {
 			return nil, err
 		}
-		k, err := variantOptions(prog, sum, cfg, ps)
+		k, err := programKnobs(prog, sum, cfg, ps)
 		if err != nil {
 			return nil, err
 		}
-		procs[i] = sim.ProcessOptions{Prog: prog, Policy: k.Policy, Hints: k.Hints, Domain: ps.Domain}
+		procs[i] = sim.ProcessOptions{Source: sim.ProgramSource(prog), Policy: k.Policy, Hints: k.Hints, Domain: ps.Domain}
 	}
-	opts := sim.Options{Config: s.Config(), DisableClassification: s.DisableClassification, Obs: s.Obs, Isolate: s.Isolate}
-	if ctx.Done() != nil {
-		opts.Cancel = ctx.Err
-	}
+	opts := s.simOptions(ctx, s.Config())
+	opts.Isolate = s.Isolate
 	m, err := sim.New(opts)
 	if err != nil {
 		return nil, err
@@ -670,32 +716,6 @@ func ascendingDataPages(prog *ir.Program, pageSize int) []uint64 {
 	return vpns
 }
 
-// FastRun executes a spec on the cache-counting-only fast simulator
-// (SimOS's high-speed mode, §3.2): miss counts without timing.
-func FastRun(s Spec) (*sim.FastResult, error) {
-	s = s.withDefaults()
-	prog, sum, cfg, err := Prepare(s)
-	if err != nil {
-		return nil, err
-	}
-	opts := sim.Options{Config: cfg}
-	colors := cfg.Colors()
-	switch s.Variant {
-	case BinHopping, BinHoppingUnaligned:
-		opts.Policy = &vm.BinHopping{Colors: colors}
-	case CDPC:
-		h, err := core.ComputeHintsOpt(prog, sum, core.Params{NumCPUs: cfg.NumCPUs, NumColors: colors, PageSize: cfg.PageSize}, s.CDPCOptions)
-		if err != nil {
-			return nil, err
-		}
-		opts.Policy = vm.PageColoring{Colors: colors}
-		opts.Hints = h.Colors
-	default:
-		opts.Policy = vm.PageColoring{Colors: colors}
-	}
-	return sim.FastRun(prog, opts)
-}
-
 // Hints computes the CDPC hints for a spec without running the simulator
 // (the access-map tool and algorithm examples use this).
 func Hints(s Spec) (*core.Hints, *ir.Program, error) {
@@ -704,11 +724,7 @@ func Hints(s Spec) (*core.Hints, *ir.Program, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	h, err := core.ComputeHintsOpt(prog, sum, core.Params{
-		NumCPUs:   cfg.NumCPUs,
-		NumColors: cfg.Colors(),
-		PageSize:  cfg.PageSize,
-	}, s.CDPCOptions)
+	h, err := compilerHints(prog, sum, cfg, s)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -32,10 +32,11 @@ func (o ExpOptions) runMulti(s Spec) (*sim.MultiResult, error) {
 }
 
 // warmMulti pre-executes co-scheduled specs on the scheduler's pool
-// (see warm). A no-op without a scheduler.
+// (see warm) without warm's fidelity and topology rewrites, which
+// runMulti does not apply either. A no-op without a scheduler.
 func (o ExpOptions) warmMulti(specs []Spec) {
 	if o.Runner != nil {
-		o.Runner.WarmMulti(specs)
+		o.Runner.Warm(specs)
 	}
 }
 

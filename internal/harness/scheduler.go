@@ -36,24 +36,17 @@ type Scheduler struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 
-	mu     sync.Mutex
-	memo   map[specKey]*memoEntry      // guarded by mu
-	multis map[specKey]*multiMemoEntry // guarded by mu
-	progs  map[progKey]*progEntry      // guarded by mu
+	mu    sync.Mutex
+	memo  map[specKey]*memoEntry // guarded by mu
+	progs map[progKey]*progEntry // guarded by mu
 }
 
-// memoEntry is one memoized (possibly in-flight) simulation. done is
-// closed when res/err are valid; duplicate submissions of the same Spec
-// block on it instead of re-running.
+// memoEntry is one memoized (possibly in-flight) simulation. Every spec
+// memoizes as a process mix — a solo spec as a mix of one — so a single
+// table serves Run and RunMulti alike. done is closed when res/err are
+// valid; duplicate submissions of the same Spec block on it instead of
+// re-running.
 type memoEntry struct {
-	done chan struct{}
-	res  *sim.Result
-	err  error
-}
-
-// multiMemoEntry is one memoized (possibly in-flight) multiprocess
-// run; the multiprogramming analog of memoEntry.
-type multiMemoEntry struct {
 	done chan struct{}
 	res  *sim.MultiResult
 	err  error
@@ -199,7 +192,6 @@ func NewScheduler(workers int) *Scheduler {
 	return &Scheduler{
 		workers: workers,
 		memo:    make(map[specKey]*memoEntry),
-		multis:  make(map[specKey]*multiMemoEntry),
 		progs:   make(map[progKey]*progEntry),
 	}
 }
@@ -208,26 +200,55 @@ func NewScheduler(workers int) *Scheduler {
 func (sc *Scheduler) Workers() int { return sc.workers }
 
 // Run returns the result for spec, computing it on the calling
-// goroutine if no memoized or in-flight run exists. Concurrent callers
-// with the same Spec coalesce onto one simulation.
+// goroutine if no memoized or in-flight run exists.
 func (sc *Scheduler) Run(spec Spec) (*sim.Result, error) {
 	return sc.RunCtx(context.Background(), spec)
 }
 
-// RunCtx is Run with cancellation. ctx is polled at nest boundaries
+// RunCtx is Run with cancellation. ctx is polled at region boundaries
 // inside the simulation, so a canceled or expired context frees the
-// calling worker at the next synchronization point. Cancellation never
+// calling worker at the next synchronization point. For a spec with
+// co-runners the result is the machine total.
+func (sc *Scheduler) RunCtx(ctx context.Context, spec Spec) (*sim.Result, error) {
+	mr, err := sc.run(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return mr.Total, nil
+}
+
+// RunMulti returns the per-process and machine-wide results for a
+// spec, memoized in the same table as Run (a solo spec is a mix of
+// one). The memo key incorporates the resolved co-runner list, the
+// scheduling discipline and the quantum, so co-scheduled runs are
+// cached per multiprogramming mix, never conflated with each other or
+// with solo runs.
+func (sc *Scheduler) RunMulti(spec Spec) (*sim.MultiResult, error) {
+	return sc.RunMultiCtx(context.Background(), spec)
+}
+
+// RunMultiCtx is RunMulti with cancellation (see RunCtx); trace-backed
+// specs are rejected as by the package-level RunMultiCtx.
+func (sc *Scheduler) RunMultiCtx(ctx context.Context, spec Spec) (*sim.MultiResult, error) {
+	if spec.Trace != nil {
+		return nil, errTraceMix
+	}
+	return sc.run(ctx, spec)
+}
+
+// run is the memo path behind every Run* method. Concurrent callers
+// with the same Spec coalesce onto one simulation. Cancellation never
 // poisons the memo cache: a run that dies on its owner's context error
 // is removed from the cache, and callers that were coalesced onto it
 // retry under their own (still live) context instead of inheriting the
 // stranger's cancellation.
-func (sc *Scheduler) RunCtx(ctx context.Context, spec Spec) (*sim.Result, error) {
+func (sc *Scheduler) run(ctx context.Context, spec Spec) (*sim.MultiResult, error) {
 	if spec.Obs != nil {
 		// Instrumented specs are never memoized: a cached result could
 		// not have filled this run's collector. The program cache is
 		// still shared (observation does not perturb compiled programs).
 		sc.misses.Add(1)
-		return sc.runSpec(ctx, spec)
+		return execute(ctx, spec, sc.prepare)
 	}
 	key := keyOf(spec)
 	for {
@@ -254,7 +275,7 @@ func (sc *Scheduler) RunCtx(ctx context.Context, spec Spec) (*sim.Result, error)
 		sc.mu.Unlock()
 		sc.misses.Add(1)
 
-		e.res, e.err = sc.runSpec(ctx, spec)
+		e.res, e.err = execute(ctx, spec, sc.prepare)
 		if e.err != nil && isContextErr(e.err) {
 			sc.mu.Lock()
 			delete(sc.memo, key)
@@ -263,110 +284,6 @@ func (sc *Scheduler) RunCtx(ctx context.Context, spec Spec) (*sim.Result, error)
 		close(e.done)
 		return e.res, e.err
 	}
-}
-
-// RunMulti returns the multiprocess result for a spec with co-runners,
-// memoized exactly like Run memoizes single-process specs. The memo key
-// incorporates the resolved co-runner list, the scheduling discipline
-// and the quantum, so co-scheduled runs are cached per multiprogramming
-// mix, never conflated with each other or with solo runs.
-func (sc *Scheduler) RunMulti(spec Spec) (*sim.MultiResult, error) {
-	return sc.RunMultiCtx(context.Background(), spec)
-}
-
-// RunMultiCtx is RunMulti with cancellation, following RunCtx's
-// coalescing and cancel-unpoisoning rules.
-func (sc *Scheduler) RunMultiCtx(ctx context.Context, spec Spec) (*sim.MultiResult, error) {
-	if spec.Obs != nil {
-		sc.misses.Add(1)
-		return RunMultiCtx(ctx, spec)
-	}
-	key := keyOf(spec)
-	for {
-		sc.mu.Lock()
-		if e, ok := sc.multis[key]; ok {
-			sc.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.err != nil && isContextErr(e.err) {
-				continue
-			}
-			sc.hits.Add(1)
-			return e.res, e.err
-		}
-		e := &multiMemoEntry{done: make(chan struct{})}
-		sc.multis[key] = e
-		sc.mu.Unlock()
-		sc.misses.Add(1)
-
-		e.res, e.err = RunMultiCtx(ctx, spec)
-		if e.err != nil && isContextErr(e.err) {
-			sc.mu.Lock()
-			delete(sc.multis, key)
-			sc.mu.Unlock()
-		}
-		close(e.done)
-		return e.res, e.err
-	}
-}
-
-// HasMultiResult reports whether spec's multiprocess result is already
-// memoized and complete (the RunMulti analog of HasResult).
-func (sc *Scheduler) HasMultiResult(spec Spec) bool {
-	if spec.Obs != nil {
-		return false
-	}
-	key := keyOf(spec)
-	sc.mu.Lock()
-	e, ok := sc.multis[key]
-	sc.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.done:
-		return e.err == nil
-	default:
-		return false
-	}
-}
-
-// WarmMulti pre-executes multiprocess specs on the worker pool, the
-// RunMulti analog of Warm: errors are memoized and resurface from
-// RunMulti at the deterministic render point.
-func (sc *Scheduler) WarmMulti(specs []Spec) {
-	if len(specs) == 0 {
-		return
-	}
-	n := sc.workers
-	if n > len(specs) {
-		n = len(specs)
-	}
-	if n <= 1 {
-		for _, s := range specs {
-			sc.RunMulti(s) //nolint:errcheck // resurfaces at render time
-		}
-		return
-	}
-	ch := make(chan Spec)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				sc.RunMulti(s) //nolint:errcheck // resurfaces at render time
-			}
-		}()
-	}
-	for _, s := range specs {
-		ch <- s
-	}
-	close(ch)
-	wg.Wait()
 }
 
 // isContextErr reports whether err stems from context cancellation or
@@ -404,8 +321,8 @@ func (sc *Scheduler) HasResult(spec Spec) bool {
 	}
 }
 
-// Warm executes the given specs on the worker pool and blocks until all
-// have completed. Errors are not returned here: they are memoized and
+// Warm executes the given specs — solo or co-scheduled alike — on the
+// worker pool and blocks until all have completed. Errors are not returned here: they are memoized and
 // resurface from Run at the same (deterministic) point a serial
 // execution would hit them, keeping failure behaviour identical.
 func (sc *Scheduler) Warm(specs []Spec) {
@@ -420,7 +337,7 @@ func (sc *Scheduler) Warm(specs []Spec) {
 		// Degenerate pool: stay on this goroutine so single-worker runs
 		// have exactly the serial execution profile.
 		for _, s := range specs {
-			sc.Run(s) //nolint:errcheck // resurfaces at render time
+			sc.run(context.Background(), s) //nolint:errcheck // resurfaces at render time
 		}
 		return
 	}
@@ -431,7 +348,7 @@ func (sc *Scheduler) Warm(specs []Spec) {
 		go func() {
 			defer wg.Done()
 			for s := range ch {
-				sc.Run(s) //nolint:errcheck // resurfaces at render time
+				sc.run(context.Background(), s) //nolint:errcheck // resurfaces at render time
 			}
 		}()
 	}
@@ -447,23 +364,7 @@ func (sc *Scheduler) Warm(specs []Spec) {
 func (sc *Scheduler) Runs() int {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return len(sc.memo) + len(sc.multis)
-}
-
-// runSpec is Run's slow path: prepare (through the program cache) and
-// simulate. It mirrors the package-level Run exactly. Trace-backed
-// specs skip the program cache entirely — there is no compiled program
-// to share, and their Workload field is only a label.
-func (sc *Scheduler) runSpec(ctx context.Context, spec Spec) (*sim.Result, error) {
-	spec = spec.withDefaults()
-	if spec.Trace != nil {
-		return runTraceCtx(ctx, spec)
-	}
-	prog, sum, cfg, err := sc.prepare(spec)
-	if err != nil {
-		return nil, err
-	}
-	return runPrepared(ctx, prog, sum, cfg, spec)
+	return len(sc.memo)
 }
 
 // prepare resolves the spec's compiled program through the shared

@@ -6,8 +6,8 @@ import (
 )
 
 // CancelPollAnalyzer enforces the simulator's cancellation contract:
-// every nest-iterating loop reachable from a Run* entry point must
-// reach a poll of Options.Cancel. The server threads its context into
+// every nest- or region-iterating loop reachable from a Run* entry
+// point must reach a poll of Options.Cancel. The server threads its context into
 // that hook and promises a bounded drain on shutdown; one warm-up or
 // replay loop that grinds through nests without polling turns the
 // drain deadline into a lie exactly when a job is at its slowest.
@@ -17,8 +17,10 @@ import (
 //   - entry points are the exported functions and methods whose name
 //     starts with "Run";
 //   - a loop qualifies when its body makes an error-returning call
-//     that passes a scalar *ir.Nest (or ir.Nest) argument — the
-//     signature of per-nest simulation work. Loops that merely
+//     that passes a scalar *ir.Nest (or ir.Nest) argument, or a value
+//     of (or implementing) the Region interface declared next to
+//     Options.Cancel — the signatures of per-nest and per-region
+//     simulation work. Loops that merely
 //     collect, index or measure nests (append, span arithmetic,
 //     stream construction) do not qualify: they are O(nests)
 //     bookkeeping, and a callee with no error result has no path to
@@ -28,11 +30,12 @@ import (
 //     call graph, some reader of Options.Cancel is reachable — the
 //     poll then runs at least once per iteration.
 //
-// The analyzer anchors on the Options.Cancel declaration and an
-// internal/ir package declaring Nest; absent either, it is silent.
+// The analyzer anchors on the Options.Cancel declaration plus an
+// internal/ir package declaring Nest or a Region interface in the same
+// package; absent the field or both work types, it is silent.
 var CancelPollAnalyzer = &Analyzer{
 	Name: "cancelpoll",
-	Doc:  "every nest-iterating loop reachable from a Run* entry point must reach an Options.Cancel poll",
+	Doc:  "every nest- or region-iterating loop reachable from a Run* entry point must reach an Options.Cancel poll",
 	Run:  runCancelPoll,
 }
 
@@ -45,15 +48,19 @@ func runCancelPoll(pass *Pass) {
 	if _, ok := cancel.Type().Underlying().(*types.Signature); !ok {
 		return
 	}
-	irPkg := pass.Prog.Lookup("internal/ir")
-	if irPkg == nil {
+	var nestType types.Type
+	if irPkg := pass.Prog.Lookup("internal/ir"); irPkg != nil {
+		if obj := irPkg.Types.Scope().Lookup("Nest"); obj != nil {
+			nestType = obj.Type()
+		}
+	}
+	var region *types.Interface
+	if obj := pkg.Types.Scope().Lookup("Region"); obj != nil {
+		region, _ = obj.Type().Underlying().(*types.Interface)
+	}
+	if nestType == nil && region == nil {
 		return
 	}
-	nestObj := irPkg.Types.Scope().Lookup("Nest")
-	if nestObj == nil {
-		return
-	}
-	nestType := nestObj.Type()
 
 	cg := pass.Prog.CallGraph()
 
@@ -78,11 +85,16 @@ func runCancelPoll(pass *Pass) {
 	}
 	reachable := cg.Reachable(entries)
 
-	isNest := func(t types.Type) bool {
+	// isWork reports whether an argument type carries per-nest or
+	// per-region simulation work.
+	isWork := func(t types.Type) bool {
+		if region != nil && types.Implements(t, region) {
+			return true
+		}
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
-		return types.Identical(t, nestType)
+		return nestType != nil && types.Identical(t, nestType)
 	}
 	returnsError := func(n *CGNode) bool {
 		sig, ok := n.Obj.Type().(*types.Signature)
@@ -136,7 +148,7 @@ func runCancelPoll(pass *Pass) {
 			default:
 				return true
 			}
-			nestWork, polled := false, false
+			work, polled := false, false
 			ast.Inspect(body, func(inner ast.Node) bool {
 				switch x := inner.(type) {
 				case *ast.CallExpr:
@@ -148,8 +160,8 @@ func runCancelPoll(pass *Pass) {
 					}
 					if returnsError(callee) {
 						for _, arg := range x.Args {
-							if tv, ok := pkg.Info.Types[arg]; ok && isNest(tv.Type) {
-								nestWork = true
+							if tv, ok := pkg.Info.Types[arg]; ok && isWork(tv.Type) {
+								work = true
 							}
 						}
 					}
@@ -163,9 +175,9 @@ func runCancelPoll(pass *Pass) {
 				}
 				return true
 			})
-			if nestWork && !polled {
+			if work && !polled {
 				pass.Reportf(node.Pos(),
-					"loop runs per-nest work but never reaches an Options.Cancel poll: the server's drain deadline depends on cancellation at nest boundaries")
+					"loop runs per-nest or per-region work but never reaches an Options.Cancel poll: the server's drain deadline depends on cancellation at region boundaries")
 			}
 			return true
 		})

@@ -1,5 +1,6 @@
-// Package sim exercises the cancelpoll analyzer: nest-iterating loops
-// reachable from Run* must reach an Options.Cancel poll.
+// Package sim exercises the cancelpoll analyzer: nest- and
+// region-iterating loops reachable from Run* must reach an
+// Options.Cancel poll.
 package sim
 
 import "fixcancel/internal/ir"
@@ -13,6 +14,23 @@ type Options struct {
 type Machine struct {
 	opts Options
 	work int
+}
+
+// Region is a unit of simulation work that need not come from an ir
+// nest; loops passing one qualify just like nest loops.
+type Region interface {
+	Size() int
+}
+
+// block is a concrete Region.
+type block struct{ n int }
+
+func (b block) Size() int { return b.n }
+
+// drainRegion does per-region work without ever polling.
+func (m *Machine) drainRegion(r Region) error {
+	m.work += r.Size()
+	return nil
 }
 
 // poll is the cancellation point.
@@ -78,6 +96,27 @@ func (m *Machine) Run(p *ir.Program) error {
 			}
 		}
 		if err := m.process(n); err != nil {
+			return err
+		}
+	}
+	regions := []Region{block{1}, block{2}}
+	for _, reg := range regions { // want "never reaches an Options.Cancel poll"
+		if err := m.drainRegion(reg); err != nil {
+			return err
+		}
+	}
+	// A concrete type implementing Region counts too.
+	for _, b := range []block{{3}} { // want "never reaches an Options.Cancel poll"
+		if err := m.drainRegion(b); err != nil {
+			return err
+		}
+	}
+	// Clean: the same region loop with a poll.
+	for _, reg := range regions {
+		if err := m.poll(); err != nil {
+			return err
+		}
+		if err := m.drainRegion(reg); err != nil {
 			return err
 		}
 	}

@@ -67,7 +67,9 @@ type JobRequest struct {
 	// Fidelity selects the simulation mode: "full" (every reference
 	// detail-simulated) or "sampled" (representative windows per loop
 	// nest, functional warm-up, statistics extrapolated by phase weight —
-	// ~10x faster, <2% MCPI error on the bundled workloads). Empty picks
+	// ~10x faster; MCPI within 2% of full fidelity at the 2-CPU
+	// page-coloring shape ext-sampling measures, ~30% off on 8-16 CPU
+	// fig6 and cdpc specs). Empty picks
 	// the endpoint default: async jobs (POST /v1/jobs) run sampled when
 	// the request is compatible, synchronous /v1/simulate runs full.
 	// Attribution, co-scheduled and dynamic-recoloring requests cannot be

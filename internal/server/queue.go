@@ -158,16 +158,11 @@ func (q *queue) runJob(j *job) {
 		spec.Obs = collector
 	}
 
-	// The memo cache only serves spec-keyed bundled workloads; custom
-	// programs and instrumented runs always simulate fresh. Multiprocess
-	// jobs have their own memo keyed on the co-runner mix.
+	// The memo cache only serves spec-keyed runs; custom programs and
+	// instrumented runs always simulate fresh. Solo and multiprocess
+	// specs share one memo table keyed on the full process mix.
 	multi := len(spec.CoRunners) > 0
-	var cached bool
-	if multi {
-		cached = !j.req.Attr && q.sched.HasMultiResult(spec)
-	} else {
-		cached = j.prog == nil && !j.req.Attr && q.sched.HasResult(spec)
-	}
+	cached := j.prog == nil && !j.req.Attr && q.sched.HasResult(spec)
 	start := time.Now()
 	var res *sim.Result
 	var mres *sim.MultiResult

@@ -7,10 +7,16 @@
 // come from the vm subsystem, so page mapping policy decides where pages
 // land in the external caches — the mechanism the whole paper is about.
 //
-// The simulator executes an ir.Program's phase structure directly:
-// parallel nests run on all CPUs interleaved in global time order
-// (a min-clock event loop), sequential and suppressed nests run on the
-// master while the slaves' idle time is charged to the matching overhead
-// bucket, and per-phase statistics are weighted by phase occurrence
-// counts, the paper's representative-execution-window method (§3.2).
+// Workloads reach the engine through one seam, Source: init regions
+// plus steady-state phases of Regions, each Region a set of per-CPU
+// reference streams (ProgramSource for an ir.Program, NewTraceSource
+// for a recorded trace). Run is RunSource(ProgramSource(prog)), which
+// runs the full engine — parallel regions on all CPUs interleaved in
+// global time order (a min-clock event loop), sequential and suppressed
+// regions on the master while the slaves' idle time is charged to the
+// matching overhead bucket, per-phase statistics weighted by phase
+// occurrence counts, the paper's representative-execution-window
+// method (§3.2) — or the phase-sampled mode for a program when
+// Options.Sampling asks for it. RunProcesses runs several sources'
+// Regions under a space-sharing scheduler on one machine.
 package sim

@@ -12,59 +12,32 @@ type PhaseSample struct {
 	WallCycles   uint64
 }
 
-// SamplePhases executes the program's initialization and warm-up passes,
-// then runs the steady-state phase sequence `repeats` times, recording
-// each phase occurrence separately. This is the measurement behind the
-// paper's claim that "in all but one case the standard deviation of both
-// the number of instructions and the miss rate is less than 1% of the
-// mean".
+// SamplePhases runs the program's warm start exactly as Run does
+// (prologue, initialization, warm-up pass), then runs the steady-state
+// phase sequence `repeats` times, recording each phase occurrence
+// separately. This is the measurement behind the paper's claim that
+// "in all but one case the standard deviation of both the number of
+// instructions and the miss rate is less than 1% of the mean".
 func (m *Machine) SamplePhases(prog *ir.Program, repeats int) ([][]PhaseSample, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	if m.opts.Hints != nil {
-		m.as.Advise(m.opts.Hints)
+	phases, err := m.warmStart(ProgramSource(prog))
+	if err != nil {
+		return nil, err
 	}
-	if prog.Init != nil {
-		for _, n := range prog.Init.Nests {
-			if err := m.runNest(prog, n); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// One warm-up pass, as in Run.
-	for _, ph := range prog.Phases {
-		for _, n := range ph.Nests {
-			if err := m.runNest(prog, n); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	samples := make([][]PhaseSample, len(prog.Phases))
+	samples := make([][]PhaseSample, len(phases))
 	for r := 0; r < repeats; r++ {
-		for pi, ph := range prog.Phases {
-			var instBefore, missBefore uint64
-			for _, c := range m.cpus {
-				instBefore += c.stats.Instructions
-				missBefore += c.stats.L2Misses
-			}
-			wallBefore := m.wallClock()
-			for _, n := range ph.Nests {
-				if err := m.runNest(prog, n); err != nil {
-					return nil, err
-				}
-			}
-			var inst, miss uint64
-			for _, c := range m.cpus {
-				inst += c.stats.Instructions
-				miss += c.stats.L2Misses
+		for pi, ph := range phases {
+			d, err := m.measure(func() error { return m.runRegions(ph.Regions) })
+			if err != nil {
+				return nil, err
 			}
 			samples[pi] = append(samples[pi], PhaseSample{
 				Phase:        ph.Name,
-				Instructions: inst - instBefore,
-				L2Misses:     miss - missBefore,
-				WallCycles:   m.wallClock() - wallBefore,
+				Instructions: d.Total(func(s *CPUStats) uint64 { return s.Instructions }),
+				L2Misses:     d.Total(func(s *CPUStats) uint64 { return s.L2Misses }),
+				WallCycles:   d.WallCycles,
 			})
 		}
 	}

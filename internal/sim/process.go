@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/bus"
-	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -16,7 +15,7 @@ type SchedPolicy int
 
 const (
 	// SchedTimeSlice gang-schedules one process at a time across every
-	// CPU, round-robin by ascending pid, switching at the first nest
+	// CPU, round-robin by ascending pid, switching at the first region
 	// boundary after the quantum expires. Context switches flush the
 	// virtually indexed on-chip caches, the TLBs and the translation
 	// caches; the physically tagged external caches keep their contents,
@@ -56,14 +55,16 @@ const contextSwitchCycles = 1000
 type SchedOptions struct {
 	Policy SchedPolicy
 	// Quantum is the SchedTimeSlice slice length in cycles; 0 uses
-	// DefaultQuantum. Slices end at nest boundaries (the machine's
-	// natural preemption points), so a long nest can overrun its slice.
+	// DefaultQuantum. Slices end at region boundaries (the machine's
+	// natural preemption points), so a long region can overrun its slice.
 	Quantum uint64
 }
 
-// ProcessOptions describes one program entering the process table.
+// ProcessOptions describes one workload entering the process table.
 type ProcessOptions struct {
-	Prog *ir.Program
+	// Source supplies the process's regions: its init regions, then each
+	// steady-state phase's regions once.
+	Source Source
 	// Policy is the process's page-placement policy; nil defaults to
 	// page coloring at the machine's color count.
 	Policy vm.Policy
@@ -85,8 +86,7 @@ type Process struct {
 	Pid  int
 	Name string
 
-	as   *vm.AddressSpace
-	prog *ir.Program
+	as *vm.AddressSpace
 
 	// cpus is the CPU gang the process runs on: a partition block under
 	// SchedPartition, every CPU under SchedTimeSlice.
@@ -102,9 +102,11 @@ type Process struct {
 	// time-slice windows, or the partition's finish clock.
 	ran uint64
 
-	nests []*ir.Nest // flattened init + steady-state nest sequence
-	next  int
-	done  bool
+	// work is the region sequence (init, then each phase once) and next
+	// the index of the region to run next.
+	work []Region
+	next int
+	done bool
 }
 
 // MultiResult is the outcome of a multiprocess run: one Result per
@@ -139,21 +141,27 @@ func (mr *MultiResult) Audit() []obs.Violation {
 
 // RunProcesses executes the given processes under the space-sharing
 // scheduler on a fresh machine. A single process with no explicit
-// policy or hints runs through the legacy single-process path
-// (warm-up, phase weighting, the machine's configured policy) and is
-// byte-identical to Run. Multiprocess runs measure every executed
-// cycle — there is no warm-up discard, and each phase runs once,
-// unweighted — because co-runners share the timeline and a per-process
-// measured window cannot be cut out of it.
+// policy or hints runs as RunSource would (warm-up, phase weighting,
+// the machine's configured policy, sampling when requested) and is
+// byte-identical to it. Multiprocess runs measure every executed cycle
+// — there is no warm-up discard, and each phase runs once, unweighted —
+// because co-runners share the timeline and a per-process measured
+// window cannot be cut out of it.
 func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*MultiResult, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("sim: no processes to run")
 	}
+	// A source is validated against the gang it will run on: one
+	// partition block under SchedPartition, the whole machine otherwise.
+	width := m.cfg.NumCPUs
+	if sched.Policy == SchedPartition {
+		width /= len(procs)
+	}
 	for _, po := range procs {
-		if po.Prog == nil {
-			return nil, fmt.Errorf("sim: nil program in process list")
+		if po.Source == nil {
+			return nil, fmt.Errorf("sim: nil source in process list")
 		}
-		if err := po.Prog.Validate(); err != nil {
+		if err := po.Source.Validate(width); err != nil {
 			return nil, err
 		}
 		if po.Domain < 0 {
@@ -161,7 +169,7 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 		}
 	}
 	if len(procs) == 1 && procs[0].Policy == nil && procs[0].Hints == nil && !m.opts.Isolate {
-		res, err := m.runSingle(procs[0].Prog)
+		res, err := m.runAlone(procs[0].Source)
 		if err != nil {
 			return nil, err
 		}
@@ -194,12 +202,9 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 		if po.Hints != nil {
 			as.Advise(po.Hints)
 		}
-		table[i] = &Process{
-			Pid:   pid,
-			Name:  po.Prog.Name,
-			as:    as,
-			prog:  po.Prog,
-			nests: flattenNests(po.Prog),
+		table[i] = &Process{Pid: pid, Name: po.Source.Name(), as: as, work: po.Source.InitRegions()}
+		for _, ph := range po.Source.Phases() {
+			table[i].work = append(table[i].work, ph.Regions...)
 		}
 	}
 	var err error
@@ -247,21 +252,19 @@ func resolveDomains(procs []ProcessOptions) map[int]int {
 	return pids
 }
 
-// flattenNests returns the program's nest sequence for a multiprocess
-// run: initialization followed by each steady-state phase once.
-func flattenNests(prog *ir.Program) []*ir.Nest {
-	var out []*ir.Nest
-	if prog.Init != nil {
-		out = append(out, prog.Init.Nests...)
+// runNext runs the process's next region on its gang and marks the
+// process done after its last.
+func (m *Machine) runNext(p *Process) error {
+	if err := m.runRegion(p.cpus, p.work[p.next], &p.regions); err != nil {
+		return err
 	}
-	for _, ph := range prog.Phases {
-		out = append(out, ph.Nests...)
-	}
-	return out
+	p.next++
+	p.done = p.next == len(p.work)
+	return nil
 }
 
 // runTimeSliced gang-schedules the whole machine across processes,
-// round-robin by ascending pid. Every window runs whole nests until the
+// round-robin by ascending pid. Every window runs whole regions until the
 // quantum is spent; at a switch the incoming process pays the kernel
 // switch cost and the virtually indexed per-CPU state is flushed (TLB,
 // on-chip caches, translation caches) while the physically tagged
@@ -301,12 +304,8 @@ func (m *Machine) runTimeSliced(table []*Process, quantum uint64) error {
 				}
 			}
 			for !p.done && m.wallClock()-t0 < quantum {
-				if err := m.runNestOn(m.cpus, p.prog, p.nests[p.next], &p.regions); err != nil {
+				if err := m.runNext(p); err != nil {
 					return err
-				}
-				p.next++
-				if p.next == len(p.nests) {
-					p.done = true
 				}
 			}
 			for i, c := range m.cpus {
@@ -324,11 +323,11 @@ func (m *Machine) runTimeSliced(table []*Process, quantum uint64) error {
 }
 
 // runPartitioned gives each process an equal contiguous block of CPUs
-// for its whole lifetime and interleaves the partitions' nests in
-// global time order (earliest partition clock runs its next nest; ties
+// for its whole lifetime and interleaves the partitions' regions in
+// global time order (earliest partition clock runs its next region; ties
 // break toward the lowest pid). The shared bus orders transactions by
 // timestamp, so cross-partition contention is modeled even though each
-// nest is simulated to completion.
+// region is simulated to completion.
 func (m *Machine) runPartitioned(table []*Process) error {
 	n := len(table)
 	if n > len(m.cpus) {
@@ -358,12 +357,10 @@ func (m *Machine) runPartitioned(table []*Process) error {
 		if pick == nil {
 			return nil
 		}
-		if err := m.runNestOn(pick.cpus, pick.prog, pick.nests[pick.next], &pick.regions); err != nil {
+		if err := m.runNext(pick); err != nil {
 			return err
 		}
-		pick.next++
-		if pick.next == len(pick.nests) {
-			pick.done = true
+		if pick.done {
 			pick.ran = clockMax(pick.cpus)
 			for i := range pick.cpus {
 				pick.bank = append(pick.bank, pick.cpus[i].stats)

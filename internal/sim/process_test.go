@@ -13,7 +13,7 @@ import (
 func multiRun(t *testing.T, opts Options, procs []ProcessOptions, sched SchedOptions) *MultiResult {
 	t.Helper()
 	for _, po := range procs {
-		if err := compilerLayout(po.Prog, opts.Config); err != nil {
+		if err := compilerLayout(progOf(po), opts.Config); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,8 +50,8 @@ func twoProcs(conflict bool) []ProcessOptions {
 		offset = 8
 	}
 	return []ProcessOptions{
-		{Prog: makeChunkedProgram(8, 16, offset, 6)},
-		{Prog: makeChunkedProgram(8, 16, offset, 6)},
+		{Source: ProgramSource(makeChunkedProgram(8, 16, offset, 6))},
+		{Source: ProgramSource(makeChunkedProgram(8, 16, offset, 6))},
 	}
 }
 
@@ -59,7 +59,7 @@ func TestRunProcessesSingleMatchesRun(t *testing.T) {
 	cfg := smallConfig(4)
 	opts := Options{Config: cfg, SkipWarmup: true}
 	single := mustRun(t, makeProgram(8, 16, 0), opts)
-	mr := multiRun(t, opts, []ProcessOptions{{Prog: makeProgram(8, 16, 0)}}, SchedOptions{})
+	mr := multiRun(t, opts, []ProcessOptions{{Source: ProgramSource(makeProgram(8, 16, 0))}}, SchedOptions{})
 	if !reflect.DeepEqual(single, mr.Total) {
 		t.Errorf("single-process RunProcesses diverged from Run:\n%+v\nvs\n%+v", mr.Total, single)
 	}
@@ -136,7 +136,7 @@ func TestTimeSliceFlushesOnSwitch(t *testing.T) {
 	// refills the solo run never pays.
 	opts := Options{Config: smallConfig(2)}
 	solo := multiRun(t, opts, []ProcessOptions{
-		{Prog: makeChunkedProgram(8, 16, 0, 6), Policy: vm.PageColoring{Colors: 16}},
+		{Source: ProgramSource(makeChunkedProgram(8, 16, 0, 6)), Policy: vm.PageColoring{Colors: 16}},
 	}, SchedOptions{Policy: SchedTimeSlice, Quantum: 30_000})
 	co := multiRun(t, Options{Config: smallConfig(2)}, twoProcs(false),
 		SchedOptions{Policy: SchedTimeSlice, Quantum: 30_000})
@@ -150,7 +150,7 @@ func TestTimeSliceFlushesOnSwitch(t *testing.T) {
 func TestProcessExitReturnsFrames(t *testing.T) {
 	procs := twoProcs(false)
 	for _, po := range procs {
-		if err := compilerLayout(po.Prog, smallConfig(4)); err != nil {
+		if err := compilerLayout(progOf(po), smallConfig(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,12 +174,12 @@ func TestProcessExitReturnsFrames(t *testing.T) {
 
 func TestPartitionRejectsIndivisibleCPUs(t *testing.T) {
 	procs := []ProcessOptions{
-		{Prog: makeProgram(4, 8, 0)},
-		{Prog: makeProgram(4, 8, 0)},
-		{Prog: makeProgram(4, 8, 0)},
+		{Source: ProgramSource(makeProgram(4, 8, 0))},
+		{Source: ProgramSource(makeProgram(4, 8, 0))},
+		{Source: ProgramSource(makeProgram(4, 8, 0))},
 	}
 	for _, po := range procs {
-		if err := compilerLayout(po.Prog, smallConfig(4)); err != nil {
+		if err := compilerLayout(progOf(po), smallConfig(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestPartitionRejectsIndivisibleCPUs(t *testing.T) {
 func TestMultiprocessRejectsRecoloring(t *testing.T) {
 	procs := twoProcs(false)
 	for _, po := range procs {
-		if err := compilerLayout(po.Prog, smallConfig(4)); err != nil {
+		if err := compilerLayout(progOf(po), smallConfig(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,3 +208,6 @@ func TestMultiprocessRejectsRecoloring(t *testing.T) {
 		t.Error("dynamic recoloring must be rejected in multiprocess runs")
 	}
 }
+
+// progOf returns the program behind a process built from ProgramSource.
+func progOf(po ProcessOptions) *ir.Program { return po.Source.(*programSource).prog }

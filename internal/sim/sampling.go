@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/ir"
 	"repro/internal/trace"
 )
@@ -272,23 +271,11 @@ func (m *Machine) planWindows(n *ir.Nest, p, ord int) windowPlan {
 	return plan
 }
 
-// runSampled is the phase-sampled counterpart of runSingle's full
-// engine. The caller has validated prog and checked samplingSupported.
-func (m *Machine) runSampled(prog *ir.Program) (*Result, error) {
-	m.warmRefs = 0
-	if m.opts.Hints != nil {
-		m.as.Advise(m.opts.Hints)
-	}
-	if m.opts.TouchOrder != nil {
-		faults, err := m.as.TouchInOrder(m.opts.TouchOrder, 0)
-		if err != nil {
-			return nil, fmt.Errorf("sim: touch-order faulting: %w", err)
-		}
-		m.cpus[0].stats.KernelCycles += uint64(faults) * uint64(m.cfg.PageFaultCycles)
-		m.cpus[0].stats.PageFaults += uint64(faults)
-		m.cpus[0].clock += uint64(faults) * uint64(m.cfg.PageFaultCycles)
-	}
-
+// runSampled is the phase-sampled counterpart of runSource's full
+// engine. The caller has validated the program and checked
+// samplingSupported.
+func (m *Machine) runSampled(ps *programSource) (*Result, error) {
+	prog := ps.prog
 	clusters := m.opts.Sampling.Clusters
 	if clusters == nil {
 		clusters = identityClusters(prog)
@@ -297,51 +284,35 @@ func (m *Machine) runSampled(prog *ir.Program) (*Result, error) {
 		return nil, err
 	}
 
-	// Fault pre-touch: replay the program's first-touch pattern at page
-	// granularity — init phase first (it takes the first-touch faults in
-	// the full engine), then every steady-state phase, CPUs interleaved
-	// per outer iteration to approximate the full run's fault order
-	// under first-touch placement. After this pass the measured windows
-	// fault nothing, exactly like the full engine's measured pass over a
-	// warmed address space.
-	if err := m.touchProgramPages(prog); err != nil {
-		return nil, err
-	}
-
-	// Emulate the full engine's warm-up discard pass at functional
-	// fidelity: sweep every representative nest's cache-reaching tail in
-	// program order. The discard pass's only lasting effect is the cache,
-	// TLB and directory residue of each nest's final iterations —
-	// everything earlier is evicted before the pass ends — so the tails
-	// reproduce the state the measured pass starts from. Without this,
-	// the first measured nest (and every full-detail fallback nest) runs
-	// colder than the full engine's measured pass.
-	if err := m.prewarmClusters(prog, clusters, len(m.cpus)); err != nil {
-		return nil, err
-	}
-
-	// Synchronize clocks before measuring (mirrors runSingle): only
-	// touch-order faulting can have skewed them here.
-	sync := m.wallClock()
-	for _, c := range m.cpus {
-		if c.clock < sync {
-			c.stats.SequentialCycles += sync - c.clock
-			c.clock = sync
+	m.warmRefs = 0
+	err := m.prologue(ps, func() error {
+		// Fault pre-touch: replay the program's first-touch pattern at
+		// page granularity — init phase first (it takes the first-touch
+		// faults in the full engine), then every steady-state phase, CPUs
+		// interleaved per outer iteration to approximate the full run's
+		// fault order under first-touch placement. After this pass the
+		// measured windows fault nothing, exactly like the full engine's
+		// measured pass over a warmed address space.
+		if err := m.touchProgramPages(prog); err != nil {
+			return err
 		}
+		// Emulate the full engine's warm-up discard pass at functional
+		// fidelity: sweep every representative nest's cache-reaching
+		// tail in program order. The discard pass's only lasting effect
+		// is the cache, TLB and directory residue of each nest's final
+		// iterations — everything earlier is evicted before the pass ends
+		// — so the tails reproduce the state the measured pass starts
+		// from. Without this, the first measured nest (and every
+		// full-detail fallback nest) runs colder than the full engine's
+		// measured pass.
+		return m.prewarmClusters(prog, clusters, len(m.cpus))
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res := &Result{
-		Workload: prog.Name,
-		Machine:  m.cfg.Name,
-		Policy:   m.as.PolicyName(),
-		NumCPUs:  m.cfg.NumCPUs,
-		PerCPU:   make([]CPUStats, m.cfg.NumCPUs),
-		Fidelity: FidelitySampled,
-	}
-
+	res := m.newResult(prog.Name, FidelitySampled)
 	p := len(m.cpus)
-	before := make([]CPUStats, p)
-	tmp := &Result{PerCPU: make([]CPUStats, p)}
 	for ci, cl := range clusters {
 		var weight uint64
 		for _, i := range cl.Members {
@@ -354,40 +325,21 @@ func (m *Machine) runSampled(prog *ir.Program) (*Result, error) {
 				return nil, err
 			}
 
-			for i, c := range m.cpus {
-				before[i] = c.stats
-			}
-			busBefore := [3]uint64{m.bus.Occupancy(bus.Data), m.bus.Occupancy(bus.Writeback), m.bus.Occupancy(bus.Upgrade)}
-			wallBefore := m.wallClock()
-
-			err := m.runNestStreams(m.cpus, n, &m.regions, func(p, cpu int) trace.Stream {
-				return ir.NestWindowStream(prog, n, p, cpu, plan.measLo[cpu], plan.measHi[cpu])
+			d, err := m.measure(func() error {
+				return m.runRegionStreams(m.cpus, n.Parallel, n.Suppressed, &m.regions, func(p, cpu int) trace.Stream {
+					return ir.NestWindowStream(prog, n, p, cpu, plan.measLo[cpu], plan.measHi[cpu])
+				})
 			})
 			if err != nil {
 				return nil, err
 			}
-
 			// Extrapolate the window's delta to the nest's full span, then
 			// accumulate with the cluster's phase weight. The delta
 			// satisfies the audit invariants on its own (it is one
-			// barrier-to-barrier region), Scale preserves them, and add
-			// multiplies every term uniformly.
-			for i, c := range m.cpus {
-				tmp.PerCPU[i] = c.stats.sub(before[i])
-			}
-			tmp.Bus.DataCycles = m.bus.Occupancy(bus.Data) - busBefore[0]
-			tmp.Bus.WritebackCycles = m.bus.Occupancy(bus.Writeback) - busBefore[1]
-			tmp.Bus.UpgradeCycles = m.bus.Occupancy(bus.Upgrade) - busBefore[2]
-			tmp.WallCycles = m.wallClock() - wallBefore
-			tmp.Scale(plan.num, plan.den)
-
-			for i := range tmp.PerCPU {
-				res.PerCPU[i].add(&tmp.PerCPU[i], weight)
-			}
-			res.Bus.DataCycles += tmp.Bus.DataCycles * weight
-			res.Bus.WritebackCycles += tmp.Bus.WritebackCycles * weight
-			res.Bus.UpgradeCycles += tmp.Bus.UpgradeCycles * weight
-			res.WallCycles += tmp.WallCycles * weight
+			// barrier-to-barrier region), Scale preserves them, and
+			// accumulate multiplies every term uniformly.
+			d.Scale(plan.num, plan.den)
+			res.accumulate(d, weight)
 
 			res.SampledWindows++
 			res.SampledIters += plan.den
@@ -407,9 +359,7 @@ func (m *Machine) runSampled(prog *ir.Program) (*Result, error) {
 	}
 
 	res.WarmupRefs = m.warmRefs
-	res.PageFaults = m.as.Faults
-	res.HintedFaults = m.as.HintedFaults
-	res.HonoredHints = m.as.HonoredHints
+	m.closeResult(res)
 	return res, nil
 }
 
@@ -577,7 +527,7 @@ func (m *Machine) prewarmClusters(prog *ir.Program, clusters []PhaseCluster, p i
 func (m *Machine) warmRanges(prog *ir.Program, n *ir.Nest, p int, lo, hi []int) error {
 	// One poll per warm sweep: a sweep covers at most warmItersFor
 	// iterations of one nest, the same boundary granularity the
-	// detailed engine polls at in runNestStreams.
+	// detailed engine polls at in runRegionStreams.
 	if err := m.pollCancel(); err != nil {
 		return err
 	}

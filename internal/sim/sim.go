@@ -63,11 +63,11 @@ type Options struct {
 	// nothing beyond untaken branches on the miss paths.
 	Obs *obs.Collector
 
-	// Cancel, when non-nil, is polled at nest boundaries during Run; a
+	// Cancel, when non-nil, is polled at region boundaries during Run; a
 	// non-nil return aborts the simulation with that error. The harness
 	// wires a request's context.Context.Err here so a canceled or
-	// timed-out job frees its worker at the next nest boundary instead
-	// of running to completion. Nest boundaries are the natural
+	// timed-out job frees its worker at the next region boundary instead
+	// of running to completion. Region boundaries are the natural
 	// preemption points: all CPUs are synchronized there, so no partial
 	// accounting escapes into a Result that is discarded anyway.
 	Cancel func() error
@@ -399,31 +399,12 @@ func (m *Machine) crossDomainVictim(pid int, victim uint64) bool {
 // access-map tool reads page colors from it).
 func (m *Machine) AddressSpace() *vm.AddressSpace { return m.as }
 
-// Run executes prog's steady state and returns the weighted result. It
-// is a thin wrapper over RunProcesses with a one-entry process table;
-// the single-process path keeps the paper's methodology (warm-up
-// discard, phase-occurrence weighting) and its byte-identical output.
+// Run executes prog's steady state on the machine's own address space
+// and returns the weighted result: the paper's methodology (warm-up
+// discard, phase-occurrence weighting), phase-sampled when
+// Options.Sampling asks for it.
 func (m *Machine) Run(prog *ir.Program) (*Result, error) {
-	mr, err := m.RunProcesses([]ProcessOptions{{Prog: prog}}, SchedOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return mr.Total, nil
-}
-
-// runSingle is the legacy single-process engine operating on the
-// machine's own address space and configured policy. Since the
-// source-abstraction refactor it is a thin shim: validate, pick the
-// sampled path when eligible, then run the program as one Source
-// implementation among others (runSource is the engine proper).
-func (m *Machine) runSingle(prog *ir.Program) (*Result, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	if m.opts.Sampling.Enabled && m.samplingSupported() {
-		return m.runSampled(prog)
-	}
-	return m.runSource(ProgramSource(prog))
+	return m.RunSource(ProgramSource(prog))
 }
 
 // finalizeObs snapshots the per-set external-cache profile (summed over
@@ -468,37 +449,16 @@ func (m *Machine) recordSetProfiles() {
 }
 
 // wallClock returns the current global time (all CPUs are synchronized
-// at nest boundaries, so any CPU's clock works; use the max defensively).
-func (m *Machine) wallClock() uint64 {
-	var w uint64
-	for _, c := range m.cpus {
-		if c.clock > w {
-			w = c.clock
-		}
-	}
-	return w
-}
+// at region boundaries, so any CPU's clock works; use the max
+// defensively).
+func (m *Machine) wallClock() uint64 { return clockMax(m.cpus) }
 
-// runNest executes one nest to the barrier at its end on the whole
-// machine (the single-process path).
-func (m *Machine) runNest(prog *ir.Program, n *ir.Nest) error {
-	return m.runNestOn(m.cpus, prog, n, &m.regions)
-}
-
-// runNestOn executes one nest to the barrier at its end on the given
-// CPU subset (the scheduled process's gang). The subset is the whole
-// machine for single-process and time-sliced runs and one partition for
-// space-partitioned runs; stream decomposition and fork-skew hashing
-// use process-local CPU indices so a process behaves identically at a
-// given width wherever its partition sits. regions is the owning
-// process's parallel-region counter, seeding the per-region dispatch
-// skew.
 // pollCancel runs the Options.Cancel hook, wrapping its error. Every
-// nest-boundary-granularity loop — full-run nest dispatch, sampled
-// windows, and the sampled mode's page pre-touch and functional
-// warm-up — must reach it, so a canceled server job stops within one
-// nest (or one warm-up nest) of the cancellation; cdpcd's drain
-// deadline is sized to that bound.
+// region-boundary-granularity loop — region dispatch on every path,
+// sampled windows, and the sampled mode's page pre-touch and
+// functional warm-up — must reach it, so a canceled server job stops
+// within one region (or one warm-up nest) of the cancellation; cdpcd's
+// drain deadline is sized to that bound.
 func (m *Machine) pollCancel() error {
 	if m.opts.Cancel != nil {
 		if err := m.opts.Cancel(); err != nil {
@@ -508,27 +468,21 @@ func (m *Machine) pollCancel() error {
 	return nil
 }
 
-func (m *Machine) runNestOn(cpus []*cpuState, prog *ir.Program, n *ir.Nest, regions *uint64) error {
-	return m.runNestStreams(cpus, n, regions, func(p, cpu int) trace.Stream {
-		return ir.NestStream(prog, n, p, cpu)
-	})
-}
-
-// runNestStreams is runNestOn with the per-CPU reference streams
-// supplied by the caller: the full run streams whole nests, the
-// sampling path streams representative windows. Region semantics —
-// catch-up, fork + dispatch skew, the min-clock interleave and the
-// closing barrier — are identical either way, which is what lets a
-// window's per-CPU stat delta equal its wall delta (the property
-// Result.Scale needs).
-func (m *Machine) runNestStreams(cpus []*cpuState, n *ir.Nest, regions *uint64, mk func(p, cpu int) trace.Stream) error {
-	return m.runRegionStreams(cpus, n.Parallel, n.Suppressed, regions, mk)
-}
-
-// runRegionStreams is the engine's region primitive, shared by every
-// source: the nest-shaped callers above and the abstract Regions of
-// runSource. Only the parallel/suppressed structure of the region is
-// needed — everything else comes from the streams.
+// runRegionStreams is the engine's region primitive: every reference
+// stream reaches the engine through it, from a Source's Regions
+// (runRegion) or from the sampled path's windows. It runs one region to
+// the barrier at its end on the given CPU gang — the whole machine for
+// single-process and time-sliced runs, one partition for
+// space-partitioned runs. Stream decomposition and fork-skew hashing
+// use gang-local CPU indices, so a process behaves identically at a
+// given width wherever its partition sits; regions is the owning
+// process's parallel-region counter, seeding the per-region dispatch
+// skew. Only the parallel/suppressed structure of the region is needed
+// — everything else comes from the streams — and the semantics
+// (catch-up, fork + dispatch skew, the min-clock interleave, the closing
+// barrier) do not depend on where the streams came from, which is what
+// lets a sampled window's per-CPU stat delta equal its wall delta (the
+// property Result.Scale needs).
 func (m *Machine) runRegionStreams(cpus []*cpuState, parallel, suppressed bool, regions *uint64, mk func(p, cpu int) trace.Stream) error {
 	if err := m.pollCancel(); err != nil {
 		return err

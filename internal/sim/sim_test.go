@@ -466,78 +466,6 @@ func TestDynamicRecoloringChargesCosts(t *testing.T) {
 	}
 }
 
-func TestFastRunAgreesWithDetailed(t *testing.T) {
-	// The fast simulator must see the same footprint and a similar miss
-	// picture as the detailed one (it skips warm-up discarding, stores
-	// through L1 and coherence, so counts differ in detail but not in
-	// magnitude).
-	cfg := smallConfig(4)
-	prog := makeProgram(16, 16, 0)
-	if err := compilerLayout(prog, cfg); err != nil {
-		t.Fatal(err)
-	}
-	fast, err := FastRun(prog, Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Refs == 0 || fast.L1Hits == 0 {
-		t.Fatalf("fast run saw nothing: %+v", fast)
-	}
-	if fast.PageFaults == 0 || fast.PagesTouched == 0 {
-		t.Error("fast run must fault pages in")
-	}
-	if fast.MissRatio() <= 0 || fast.MissRatio() >= 1 {
-		t.Errorf("miss ratio %v out of range", fast.MissRatio())
-	}
-
-	detailed := mustRun(t, makeProgram(16, 16, 0), Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}, SkipWarmup: true})
-	dm := detailed.Total(func(s *CPUStats) uint64 { return s.L2Misses })
-	if fast.L2Misses == 0 || dm == 0 {
-		t.Fatal("no misses to compare")
-	}
-	ratio := float64(fast.L2Misses) / float64(dm)
-	if ratio < 0.3 || ratio > 3 {
-		t.Errorf("fast misses %d vs detailed %d: ratio %.2f out of band", fast.L2Misses, dm, ratio)
-	}
-}
-
-func TestFastRunRespectsHints(t *testing.T) {
-	cfg := smallConfig(2)
-	mk := func() *ir.Program {
-		p := makeProgram(16, 16, 0)
-		// A second sweep creates cross-pass reuse: under page coloring the
-		// colliding chunks evict each other between passes; under CDPC the
-		// 16 per-CPU pages fit the 16 colors and the second pass hits.
-		p.Phases = append(p.Phases, p.Phases[0])
-		return p
-	}
-	base := mk()
-	if err := compilerLayout(base, cfg); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := FastRun(base, Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hinted := mk()
-	if err := compilerLayout(hinted, cfg); err != nil {
-		t.Fatal(err)
-	}
-	sum := compiler.Summarize(hinted)
-	h, err := core.ComputeHints(hinted, sum, core.Params{NumCPUs: 2, NumColors: cfg.Colors(), PageSize: cfg.PageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdpc, err := FastRun(hinted, Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}, Hints: h.Colors})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdpc.L2Misses >= plain.L2Misses {
-		t.Errorf("fast mode should see CDPC's miss reduction: %d vs %d", cdpc.L2Misses, plain.L2Misses)
-	}
-}
-
 func TestWriteBufferTransparentOnBlockingCPU(t *testing.T) {
 	// A microarchitectural result the model makes visible: on a
 	// single-issue CPU with blocking demand misses, every path that

@@ -8,9 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Source is the engine's workload abstraction: the contract that was
-// implicit in runSingle/runNestStreams/ir.NestStream, made explicit so
-// reference streams need not come from an ir.Program. A source
+// Source is the engine's workload abstraction: the only way a
+// reference stream reaches the engine, so streams need not come from
+// an ir.Program. A source
 // describes its execution structure (unmeasured initialization
 // regions, then steady-state phases weighted by occurrence counts),
 // supplies the per-CPU reference stream of each region on demand, and
@@ -70,10 +70,9 @@ type Region interface {
 	Stream(p, cpu int) trace.Stream
 }
 
-// ProgramSource adapts an ir.Program to the Source interface; it is
-// the IR half of the refactor and reproduces the exact region
-// structure runSingle always had, so IR results are byte-identical to
-// the pre-source engine.
+// ProgramSource adapts an ir.Program to the Source interface: its init
+// nests become the init regions and each steady-state phase's nests
+// that phase's regions, one region per nest.
 func ProgramSource(prog *ir.Program) Source { return &programSource{prog: prog} }
 
 type programSource struct {
@@ -108,8 +107,8 @@ func (p *programSource) regions(nests []*ir.Nest) []Region {
 	return regions
 }
 
-// nestRegion is one loop nest as a Region; its streams are exactly the
-// ir.NestStream decomposition runNestOn always built.
+// nestRegion is one loop nest as a Region; its streams are the
+// ir.NestStream decomposition of the nest across the gang.
 type nestRegion struct {
 	prog *ir.Program
 	n    *ir.Nest
@@ -166,25 +165,35 @@ func (r traceRegion) Parallel() bool                 { return true }
 func (r traceRegion) Suppressed() bool               { return false }
 func (r traceRegion) Stream(p, cpu int) trace.Stream { return r.f.Stream(cpu) }
 
-// RunSource executes an abstract workload source on the machine and
-// returns the weighted result; Run/runSingle is exactly this with a
-// ProgramSource. Cancellation is polled at every region boundary and,
-// for sources whose regions are long (a whole external trace is one
-// region), every 2^20 references inside the interleave loops, so the
-// server's drain bound holds for trace jobs too.
+// RunSource executes an abstract workload source on the machine's own
+// address space and returns the weighted result; Run is exactly this
+// with a ProgramSource. Cancellation is polled at every region boundary
+// and, for sources whose regions are long (a whole external trace is
+// one region), every 2^20 references inside the interleave loops, so
+// the server's drain bound holds for trace jobs too.
 func (m *Machine) RunSource(src Source) (*Result, error) {
 	if err := src.Validate(m.cfg.NumCPUs); err != nil {
 		return nil, err
 	}
+	return m.runAlone(src)
+}
+
+// runAlone runs a validated source as the machine's only process: an IR
+// program takes the phase-sampled path when Options.Sampling asks for
+// it and the machine supports it, everything else the full engine.
+func (m *Machine) runAlone(src Source) (*Result, error) {
+	if ps, ok := src.(*programSource); ok && m.opts.Sampling.Enabled && m.samplingSupported() {
+		return m.runSampled(ps)
+	}
 	return m.runSource(src)
 }
 
-// runSource is the engine's main sequence, verbatim from the classic
-// single-process path: advise hints, optional serialized touch-order
-// faulting, unmeasured init, warm-up pass, clock sync, then the
-// measured pass with per-phase stat/bus/wall deltas weighted by
-// occurrence counts.
-func (m *Machine) runSource(src Source) (*Result, error) {
+// prologue is the unmeasured start every single-address-space pass
+// shares: install the page-color hints (Options.Hints, else the
+// source's own), fault the touch order serially on the master, run the
+// pass's own warm-up, then synchronize clocks so measurement starts
+// from a common origin.
+func (m *Machine) prologue(src Source, warm func() error) error {
 	hints := m.opts.Hints
 	if hints == nil {
 		hints = src.Hints()
@@ -195,7 +204,7 @@ func (m *Machine) runSource(src Source) (*Result, error) {
 	if m.opts.TouchOrder != nil {
 		faults, err := m.as.TouchInOrder(m.opts.TouchOrder, 0)
 		if err != nil {
-			return nil, fmt.Errorf("sim: touch-order faulting: %w", err)
+			return fmt.Errorf("sim: touch-order faulting: %w", err)
 		}
 		// All faults are serialized on the master at startup — the §5.3
 		// drawback of the user-level Digital UNIX implementation.
@@ -203,41 +212,56 @@ func (m *Machine) runSource(src Source) (*Result, error) {
 		m.cpus[0].stats.PageFaults += uint64(faults)
 		m.cpus[0].clock += uint64(faults) * uint64(m.cfg.PageFaultCycles)
 	}
-
-	// Initialization: executed once, unmeasured; this is where first-touch
-	// page faults happen for sources with an init phase.
-	for _, reg := range src.InitRegions() {
-		if err := m.runRegion(reg); err != nil {
-			return nil, err
-		}
+	if err := warm(); err != nil {
+		return err
 	}
-	phases := src.Phases()
-	// Warm-up pass: run every phase once and discard the stats, the
-	// paper's "discard the results from the first phases executed with
-	// the detailed simulator" (§3.2). Sources that measure their whole
-	// stream (external traces) opt out.
-	if src.WarmupPass() && !m.opts.SkipWarmup {
-		for _, ph := range phases {
-			for _, reg := range ph.Regions {
-				if err := m.runRegion(reg); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Synchronize clocks before measuring. A CPU can lag the global
-	// clock here only when startup work was serialized on the master and
-	// no init or warm-up pass absorbed the skew (touch-order faulting
-	// with SkipWarmup); the lag is slave idle time, booked as such so
-	// every measured phase starts from a common origin — the audit's
-	// cycle-conservation invariant depends on it.
+	// A CPU can lag the global clock here only when startup work was
+	// serialized on the master and no init or warm-up pass absorbed the
+	// skew (touch-order faulting with SkipWarmup); the lag is slave idle
+	// time, booked as such so every measured phase starts from a common
+	// origin — the audit's cycle-conservation invariant depends on it.
 	sync := m.wallClock()
 	for _, c := range m.cpus {
 		if c.clock < sync {
 			c.stats.SequentialCycles += sync - c.clock
 			c.clock = sync
 		}
+	}
+	return nil
+}
+
+// warmStart runs a source through the prologue with the full engine's
+// warm-up: the unmeasured init regions (where first-touch page faults
+// happen for sources with an init phase), then every phase once with
+// its stats discarded — the paper's "discard the results from the
+// first phases executed with the detailed simulator" (§3.2). Sources
+// that measure their whole stream (external traces) and SkipWarmup opt
+// out of the second part. It returns the phases to measure.
+func (m *Machine) warmStart(src Source) ([]SourcePhase, error) {
+	phases := src.Phases()
+	err := m.prologue(src, func() error {
+		if err := m.runRegions(src.InitRegions()); err != nil {
+			return err
+		}
+		if !src.WarmupPass() || m.opts.SkipWarmup {
+			return nil
+		}
+		for _, ph := range phases {
+			if err := m.runRegions(ph.Regions); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return phases, err
+}
+
+// runSource is the engine's main sequence: warm start, then the
+// measured pass with per-phase deltas weighted by occurrence counts.
+func (m *Machine) runSource(src Source) (*Result, error) {
+	phases, err := m.warmStart(src)
+	if err != nil {
+		return nil, err
 	}
 
 	// Attribution covers the measured region only, mirroring the Result:
@@ -249,62 +273,117 @@ func (m *Machine) runSource(src Source) (*Result, error) {
 		m.enableSetProfiles()
 	}
 
-	res := &Result{
-		Workload: src.Name(),
-		Machine:  m.cfg.Name,
-		Policy:   m.as.PolicyName(),
-		NumCPUs:  m.cfg.NumCPUs,
-		PerCPU:   make([]CPUStats, m.cfg.NumCPUs),
-	}
-
-	// Measured pass: each phase once, weighted by its occurrence count.
+	res := m.newResult(src.Name(), FidelityFull)
+	// Per-slice miss split, phase-weighted like everything else so audit
+	// invariant 13 (sum == total L2 misses) holds exactly.
 	if m.sliceMiss != nil {
 		res.SliceMisses = make([]uint64, len(m.sliceMiss))
 	}
-	sliceBefore := make([]uint64, len(m.sliceMiss))
 	for _, ph := range phases {
-		before := make([]CPUStats, len(m.cpus))
-		for i, c := range m.cpus {
-			before[i] = c.stats
+		d, err := m.measure(func() error { return m.runRegions(ph.Regions) })
+		if err != nil {
+			return nil, err
 		}
-		busBefore := [3]uint64{m.bus.Occupancy(bus.Data), m.bus.Occupancy(bus.Writeback), m.bus.Occupancy(bus.Upgrade)}
-		wallBefore := m.wallClock()
-		copy(sliceBefore, m.sliceMiss)
-
-		for _, reg := range ph.Regions {
-			if err := m.runRegion(reg); err != nil {
-				return nil, err
-			}
-		}
-
-		w := uint64(ph.Occurrences)
-		for i, c := range m.cpus {
-			delta := c.stats.sub(before[i])
-			res.PerCPU[i].add(&delta, w)
-		}
-		res.Bus.DataCycles += (m.bus.Occupancy(bus.Data) - busBefore[0]) * w
-		res.Bus.WritebackCycles += (m.bus.Occupancy(bus.Writeback) - busBefore[1]) * w
-		res.Bus.UpgradeCycles += (m.bus.Occupancy(bus.Upgrade) - busBefore[2]) * w
-		res.WallCycles += (m.wallClock() - wallBefore) * w
-		// Per-slice miss split, phase-weighted like everything else so
-		// audit invariant 13 (sum == total L2 misses) holds exactly.
-		for s := range res.SliceMisses {
-			res.SliceMisses[s] += (m.sliceMiss[s] - sliceBefore[s]) * w
-		}
+		res.accumulate(d, uint64(ph.Occurrences))
 	}
-
-	res.Fidelity = FidelityFull
-	res.PageFaults = m.as.Faults
-	res.HintedFaults = m.as.HintedFaults
-	res.HonoredHints = m.as.HonoredHints
+	m.closeResult(res)
 	if m.obs != nil {
 		m.finalizeObs()
 	}
 	return res, nil
 }
 
-// runRegion executes one source region to the barrier at its end on
-// the whole machine.
-func (m *Machine) runRegion(reg Region) error {
-	return m.runRegionStreams(m.cpus, reg.Parallel(), reg.Suppressed(), &m.regions, reg.Stream)
+// newResult starts a single-address-space Result whose counters the
+// caller accumulates from measured deltas.
+func (m *Machine) newResult(workload, fidelity string) *Result {
+	return &Result{
+		Workload: workload,
+		Machine:  m.cfg.Name,
+		Policy:   m.as.PolicyName(),
+		NumCPUs:  m.cfg.NumCPUs,
+		PerCPU:   make([]CPUStats, m.cfg.NumCPUs),
+		Fidelity: fidelity,
+	}
+}
+
+// closeResult copies the address space's fault counters, final once the
+// pass has ended, into res.
+func (m *Machine) closeResult(res *Result) {
+	res.PageFaults = m.as.Faults
+	res.HintedFaults = m.as.HintedFaults
+	res.HonoredHints = m.as.HonoredHints
+}
+
+// measure runs one measured stretch of whole barrier-to-barrier regions
+// and returns the machine's counter delta across it: per-CPU stats, bus
+// occupancy, wall time and per-slice LLC misses. A delta satisfies the
+// audit invariants on its own, which is what lets callers weight
+// (runSource), extrapolate (runSampled) or sum (SamplePhases) it.
+func (m *Machine) measure(run func() error) (*Result, error) {
+	d := &Result{PerCPU: make([]CPUStats, len(m.cpus))}
+	for i, c := range m.cpus {
+		d.PerCPU[i] = c.stats
+	}
+	bus0 := m.busOccupancy()
+	wall0 := m.wallClock()
+	slice0 := append([]uint64(nil), m.sliceMiss...)
+	if err := run(); err != nil {
+		return nil, err
+	}
+	for i, c := range m.cpus {
+		d.PerCPU[i] = c.stats.sub(d.PerCPU[i])
+	}
+	bus1 := m.busOccupancy()
+	d.Bus = BusStats{
+		DataCycles:      bus1[0] - bus0[0],
+		WritebackCycles: bus1[1] - bus0[1],
+		UpgradeCycles:   bus1[2] - bus0[2],
+	}
+	d.WallCycles = m.wallClock() - wall0
+	if m.sliceMiss != nil {
+		d.SliceMisses = slice0
+		for s := range slice0 {
+			d.SliceMisses[s] = m.sliceMiss[s] - slice0[s]
+		}
+	}
+	return d, nil
+}
+
+// busOccupancy returns the bus's cumulative data, write-back and
+// upgrade occupancy.
+func (m *Machine) busOccupancy() [3]uint64 {
+	return [3]uint64{m.bus.Occupancy(bus.Data), m.bus.Occupancy(bus.Writeback), m.bus.Occupancy(bus.Upgrade)}
+}
+
+// accumulate adds a measured delta into r with every term weighted by
+// w. The per-slice split is kept only when r carries one (the sampled
+// path's results never do; see Scale).
+func (r *Result) accumulate(d *Result, w uint64) {
+	for i := range d.PerCPU {
+		r.PerCPU[i].add(&d.PerCPU[i], w)
+	}
+	r.Bus.DataCycles += d.Bus.DataCycles * w
+	r.Bus.WritebackCycles += d.Bus.WritebackCycles * w
+	r.Bus.UpgradeCycles += d.Bus.UpgradeCycles * w
+	r.WallCycles += d.WallCycles * w
+	for s := range r.SliceMisses {
+		r.SliceMisses[s] += d.SliceMisses[s] * w
+	}
+}
+
+// runRegions runs regions in order on the whole machine.
+func (m *Machine) runRegions(regions []Region) error {
+	for _, reg := range regions {
+		if err := m.runRegion(m.cpus, reg, &m.regions); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runRegion executes one source region to the barrier at its end on the
+// given CPU gang; regions is the owning process's parallel-region
+// counter (see runRegionStreams).
+func (m *Machine) runRegion(cpus []*cpuState, reg Region, regions *uint64) error {
+	return m.runRegionStreams(cpus, reg.Parallel(), reg.Suppressed(), regions, reg.Stream)
 }

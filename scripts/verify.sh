@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: vet + the cdpcvet invariant lint, docs, build, the full
-# test suite, the race detector over the whole module, audited
-# experiment runs, and the cdpcd end-to-end smoke. Everything must
-# pass before a change lands.
+# test suite, the race detector over the whole module, the benchmark
+# module's fingerprint tests, audited experiment runs, and the cdpcd
+# end-to-end smoke. Everything must pass before a change lands.
 set -eux
 
 go vet ./...
@@ -29,6 +29,11 @@ grep -q "^// Package" doc.go || { echo "root doc.go lacks a package comment"; ex
 go build ./...
 go test ./...
 go test -race ./...
+
+# The benchmark module (perfbench/, its own go.mod) is outside the root
+# module's ./... pattern; its tests hold the full-fig6, full-fig6-sampled
+# and cdpcd-sampled result fingerprints to perfbench/testdata/golden.json.
+(cd perfbench && go test .)
 
 # Program-text parser fuzz seeds: replay the checked-in corpus (plus the
 # F.Add seeds) as deterministic regression tests.
