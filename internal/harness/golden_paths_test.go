@@ -13,8 +13,8 @@ import (
 )
 
 // TestGoldenEnginePaths extends TestGoldenDefaultTopology's byte-identical
-// guard to every execution path other than the solo full-fidelity run:
-// phase-sampled runs, the three multiprocess shapes (time-sliced,
+// guard to every execution path other than the 4-CPU solo full-fidelity
+// run: dynamic recoloring, a 16-CPU solo run, phase-sampled runs, the three multiprocess shapes (time-sliced,
 // partitioned, color-isolated), an external trace replay, and the raw
 // per-occurrence samples of the phase-validation pass. Each entry uses
 // the same fingerprint format; a multiprocess run records every process
@@ -39,6 +39,27 @@ func TestGoldenEnginePaths(t *testing.T) {
 			t.Fatalf("%s/sampled ran at fidelity %q", w, res.Fidelity)
 		}
 		got[w+"/sampled"] = fingerprint(res)
+	}
+
+	// Dynamic recoloring is the one path where a step advances other
+	// CPUs' clocks (the TLB-shootdown interrupt), and a 16-CPU solo run
+	// is the widest interleave the event loop sees in the experiments.
+	solos := []struct {
+		name string
+		spec Spec
+	}{
+		{"tomcatv/dynamic-recoloring/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Variant: DynamicRecoloring}},
+		{"tomcatv/page-coloring/16cpu", Spec{Workload: "tomcatv", CPUs: 16, Scale: 32, Variant: PageColoring}},
+	}
+	for _, so := range solos {
+		res, err := Run(so.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", so.name, err)
+		}
+		if so.spec.Variant == DynamicRecoloring && res.Total(func(s *sim.CPUStats) uint64 { return s.Recolorings }) == 0 {
+			t.Fatalf("%s: no recoloring happened, so the shootdown path is not covered", so.name)
+		}
+		got[so.name] = fingerprint(res)
 	}
 
 	mixes := []struct {
