@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Binary per-CPU trace format ("CDPCTRC1"), the on-disk and on-the-wire
@@ -366,4 +367,7 @@ func readUvarint(b []byte) (uint64, int) {
 
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
 func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
-func uvarintLen(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
+
+// uvarintLen is the byte length of v's uvarint encoding: seven payload
+// bits per byte, and zero still takes one byte.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -216,5 +217,16 @@ func TestEncoderRejects(t *testing.T) {
 	}
 	if err := enc.Add(0, Ref{Kind: Kind(9), Size: 8}); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestUvarintLen holds the arithmetic length to binary.PutUvarint at
+// every byte-count boundary.
+func TestUvarintLen(t *testing.T) {
+	var buf [binary.MaxVarintLen64]byte
+	for _, v := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1 << 63, ^uint64(0)} {
+		if got, want := uvarintLen(v), binary.PutUvarint(buf[:], v); got != want {
+			t.Errorf("uvarintLen(%d) = %d, want %d", v, got, want)
+		}
 	}
 }
