@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"repro/internal/flat"
 	"repro/internal/memory"
 )
 
@@ -85,10 +86,10 @@ type AddressSpace struct {
 	alloc     *memory.Allocator
 	policy    Policy
 
-	pages  map[uint64]uint64 // vpn -> frame
-	frames map[uint64]uint64 // frame -> vpn (reverse map for cache invalidation)
-	hints  map[uint64]int    // vpn -> preferred color
-	occ    []int             // mapped pages per color (recoloring heuristics)
+	pages  flat.Map       // vpn -> frame
+	frames flat.Map       // frame -> vpn (reverse map for cache invalidation)
+	hints  map[uint64]int // vpn -> preferred color
+	occ    []int          // mapped pages per color (recoloring heuristics)
 
 	// Statistics.
 	Faults       uint64 // total page faults taken
@@ -128,8 +129,6 @@ func NewAddressSpaceProc(pid, pageSize int, alloc *memory.Allocator, policy Poli
 		pageMask:  uint64(pageSize - 1),
 		alloc:     alloc,
 		policy:    policy,
-		pages:     make(map[uint64]uint64),
-		frames:    make(map[uint64]uint64),
 		hints:     make(map[uint64]int),
 		occ:       make([]int, alloc.NumColors()),
 	}
@@ -161,7 +160,7 @@ func (as *AddressSpace) Advise(hints map[uint64]int) {
 // whether a fault occurred, so the caller can charge kernel time.
 func (as *AddressSpace) Translate(vaddr uint64, cpu int) (paddr uint64, faulted bool, err error) {
 	vpn := vaddr >> as.pageShift
-	frame, ok := as.pages[vpn]
+	frame, ok := as.pages.Get(vpn)
 	if !ok {
 		frame, err = as.fault(vpn, cpu)
 		if err != nil {
@@ -177,7 +176,7 @@ func (as *AddressSpace) Translate(vaddr uint64, cpu int) (paddr uint64, faulted 
 // are built on this: one page-table lookup services every subsequent
 // reference to the page until the cached entry is invalidated.
 func (as *AddressSpace) TranslateVPN(vpn uint64, cpu int) (pbase uint64, faulted bool, err error) {
-	frame, ok := as.pages[vpn]
+	frame, ok := as.pages.Get(vpn)
 	if !ok {
 		frame, err = as.fault(vpn, cpu)
 		if err != nil {
@@ -206,8 +205,8 @@ func (as *AddressSpace) fault(vpn uint64, cpu int) (uint64, error) {
 	if hinted && honored {
 		as.HonoredHints++
 	}
-	as.pages[vpn] = frame
-	as.frames[frame] = vpn
+	as.pages.Put(vpn, frame)
+	as.frames.Put(frame, vpn)
 	color := as.alloc.ColorOf(frame)
 	as.occ[color]++
 	if as.OnFault != nil {
@@ -232,7 +231,7 @@ func (as *AddressSpace) ColorOccupancy() []int {
 // false when the page is unmapped. Software prefetches use this path:
 // a prefetch to an unmapped page is dropped, never faulted (§6.2).
 func (as *AddressSpace) TranslateNoFault(vaddr uint64) (paddr uint64, ok bool) {
-	frame, ok := as.pages[vaddr>>as.pageShift]
+	frame, ok := as.pages.Get(vaddr >> as.pageShift)
 	if !ok {
 		return 0, false
 	}
@@ -244,7 +243,7 @@ func (as *AddressSpace) TranslateNoFault(vaddr uint64) (paddr uint64, ok bool) {
 // The simulator uses it to mirror external-cache invalidations into the
 // virtually indexed on-chip caches.
 func (as *AddressSpace) ReverseVAddr(paddr uint64) (vaddr uint64, ok bool) {
-	vpn, ok := as.frames[paddr>>as.pageShift]
+	vpn, ok := as.frames.Get(paddr >> as.pageShift)
 	if !ok {
 		return 0, false
 	}
@@ -254,7 +253,7 @@ func (as *AddressSpace) ReverseVAddr(paddr uint64) (vaddr uint64, ok bool) {
 // Touch faults vpn in if needed; used by the touch-order emulation and by
 // warm-up code. It reports whether a fault occurred.
 func (as *AddressSpace) Touch(vpn uint64, cpu int) (bool, error) {
-	if _, ok := as.pages[vpn]; ok {
+	if as.pages.Has(vpn) {
 		return false, nil
 	}
 	_, err := as.fault(vpn, cpu)
@@ -281,14 +280,11 @@ func (as *AddressSpace) TouchInOrder(vpns []uint64, cpu int) (faults int, err er
 }
 
 // Mapped reports whether vpn has a frame.
-func (as *AddressSpace) Mapped(vpn uint64) bool {
-	_, ok := as.pages[vpn]
-	return ok
-}
+func (as *AddressSpace) Mapped(vpn uint64) bool { return as.pages.Has(vpn) }
 
 // ColorOf returns the color of vpn's frame; ok is false if unmapped.
 func (as *AddressSpace) ColorOf(vpn uint64) (int, bool) {
-	frame, mapped := as.pages[vpn]
+	frame, mapped := as.pages.Get(vpn)
 	if !mapped {
 		return 0, false
 	}
@@ -296,7 +292,7 @@ func (as *AddressSpace) ColorOf(vpn uint64) (int, bool) {
 }
 
 // MappedPages returns the number of resident pages.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
+func (as *AddressSpace) MappedPages() int { return as.pages.Len() }
 
 // HintCount returns the number of installed hints.
 func (as *AddressSpace) HintCount() int { return len(as.hints) }
