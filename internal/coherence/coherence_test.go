@@ -174,6 +174,29 @@ func TestResetForgetsState(t *testing.T) {
 	}
 }
 
+// TestForgetReusesSlotFresh: a forgotten line's slot is recycled for
+// the next new line, which must start with no holders, writers or
+// invalidators, while lines that stayed keep their state.
+func TestForgetReusesSlotFresh(t *testing.T) {
+	d := New(2, line)
+	d.Access(0, 0x1000, true)
+	d.Access(1, 0x1000, true) // CPU 0 loses 0x1000 to CPU 1's write
+	d.Access(0, 0x2000, true)
+	d.Forget(0x1000)
+	if d.Holders(0x1000) != 0 {
+		t.Fatal("forgotten line still has holders")
+	}
+	if out := d.Access(1, 0x3000, false); out.Class != Cold || out.DirtyRemote {
+		t.Errorf("new line in a recycled slot: class %v dirty-remote %v, want cold clean", out.Class, out.DirtyRemote)
+	}
+	if out := d.Access(0, 0x3000, false); out.Class != Cold {
+		t.Errorf("second reader of the new line: class %v, want cold", out.Class)
+	}
+	if out := d.Access(1, 0x2000, false); out.Class != TrueShare || !out.DirtyRemote || out.Downgraded != 0 {
+		t.Errorf("surviving line lost its state: %+v", out)
+	}
+}
+
 func TestNewPanicsOnTooManyCPUs(t *testing.T) {
 	defer func() {
 		if recover() == nil {
