@@ -81,6 +81,7 @@ func (m *Machine) applyRecoloring(c *cpuState, ev *RecolorEvent) {
 	c.stats.KernelCycles += copyCycles + recolorKernelCycles
 	c.clock += copyCycles + recolorKernelCycles
 	c.stats.Recolorings++
+	m.shootdowns++
 	if m.obs != nil {
 		m.obs.RecordRecolor(c.id, c.clock, ev.VPN, m.frameColor(ev.OldFrameBase), ev.NewColor)
 	}

@@ -177,8 +177,15 @@ type Machine struct {
 	// path (fault pre-touch pages plus warm-up window references).
 	warmRefs uint64
 
-	// runners is the parallel event loop's reusable cursor buffer.
+	// runners and tree are the parallel event loop's reusable cursor
+	// buffer and scheduling tree.
 	runners []runner
+	tree    winnerTree
+
+	// shootdowns counts recoloring shootdowns, the only events that
+	// advance CPUs other than the one stepping; the event loop rebuilds
+	// its tree when a step changes it.
+	shootdowns uint64
 }
 
 // transCache is a one-entry VPN→physical-page-base cache. On a TLB hit
@@ -603,49 +610,56 @@ func (m *Machine) runStream(c *cpuState, s trace.Stream) error {
 // runner is one CPU's cursor in the parallel event loop; the trace.Ref
 // inside is reused for every reference so the loop allocates nothing.
 type runner struct {
-	c    *cpuState
-	s    trace.Stream
-	r    trace.Ref
-	done bool
+	c *cpuState
+	s trace.Stream
+	r trace.Ref
 }
 
 // runParallel interleaves the per-CPU streams in global time order: the
-// CPU with the smallest clock processes its next reference. This is what
-// makes bus contention and coherence interactions honest.
+// CPU with the smallest clock processes its next reference, the lowest
+// CPU index winning ties. This is what makes bus contention and
+// coherence interactions honest. A winner tree keyed by clock picks the
+// CPU in log2(P) compares; a step moves only its own CPU's clock, except
+// for a recoloring shootdown, after which every key is reloaded.
 func (m *Machine) runParallel(cpus []*cpuState, streams []trace.Stream) error {
 	if cap(m.runners) < len(streams) {
 		m.runners = make([]runner, len(streams))
 	}
 	runners := m.runners[:len(streams)]
-	active := 0
+	t := &m.tree
+	t.reset(len(runners))
 	for i := range streams {
 		runners[i] = runner{c: cpus[i], s: streams[i]}
-		if !runners[i].s.Next(&runners[i].r) {
-			runners[i].done = true
-		} else {
-			active++
+		if runners[i].s.Next(&runners[i].r) {
+			t.keys[i] = cpus[i].clock
 		}
 	}
+	t.rebuild()
 	steps := uint64(0)
-	for active > 0 {
-		// Linear min scan: CPU counts are ≤ 64 and usually ≤ 16, where a
-		// scan beats heap bookkeeping.
-		best := -1
-		for i := range runners {
-			if runners[i].done {
-				continue
-			}
-			if best < 0 || runners[i].c.clock < runners[best].c.clock {
-				best = i
-			}
+	for {
+		best, key := t.min()
+		if key == doneKey {
+			return nil
 		}
 		ru := &runners[best]
+		shootdowns := m.shootdowns
 		if err := m.step(ru.c, &ru.r); err != nil {
 			return err
 		}
+		key = ru.c.clock
 		if !ru.s.Next(&ru.r) {
-			ru.done = true
-			active--
+			key = doneKey
+		}
+		if m.shootdowns == shootdowns {
+			t.update(best, key)
+		} else {
+			t.keys[best] = key
+			for i := range runners {
+				if t.keys[i] != doneKey {
+					t.keys[i] = runners[i].c.clock
+				}
+			}
+			t.rebuild()
 		}
 		if steps++; steps&(cancelPollRefs-1) == 0 {
 			if err := m.pollCancel(); err != nil {
@@ -653,5 +667,4 @@ func (m *Machine) runParallel(cpus []*cpuState, streams []trace.Stream) error {
 			}
 		}
 	}
-	return nil
 }
