@@ -82,27 +82,28 @@ func writeError(w http.ResponseWriter, status int, info ErrorInfo) {
 
 // admit validates, creates and enqueues a job, mapping queue
 // conditions to the documented status codes. Returns nil after having
-// written an error response. async selects the fidelity default for
-// requests that leave it empty: async jobs run sampled when the spec is
-// compatible (they are the bulk-sweep path where throughput matters),
-// synchronous ones run full.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) *job {
+// written an error response; otherwise it also returns the job's status
+// as accepted, snapshotted before a worker can start it. async selects
+// the fidelity default for requests that leave it empty: async jobs run
+// sampled when the spec is compatible (they are the bulk-sweep path
+// where throughput matters), synchronous ones run full.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) (*job, JobStatus) {
 	if s.draining() {
 		writeError(w, http.StatusServiceUnavailable, ErrorInfo{
 			Code: CodeShuttingDown, Message: "server is draining", RetryAfterSec: retryAfterSec})
-		return nil
+		return nil, JobStatus{}
 	}
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrorInfo{Code: CodeInvalidRequest, Message: err.Error()})
-		return nil
+		return nil, JobStatus{}
 	}
 	spec, prog, errInfo := req.validate()
 	if errInfo != nil {
 		writeError(w, http.StatusBadRequest, *errInfo)
-		return nil
+		return nil, JobStatus{}
 	}
 	if req.TraceID != "" {
 		// Resolve the id against the upload store now, so queue slots are
@@ -111,7 +112,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) *job 
 		if f == nil {
 			writeError(w, http.StatusBadRequest, ErrorInfo{Code: CodeUnknownTrace, Field: "trace_id",
 				Message: "no such trace (upload it with POST /v1/traces): " + req.TraceID})
-			return nil
+			return nil, JobStatus{}
 		}
 		if spec.CPUs == 0 {
 			spec.CPUs = f.NumCPUs()
@@ -119,7 +120,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) *job 
 		if n := f.NumCPUs(); n > spec.CPUs || spec.CPUs > maxCPUs {
 			writeError(w, http.StatusBadRequest, ErrorInfo{Code: CodeInvalidRequest, Field: "cpus",
 				Message: fmt.Sprintf("trace carries %d CPU streams; cpus must be %d-%d", n, n, maxCPUs)})
-			return nil
+			return nil, JobStatus{}
 		}
 		spec.Trace = harness.NewTraceWorkload("trace:"+shortTraceID(req.TraceID), f)
 	}
@@ -134,6 +135,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) *job 
 		}
 	}
 	j := s.store.create(req, spec, prog, timeout)
+	accepted := j.status(false)
 	if err := s.queue.submit(j); err != nil {
 		// Rejected at admission: the job was never accepted, so it
 		// leaves no trace in the store.
@@ -148,10 +150,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) *job 
 				Message:       "admission queue is full; retry after a backoff",
 				RetryAfterSec: retryAfterSec})
 		}
-		return nil
+		return nil, JobStatus{}
 	}
 	s.logf("job %s accepted: %s", j.id, describe(j.req))
-	return j
+	return j, accepted
 }
 
 // maxBodyBytes bounds request bodies; custom programs are text and
@@ -164,7 +166,7 @@ const maxBodyBytes = 1 << 20
 // finishes or the client gives up — a disconnected client cancels the
 // job.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	j := s.admit(w, r, false)
+	j, _ := s.admit(w, r, false)
 	if j == nil {
 		return
 	}
@@ -191,12 +193,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmit is POST /v1/jobs: async submission, 202 + job id.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	j := s.admit(w, r, true)
+	j, accepted := s.admit(w, r, true)
 	if j == nil {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.status(false))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleListJobs is GET /v1/jobs.
