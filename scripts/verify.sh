@@ -43,6 +43,10 @@ go test -run=FuzzParse ./internal/ir
 # CDPCTRC1 decoder (malformed/truncated inputs must error, never panic).
 go test -run=FuzzDecodeTrace ./internal/trace
 
+# Hot-path hash table fuzz seeds: FuzzFlatMap replays operation
+# sequences against a Go map.
+go test -run=FuzzFlatMap ./internal/flat
+
 # Simulator-throughput regression guard: re-time one tomcatv run through
 # the full simulator and compare against the baseline recorded in
 # BENCH_harness.json (make bench regenerates it). More than 25% slower
