@@ -631,14 +631,18 @@ func (m *Machine) runParallel(cpus []*cpuState, streams []trace.Stream) error {
 	for i := range streams {
 		runners[i] = runner{c: cpus[i], s: streams[i]}
 		if runners[i].s.Next(&runners[i].r) {
-			t.keys[i] = cpus[i].clock
+			key, err := t.key(i, cpus[i].clock)
+			if err != nil {
+				return err
+			}
+			t.set(i, key)
 		}
 	}
 	t.rebuild()
 	steps := uint64(0)
 	for {
-		best, key := t.min()
-		if key == doneKey {
+		best, live := t.min()
+		if !live {
 			return nil
 		}
 		ru := &runners[best]
@@ -646,18 +650,26 @@ func (m *Machine) runParallel(cpus []*cpuState, streams []trace.Stream) error {
 		if err := m.step(ru.c, &ru.r); err != nil {
 			return err
 		}
-		key = ru.c.clock
-		if !ru.s.Next(&ru.r) {
-			key = doneKey
+		key := doneKey
+		if ru.s.Next(&ru.r) {
+			var err error
+			if key, err = t.key(best, ru.c.clock); err != nil {
+				return err
+			}
 		}
 		if m.shootdowns == shootdowns {
 			t.update(best, key)
 		} else {
-			t.keys[best] = key
+			t.set(best, key)
 			for i := range runners {
-				if t.keys[i] != doneKey {
-					t.keys[i] = runners[i].c.clock
+				if t.leaf(i) == doneKey {
+					continue
 				}
+				k, err := t.key(i, runners[i].c.clock)
+				if err != nil {
+					return err
+				}
+				t.set(i, k)
 			}
 			t.rebuild()
 		}
