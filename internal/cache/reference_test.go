@@ -1,0 +1,200 @@
+package cache
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/arch"
+)
+
+// refLine is one resident line of the reference cache.
+type refLine struct {
+	addr  uint64
+	dirty bool
+}
+
+// refCache is a deliberately naive set-associative write-back LRU
+// cache: each set is an explicit list of resident lines, most recently
+// used first, and every operation is a linear search plus a rebuild of
+// that list. It shares no code with Cache.
+type refCache struct {
+	line, sets, assoc uint64
+	set               [][]refLine
+
+	accesses, hits                   uint64
+	misses, evictions, invalidations []uint64
+}
+
+func newRefCache(g arch.CacheGeometry) *refCache {
+	n := g.Size / (g.LineSize * g.Assoc)
+	return &refCache{
+		line: uint64(g.LineSize), sets: uint64(n), assoc: uint64(g.Assoc),
+		set:    make([][]refLine, n),
+		misses: make([]uint64, n), evictions: make([]uint64, n), invalidations: make([]uint64, n),
+	}
+}
+
+func (r *refCache) locate(addr uint64) (la, si uint64, pos int) {
+	la = addr / r.line * r.line
+	si = addr / r.line % r.sets
+	for i, l := range r.set[si] {
+		if l.addr == la {
+			return la, si, i
+		}
+	}
+	return la, si, -1
+}
+
+// without returns set with element i removed, in a fresh slice.
+func without(set []refLine, i int) []refLine {
+	out := append([]refLine{}, set[:i]...)
+	return append(out, set[i+1:]...)
+}
+
+func (r *refCache) access(addr uint64, write bool) Result {
+	r.accesses++
+	la, si, i := r.locate(addr)
+	if i >= 0 {
+		r.hits++
+		l := r.set[si][i]
+		l.dirty = l.dirty || write
+		r.set[si] = append([]refLine{l}, without(r.set[si], i)...)
+		return Result{Hit: true}
+	}
+	var res Result
+	r.misses[si]++
+	if uint64(len(r.set[si])) == r.assoc {
+		victim := r.set[si][len(r.set[si])-1]
+		res = Result{Evicted: true, VictimAddr: victim.addr, VictimDirty: victim.dirty}
+		r.evictions[si]++
+		r.set[si] = without(r.set[si], len(r.set[si])-1)
+	}
+	r.set[si] = append([]refLine{{addr: la, dirty: write}}, r.set[si]...)
+	return res
+}
+
+func (r *refCache) probe(addr uint64) bool {
+	_, _, i := r.locate(addr)
+	return i >= 0
+}
+
+func (r *refCache) invalidate(addr uint64) (present, dirty bool) {
+	_, si, i := r.locate(addr)
+	if i < 0 {
+		return false, false
+	}
+	dirty = r.set[si][i].dirty
+	r.set[si] = without(r.set[si], i)
+	r.invalidations[si]++
+	return true, dirty
+}
+
+func (r *refCache) setDirty(addr uint64, dirty bool) {
+	if _, si, i := r.locate(addr); i >= 0 {
+		r.set[si][i].dirty = dirty
+	}
+}
+
+func (r *refCache) flush() {
+	for si := range r.set {
+		r.set[si] = nil
+	}
+}
+
+// pick returns an address in a random set: a random byte of one of
+// assoc+2 candidate lines for that set, or, half the time, of the set's
+// current MRU or LRU line so hits at both ends of the order are common.
+func (r *refCache) pick(rng *rand.Rand) uint64 {
+	si := uint64(rng.Intn(int(r.sets)))
+	off := uint64(rng.Intn(int(r.line)))
+	if set := r.set[si]; len(set) > 0 && rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 {
+			return set[0].addr + off
+		}
+		return set[len(set)-1].addr + off
+	}
+	tag := uint64(rng.Intn(int(r.assoc) + 2))
+	return (tag*r.sets+si)*r.line + off
+}
+
+// TestCacheMatchesReference diffs Cache against refCache under random
+// operations at associativities 1, 2, 3, 4 and 8: every operation's
+// result, each set's contents in LRU order with dirty bits, and the
+// occupancy, utilization and per-set profile counters.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, assoc := range []int{1, 2, 3, 4, 8} {
+		g := arch.CacheGeometry{Size: 8 * assoc * 32, LineSize: 32, Assoc: assoc}
+		c, ref := New(g), newRefCache(g)
+		c.EnableSetProfile()
+		rng := rand.New(rand.NewSource(int64(assoc)))
+		for step := 0; step < 20000; step++ {
+			addr := ref.pick(rng)
+			switch op := rng.Intn(100); {
+			case op < 70:
+				write := rng.Intn(3) == 0
+				if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+					t.Fatalf("assoc %d step %d: Access(%#x, %v) = %+v, want %+v", assoc, step, addr, write, got, want)
+				}
+			case op < 80:
+				if got, want := c.Probe(addr), ref.probe(addr); got != want {
+					t.Fatalf("assoc %d step %d: Probe(%#x) = %v, want %v", assoc, step, addr, got, want)
+				}
+			case op < 90:
+				gp, gd := c.Invalidate(addr)
+				wp, wd := ref.invalidate(addr)
+				if gp != wp || gd != wd {
+					t.Fatalf("assoc %d step %d: Invalidate(%#x) = (%v, %v), want (%v, %v)", assoc, step, addr, gp, gd, wp, wd)
+				}
+			case op < 95:
+				c.Clean(addr)
+				ref.setDirty(addr, false)
+			case op < 99:
+				c.MarkDirty(addr)
+				ref.setDirty(addr, true)
+			default:
+				c.Flush()
+				ref.flush()
+			}
+			compareWithReference(t, c, ref, assoc, step)
+		}
+	}
+}
+
+// compareWithReference checks every set's ways and the derived
+// statistics against the reference.
+func compareWithReference(t *testing.T, c *Cache, ref *refCache, assoc, step int) {
+	t.Helper()
+	used := 0
+	occ := c.SetOccupancy()
+	for si, want := range ref.set {
+		ways := c.set(uint64(si))
+		for i, w := range ways {
+			if i < len(want) {
+				if !w.valid || w.lineAddr != want[i].addr || w.dirty != want[i].dirty {
+					t.Fatalf("assoc %d step %d: set %d way %d = %+v, want %+v", assoc, step, si, i, w, want[i])
+				}
+			} else if w.valid {
+				t.Fatalf("assoc %d step %d: set %d way %d = %+v, want invalid", assoc, step, si, i, w)
+			}
+		}
+		if got := occ[si]; got != float64(len(want))/float64(assoc) {
+			t.Fatalf("assoc %d step %d: SetOccupancy[%d] = %v, want %d/%d", assoc, step, si, got, len(want), assoc)
+		}
+		if len(want) > 0 {
+			used++
+		}
+	}
+	if got, want := c.Utilization(), float64(used)/float64(len(ref.set)); got != want {
+		t.Fatalf("assoc %d step %d: Utilization = %v, want %v", assoc, step, got, want)
+	}
+	if c.Accesses != ref.accesses || c.Hits != ref.hits {
+		t.Fatalf("assoc %d step %d: counters (accesses %d, hits %d), want (%d, %d)", assoc, step, c.Accesses, c.Hits, ref.accesses, ref.hits)
+	}
+	p := c.Profile()
+	for si := range ref.set {
+		if p.Misses[si] != ref.misses[si] || p.Evictions[si] != ref.evictions[si] || p.Invalidations[si] != ref.invalidations[si] {
+			t.Fatalf("assoc %d step %d: set %d profile (miss %d, evict %d, inval %d), want (%d, %d, %d)", assoc, step, si,
+				p.Misses[si], p.Evictions[si], p.Invalidations[si], ref.misses[si], ref.evictions[si], ref.invalidations[si])
+		}
+	}
+}
