@@ -27,8 +27,7 @@ func NestStream(prog *Program, n *Nest, p, cpu int) trace.Stream {
 	if lo >= hi {
 		return trace.Empty
 	}
-	cur := &nestCursor{prog: prog, nest: n, i: lo, hi: hi}
-	return trace.FuncStream(cur.next)
+	return newNestCursor(prog, n, lo, hi, 1)
 }
 
 // nestSpan returns cpu's outer-iteration range.
@@ -70,8 +69,7 @@ func NestWindowStream(prog *Program, n *Nest, p, cpu, lo, hi int) trace.Stream {
 	if lo >= hi {
 		return trace.Empty
 	}
-	cur := &nestCursor{prog: prog, nest: n, i: lo, hi: hi}
-	return trace.FuncStream(cur.next)
+	return newNestCursor(prog, n, lo, hi, 1)
 }
 
 // NestWarmStream is NestWindowStream decimated to cache-line
@@ -115,11 +113,7 @@ func NestWarmStream(prog *Program, n *Nest, p, cpu, lo, hi, lineBytes int) trace
 	case lineBytes > maxStride:
 		jump = lineBytes / maxStride
 	}
-	if jump < 1 {
-		jump = 1
-	}
-	cur := &nestCursor{prog: prog, nest: n, i: lo, hi: hi, jump: jump}
-	return trace.FuncStream(cur.next)
+	return newNestCursor(prog, n, lo, hi, max(jump, 1))
 }
 
 // NestRefs returns the total references cpu will emit for the nest;
@@ -129,98 +123,185 @@ func NestRefs(prog *Program, n *Nest, p, cpu int) int {
 	return trace.Count(s)
 }
 
-// nestCursor is the lazy interpreter state for one (nest, cpu).
+// accPlan is one Access flattened for the cursor: everything its
+// address and prefetch filter read, copied out of the Access and its
+// Array when the stream is created, with no pointer to chase per
+// reference.
+type accPlan struct {
+	base                 uint64
+	elemSize, elems      int
+	outer, inner, offset int // element = outer·i + inner·j + offset
+	distance             int // prefetch lead in inner iterations
+	strideBytes          int // |inner·elemSize|, for the one-per-line prefetch filter
+	kind                 trace.Kind
+	size                 uint8
+	wrap, prefetch       bool
+}
+
+// element returns the element index touched at (i, j).
+func (a *accPlan) element(i, j int) int { return a.outer*i + a.inner*j + a.offset }
+
+// addr returns the address of element e, wrapping or clamping it into
+// the array as Access.VAddr does. In-range elements, the common case,
+// take one unsigned compare.
+func (a *accPlan) addr(e int) uint64 {
+	if uint(e) >= uint(a.elems) {
+		if a.wrap {
+			e %= a.elems
+			if e < 0 {
+				e += a.elems
+			}
+		} else if e < 0 {
+			e = 0
+		} else {
+			e = a.elems - 1
+		}
+	}
+	return a.base + uint64(e*a.elemSize)
+}
+
+// Cursor stages within one inner iteration, in emission order.
+const (
+	stagePrefetch = iota
+	stageInst
+	stageDemand
+)
+
+// nestCursor is the lazy interpreter state for one (nest, cpu). It is
+// the stream itself: Next is called directly, with no adapter.
 type nestCursor struct {
-	prog *Program
-	nest *Nest
+	acc         []accPlan
+	anyPrefetch bool
 
 	i, hi int // outer iteration cursor and bound
 	j     int // inner iteration
-	jump  int // inner-iteration step (0 → 1; >1 for warm decimation)
-	stage int // 0 = prefetches, 1 = inst fetches, 2 = demand accesses
-	k     int // index within stage
+	inner int // inner iterations per outer one
+	jump  int // inner-iteration step (>1 for warm decimation)
+	stage int
+	k     int // access index within the prefetch or demand stage
 
-	instOff   int // cyclic cursor into the code segment
-	instLeft  int // bytes of code still to fetch this iteration
-	firstWork bool
+	codeBase  uint64
+	codeSize  int
+	instBytes int    // code bytes fetched per emitted inner iteration; 0 skips the stage
+	instOff   int    // cyclic cursor into the code segment
+	instLeft  int    // bytes of code still to fetch this iteration
+	work      uint32 // WorkPerIter, carried by the iteration's first demand access
+	workLeft  uint32 // work not yet emitted this iteration
 }
 
-func (c *nestCursor) next(r *trace.Ref) bool {
-	n := c.nest
+// newNestCursor returns the stream of nest n over outer iterations
+// [lo, hi), lo < hi, stepping inner iterations by jump.
+func newNestCursor(prog *Program, n *Nest, lo, hi, jump int) *nestCursor {
+	c := &nestCursor{
+		acc:      make([]accPlan, len(n.Accesses)),
+		i:        lo,
+		hi:       hi,
+		inner:    n.InnerIters,
+		jump:     jump,
+		codeBase: prog.CodeBase,
+		codeSize: prog.CodeSize,
+		work:     uint32(n.WorkPerIter),
+	}
+	for k := range n.Accesses {
+		ac := &n.Accesses[k]
+		kind := trace.Read
+		if ac.Kind == Store {
+			kind = trace.Write
+		}
+		stride := ac.InnerStride * ac.Array.ElemSize
+		if stride < 0 {
+			stride = -stride
+		}
+		c.acc[k] = accPlan{
+			base:        ac.Array.Base,
+			elemSize:    ac.Array.ElemSize,
+			elems:       ac.Array.Elems,
+			outer:       ac.OuterStride,
+			inner:       ac.InnerStride,
+			offset:      ac.Offset,
+			distance:    ac.PrefetchDistance,
+			strideBytes: stride,
+			kind:        kind,
+			size:        uint8(ac.Array.ElemSize),
+			wrap:        ac.Wrap,
+			prefetch:    ac.Prefetch,
+		}
+		c.anyPrefetch = c.anyPrefetch || ac.Prefetch
+	}
+	if prog.CodeSize > 0 {
+		c.instBytes = n.InstFootprint * jump
+	}
+	if len(c.acc) == 0 && c.instBytes <= 0 {
+		c.i = hi // nothing to emit; Validate rejects such a body anyway
+	}
+	c.begin()
+	return c
+}
+
+// begin starts an inner iteration at its first non-empty stage.
+func (c *nestCursor) begin() {
+	c.k = 0
+	c.workLeft = c.work
+	c.instLeft = c.instBytes
+	switch {
+	case c.anyPrefetch:
+		c.stage = stagePrefetch
+	case c.instLeft > 0:
+		c.stage = stageInst
+	default:
+		c.stage = stageDemand
+	}
+}
+
+// Next implements trace.Stream. Per inner iteration it emits software
+// prefetches, then instruction fetches, then demand accesses; see
+// NestStream.
+func (c *nestCursor) Next(r *trace.Ref) bool {
 	for c.i < c.hi {
 		switch c.stage {
-		case 0: // software prefetches
-			for c.k < len(n.Accesses) {
-				ac := n.Accesses[c.k]
+		case stageDemand:
+			if c.k < len(c.acc) {
+				a := &c.acc[c.k]
 				c.k++
-				if !ac.Prefetch {
+				*r = trace.Ref{Kind: a.kind, VAddr: a.addr(a.element(c.i, c.j)), Size: a.size, Work: c.workLeft}
+				c.workLeft = 0
+				return true
+			}
+			// Inner iteration done.
+			if c.j += c.jump; c.j >= c.inner {
+				c.j = 0
+				c.i++
+			}
+			c.begin()
+		case stagePrefetch:
+			for c.k < len(c.acc) {
+				a := &c.acc[c.k]
+				c.k++
+				if !a.prefetch {
 					continue
 				}
-				jf := c.j + ac.PrefetchDistance
-				if jf >= n.InnerIters {
+				jf := c.j + a.distance
+				if jf >= c.inner {
 					continue // pipeline drain: no prefetch issued
 				}
 				// One prefetch per cache line: emit only when the target
 				// is the first element of its line for this stream.
-				strideBytes := ac.InnerStride * ac.Array.ElemSize
-				if strideBytes < 0 {
-					strideBytes = -strideBytes
+				e := a.element(c.i, jf)
+				if a.strideBytes < prefetchLine && (e*a.elemSize)%prefetchLine >= a.strideBytes {
+					continue
 				}
-				if strideBytes < prefetchLine {
-					off := (ac.Element(c.i, jf) * ac.Array.ElemSize) % prefetchLine
-					if off >= strideBytes {
-						continue
-					}
-				}
-				*r = trace.Ref{Kind: trace.Prefetch, VAddr: ac.VAddr(c.i, jf), Size: uint8(ac.Array.ElemSize)}
+				*r = trace.Ref{Kind: trace.Prefetch, VAddr: a.addr(e), Size: a.size}
 				return true
 			}
-			c.stage, c.k = 1, 0
-			c.instLeft = n.InstFootprint
-			if c.jump > 1 {
-				c.instLeft *= c.jump
-			}
-			c.firstWork = true
-		case 1: // instruction fetches
-			if c.instLeft > 0 && c.prog.CodeSize > 0 {
-				*r = trace.Ref{Kind: trace.Inst, VAddr: c.prog.CodeBase + uint64(c.instOff), Size: 4, Work: iCacheLine / 4}
-				c.instOff = (c.instOff + iCacheLine) % c.prog.CodeSize
+			c.stage, c.k = stageInst, 0
+		case stageInst:
+			if c.instLeft > 0 {
+				*r = trace.Ref{Kind: trace.Inst, VAddr: c.codeBase + uint64(c.instOff), Size: 4, Work: iCacheLine / 4}
+				c.instOff = (c.instOff + iCacheLine) % c.codeSize
 				c.instLeft -= iCacheLine
 				return true
 			}
-			c.stage, c.k = 2, 0
-		case 2: // demand accesses
-			if c.k < len(n.Accesses) {
-				ac := n.Accesses[c.k]
-				c.k++
-				kind := trace.Read
-				if ac.Kind == Store {
-					kind = trace.Write
-				}
-				var work uint32
-				if c.firstWork {
-					work = uint32(n.WorkPerIter)
-					c.firstWork = false
-				}
-				*r = trace.Ref{Kind: kind, VAddr: ac.VAddr(c.i, c.j), Size: uint8(ac.Array.ElemSize), Work: work}
-				return true
-			}
-			// Inner iteration done.
-			c.stage, c.k = 0, 0
-			if c.jump > 1 {
-				c.j += c.jump
-			} else {
-				c.j++
-			}
-			if c.j >= n.InnerIters {
-				c.j = 0
-				c.i++
-			}
-			// A body with no accesses and no code would spin forever;
-			// Validate rejects it, but guard anyway.
-			if len(n.Accesses) == 0 && n.InstFootprint == 0 {
-				c.i = c.hi
-			}
+			c.stage = stageDemand
 		}
 	}
 	return false
