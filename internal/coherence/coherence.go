@@ -79,26 +79,32 @@ type Outcome struct {
 	Downgraded int
 }
 
+// blockShift is log2 of the lines one index entry covers: the
+// directory allocates the states of 32 consecutive lines together.
+const blockShift = 5
+
 // Directory tracks all lines. Not safe for concurrent use; the simulator
 // is single-threaded event-driven.
 type Directory struct {
-	ncpu     int
-	words    int // classification words per line
-	stride   int // slab bytes per line: words + ncpu
-	lineSize uint64
-	lineMask uint64 // lineSize - 1; line size is a validated power of two
+	ncpu      int
+	words     int    // classification words per line
+	stride    int    // slab bytes per line: words + ncpu
+	lineMask  uint64 // line size - 1; line size is a validated power of two
+	lineShift uint   // log2(line size)
 
-	// index maps a line address to its slot in lines. Slot i's bytes
-	// are bytes[i*stride : (i+1)*stride]: first the words writer
-	// entries (wordWriter[w] is the CPU that last wrote word w, -1 if
-	// never), then ncpu lost-to entries (lostTo[cpu] is the CPU whose
-	// write invalidated cpu's copy, -1 when the copy was lost to cpu's
-	// own eviction or never held). Both slabs grow by append; slots of
-	// forgotten lines are reused from free.
+	// index maps a block number (line address >> (lineShift+blockShift))
+	// to its block b; line l of the block lives in slot
+	// b<<blockShift | l. Slot i's bytes are bytes[i*stride :
+	// (i+1)*stride]: first the words writer entries (wordWriter[w] is
+	// the CPU that last wrote word w, -1 if never), then ncpu lost-to
+	// entries (lostTo[cpu] is the CPU whose write invalidated cpu's
+	// copy, -1 when the copy was lost to cpu's own eviction or never
+	// held). Both slabs grow by append, a whole block at a time, every
+	// slot starting fresh. A fresh slot behaves exactly like a line the
+	// directory has never seen.
 	index flat.Map
 	lines []lineState
 	bytes []int8
-	free  []uint32
 
 	// scratch to avoid per-access allocation
 	invalScratch []int
@@ -114,13 +120,11 @@ func New(ncpu, lineSize int) *Directory {
 		ncpu:         ncpu,
 		words:        lineSize / wordSize,
 		stride:       lineSize/wordSize + ncpu,
-		lineSize:     uint64(lineSize),
 		lineMask:     uint64(lineSize - 1),
+		lineShift:    uint(bits.TrailingZeros(uint(lineSize))),
 		invalScratch: make([]int, 0, ncpu),
 	}
 }
-
-func (d *Directory) lineOf(addr uint64) uint64 { return addr &^ (d.lineSize - 1) }
 
 // wordWriter returns the writer entry of word w of the line in slot i.
 func (d *Directory) wordWriter(i uint32, w int) *int8 {
@@ -132,28 +136,38 @@ func (d *Directory) lostTo(i uint32, cpu int) *int8 {
 	return &d.bytes[int(i)*d.stride+d.words+cpu]
 }
 
-// state returns the slot of line la, creating a fresh state (no holder,
-// every writer and invalidator -1) on first touch.
-func (d *Directory) state(la uint64) uint32 {
-	if i, ok := d.index.Get(la); ok {
-		return uint32(i)
+// slot returns the slot of addr's line, false when its block was
+// never touched.
+func (d *Directory) slot(addr uint64) (uint32, bool) {
+	line := addr >> d.lineShift
+	b, ok := d.index.Get(line >> blockShift)
+	return uint32(b)<<blockShift | uint32(line&(1<<blockShift-1)), ok
+}
+
+// state returns the slot of addr's line, allocating its block's slots,
+// all fresh, on first touch.
+func (d *Directory) state(addr uint64) uint32 {
+	if i, ok := d.slot(addr); ok {
+		return i
 	}
-	var i uint32
-	if n := len(d.free); n > 0 {
-		i = d.free[n-1]
-		d.free = d.free[:n-1]
-		d.lines[i] = lineState{dirtyOwner: -1}
-	} else {
-		i = uint32(len(d.lines))
-		d.lines = append(d.lines, lineState{dirtyOwner: -1})
-		d.bytes = append(d.bytes, make([]int8, d.stride)...)
+	first := len(d.lines)
+	d.lines = append(d.lines, make([]lineState, 1<<blockShift)...)
+	d.bytes = append(d.bytes, make([]int8, d.stride<<blockShift)...)
+	for i := first; i < len(d.lines); i++ {
+		d.reset(uint32(i))
 	}
+	d.index.Put(addr>>d.lineShift>>blockShift, uint64(first>>blockShift))
+	i, _ := d.slot(addr)
+	return i
+}
+
+// reset makes slot i fresh: no holder, every writer and invalidator -1.
+func (d *Directory) reset(i uint32) {
+	d.lines[i] = lineState{dirtyOwner: -1}
 	b := d.bytes[int(i)*d.stride : int(i+1)*d.stride]
 	for j := range b {
 		b[j] = -1
 	}
-	d.index.Put(la, uint64(i))
-	return i
 }
 
 // classifyMiss determines the miss class for cpu accessing word w of
@@ -189,8 +203,7 @@ func (d *Directory) wordIndex(addr uint64) int {
 // reports whether the requesting CPU's external cache currently holds the
 // line (the simulator knows; the directory double-checks its mirror).
 func (d *Directory) Access(cpu int, addr uint64, write bool) Outcome {
-	la := d.lineOf(addr)
-	i := d.state(la)
+	i := d.state(addr)
 	s := &d.lines[i]
 	word := d.wordIndex(addr)
 	bit := uint64(1) << uint(cpu)
@@ -255,11 +268,10 @@ func (d *Directory) invalidateOthers(i uint32, cpu int) []int {
 // addr (capacity/conflict, not coherence); a later re-fetch by cpu is a
 // Replacement miss.
 func (d *Directory) Evict(cpu int, addr uint64) {
-	j, ok := d.index.Get(d.lineOf(addr))
+	i, ok := d.slot(addr)
 	if !ok {
 		return
 	}
-	i := uint32(j)
 	s := &d.lines[i]
 	bit := uint64(1) << uint(cpu)
 	if s.owners&bit == 0 {
@@ -274,7 +286,7 @@ func (d *Directory) Evict(cpu int, addr uint64) {
 
 // Holders returns how many CPUs currently hold addr's line; for tests.
 func (d *Directory) Holders(addr uint64) int {
-	i, ok := d.index.Get(d.lineOf(addr))
+	i, ok := d.slot(addr)
 	if !ok {
 		return 0
 	}
@@ -283,17 +295,15 @@ func (d *Directory) Holders(addr uint64) int {
 
 // Forget drops all protocol state for the line containing addr; used
 // when a page is recolored and its old frame's lines cease to exist.
-// The line's slot is reused by the next line the directory creates.
+// The line's slot is reset to fresh in place.
 func (d *Directory) Forget(addr uint64) {
-	la := d.lineOf(addr)
-	if i, ok := d.index.Get(la); ok {
-		d.index.Delete(la)
-		d.free = append(d.free, uint32(i))
+	if i, ok := d.slot(addr); ok {
+		d.reset(i)
 	}
 }
 
 // Reset drops all line state (between independent runs).
 func (d *Directory) Reset() {
 	d.index.Clear()
-	d.lines, d.bytes, d.free = d.lines[:0], d.bytes[:0], d.free[:0]
+	d.lines, d.bytes = d.lines[:0], d.bytes[:0]
 }

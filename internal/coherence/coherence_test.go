@@ -1,6 +1,10 @@
 package coherence
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 const line = 128
 
@@ -174,26 +178,73 @@ func TestResetForgetsState(t *testing.T) {
 	}
 }
 
-// TestForgetReusesSlotFresh: a forgotten line's slot is recycled for
-// the next new line, which must start with no holders, writers or
-// invalidators, while lines that stayed keep their state.
+// TestForgetReusesSlotFresh: a forgotten line's slot is reset in
+// place, so the line and every new line start with no holders, writers
+// or invalidators, while lines that stayed, including the forgotten
+// line's neighbours in its index block, keep their state.
 func TestForgetReusesSlotFresh(t *testing.T) {
 	d := New(2, line)
 	d.Access(0, 0x1000, true)
 	d.Access(1, 0x1000, true) // CPU 0 loses 0x1000 to CPU 1's write
 	d.Access(0, 0x2000, true)
+	d.Access(0, 0x1000+line, true) // same index block as 0x1000
 	d.Forget(0x1000)
 	if d.Holders(0x1000) != 0 {
 		t.Fatal("forgotten line still has holders")
 	}
 	if out := d.Access(1, 0x3000, false); out.Class != Cold || out.DirtyRemote {
-		t.Errorf("new line in a recycled slot: class %v dirty-remote %v, want cold clean", out.Class, out.DirtyRemote)
+		t.Errorf("new line: class %v dirty-remote %v, want cold clean", out.Class, out.DirtyRemote)
 	}
 	if out := d.Access(0, 0x3000, false); out.Class != Cold {
 		t.Errorf("second reader of the new line: class %v, want cold", out.Class)
 	}
+	if out := d.Access(0, 0x1000, false); out.Class != Cold || out.DirtyRemote {
+		t.Errorf("forgotten line re-read: class %v dirty-remote %v, want cold clean", out.Class, out.DirtyRemote)
+	}
 	if out := d.Access(1, 0x2000, false); out.Class != TrueShare || !out.DirtyRemote || out.Downgraded != 0 {
 		t.Errorf("surviving line lost its state: %+v", out)
+	}
+	if out := d.Access(1, 0x1000+line, false); out.Class != TrueShare || out.Downgraded != 0 {
+		t.Errorf("block neighbour of the forgotten line lost its state: %+v", out)
+	}
+}
+
+// TestDirectoryMatchesOracle diffs the block-indexed directory against
+// the per-line oracle under random Access, Evict, Forget, Holders and
+// Reset calls over addresses that share, straddle and skip index
+// blocks, including address 0.
+func TestDirectoryMatchesOracle(t *testing.T) {
+	for _, ncpu := range []int{1, 2, 5, 16} {
+		for _, lineSize := range []int{16, 64, 128} {
+			d, ref := New(ncpu, lineSize), newOldDirectory(ncpu, lineSize)
+			rng := rand.New(rand.NewSource(int64(ncpu*1000 + lineSize)))
+			blockBytes := uint64(lineSize) << blockShift
+			for step := 0; step < 20000; step++ {
+				addr := uint64(rng.Intn(6))*blockBytes*uint64(1+rng.Intn(3)) + uint64(rng.Intn(int(blockBytes)))
+				cpu := rng.Intn(ncpu)
+				switch op := rng.Intn(100); {
+				case op < 70:
+					write := rng.Intn(2) == 0
+					got, want := d.Access(cpu, addr, write), ref.Access(cpu, addr, write)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("ncpu %d line %d step %d: Access(%d, %#x, %v) = %+v, want %+v", ncpu, lineSize, step, cpu, addr, write, got, want)
+					}
+				case op < 85:
+					d.Evict(cpu, addr)
+					ref.Evict(cpu, addr)
+				case op < 92:
+					d.Forget(addr)
+					ref.Forget(addr)
+				case op < 99:
+					if got, want := d.Holders(addr), ref.Holders(addr); got != want {
+						t.Fatalf("ncpu %d line %d step %d: Holders(%#x) = %d, want %d", ncpu, lineSize, step, addr, got, want)
+					}
+				default:
+					d.Reset()
+					ref.Reset()
+				}
+			}
+		}
 	}
 }
 

@@ -1,0 +1,229 @@
+package coherence
+
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/flat"
+)
+
+// oldDirectory is the directory as it was before its index covered
+// blocks of lines: one index entry and one slot per line, with
+// forgotten slots reused from a free list. It stays as the oracle the
+// block-indexed directory is diffed against; do not optimize it.
+type oldDirectory struct {
+	ncpu     int
+	words    int // classification words per line
+	stride   int // slab bytes per line: words + ncpu
+	lineSize uint64
+	lineMask uint64 // lineSize - 1; line size is a validated power of two
+
+	// index maps a line address to its slot in lines. Slot i's bytes
+	// are bytes[i*stride : (i+1)*stride]: first the words writer
+	// entries (wordWriter[w] is the CPU that last wrote word w, -1 if
+	// never), then ncpu lost-to entries (lostTo[cpu] is the CPU whose
+	// write invalidated cpu's copy, -1 when the copy was lost to cpu's
+	// own eviction or never held). Both slabs grow by append; slots of
+	// forgotten lines are reused from free.
+	index flat.Map
+	lines []lineState
+	bytes []int8
+	free  []uint32
+
+	// scratch to avoid per-access allocation
+	invalScratch []int
+}
+
+// newOldDirectory creates an oracle directory for ncpu CPUs and the given external-cache line
+// size in bytes.
+func newOldDirectory(ncpu, lineSize int) *oldDirectory {
+	if ncpu <= 0 || ncpu > 64 {
+		panic(fmt.Sprintf("coherence: ncpu %d out of range [1,64]", ncpu))
+	}
+	return &oldDirectory{
+		ncpu:         ncpu,
+		words:        lineSize / wordSize,
+		stride:       lineSize/wordSize + ncpu,
+		lineSize:     uint64(lineSize),
+		lineMask:     uint64(lineSize - 1),
+		invalScratch: make([]int, 0, ncpu),
+	}
+}
+
+func (d *oldDirectory) lineOf(addr uint64) uint64 { return addr &^ (d.lineSize - 1) }
+
+// wordWriter returns the writer entry of word w of the line in slot i.
+func (d *oldDirectory) wordWriter(i uint32, w int) *int8 {
+	return &d.bytes[int(i)*d.stride+w]
+}
+
+// lostTo returns the lost-to entry of cpu for the line in slot i.
+func (d *oldDirectory) lostTo(i uint32, cpu int) *int8 {
+	return &d.bytes[int(i)*d.stride+d.words+cpu]
+}
+
+// state returns the slot of line la, creating a fresh state (no holder,
+// every writer and invalidator -1) on first touch.
+func (d *oldDirectory) state(la uint64) uint32 {
+	if i, ok := d.index.Get(la); ok {
+		return uint32(i)
+	}
+	var i uint32
+	if n := len(d.free); n > 0 {
+		i = d.free[n-1]
+		d.free = d.free[:n-1]
+		d.lines[i] = lineState{dirtyOwner: -1}
+	} else {
+		i = uint32(len(d.lines))
+		d.lines = append(d.lines, lineState{dirtyOwner: -1})
+		d.bytes = append(d.bytes, make([]int8, d.stride)...)
+	}
+	b := d.bytes[int(i)*d.stride : int(i+1)*d.stride]
+	for j := range b {
+		b[j] = -1
+	}
+	d.index.Put(la, uint64(i))
+	return i
+}
+
+// classifyMiss determines the miss class for cpu accessing word w of
+// the line in slot i.
+func (d *oldDirectory) classifyMiss(i uint32, cpu int, word int) Class {
+	s := &d.lines[i]
+	if s.held == 0 && s.owners == 0 {
+		return Cold
+	}
+	if s.held&(1<<uint(cpu)) == 0 {
+		// This CPU never held the line; another CPU touched it first.
+		// If the word was produced by another CPU this is communication.
+		if w := *d.wordWriter(i, word); w >= 0 && int(w) != cpu {
+			return TrueShare
+		}
+		return Cold
+	}
+	if inv := *d.lostTo(i, cpu); inv >= 0 {
+		if w := *d.wordWriter(i, word); w >= 0 && int(w) != cpu {
+			return TrueShare
+		}
+		return FalseShare
+	}
+	return Replacement
+}
+
+// wordIndex clamps the accessed word within the line.
+func (d *oldDirectory) wordIndex(addr uint64) int {
+	return int((addr & d.lineMask) / wordSize) // wordSize is a constant power of two
+}
+
+// Access performs the protocol action for cpu touching addr. present
+// reports whether the requesting CPU's external cache currently holds the
+// line (the simulator knows; the directory double-checks its mirror).
+func (d *oldDirectory) Access(cpu int, addr uint64, write bool) Outcome {
+	la := d.lineOf(addr)
+	i := d.state(la)
+	s := &d.lines[i]
+	word := d.wordIndex(addr)
+	bit := uint64(1) << uint(cpu)
+
+	out := Outcome{Downgraded: -1}
+	if s.owners&bit != 0 {
+		out.Class = Hit
+		if write && s.owners != bit {
+			// Write hit on a shared line: upgrade + invalidate others.
+			out.Upgrade = true
+			out.Invalidated = d.invalidateOthers(i, cpu)
+		}
+	} else {
+		out.Class = d.classifyMiss(i, cpu, word)
+		if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
+			out.DirtyRemote = true
+		}
+		if write {
+			out.Invalidated = d.invalidateOthers(i, cpu)
+		} else if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
+			// Read of a dirty remote line: owner downgrades to shared,
+			// memory (and requester) get the data.
+			out.Downgraded = int(s.dirtyOwner)
+			s.dirtyOwner = -1
+		}
+		s.owners |= bit
+		s.held |= bit
+		*d.lostTo(i, cpu) = -1
+	}
+
+	if write {
+		s.dirtyOwner = int8(cpu)
+		*d.wordWriter(i, word) = int8(cpu)
+	}
+	return out
+}
+
+// invalidateOthers removes every owner of the line in slot i except
+// cpu, recording cpu as the invalidator, and returns the list of
+// invalidated CPUs in the reused scratch buffer (nil when the list is
+// empty).
+func (d *oldDirectory) invalidateOthers(i uint32, cpu int) []int {
+	s := &d.lines[i]
+	d.invalScratch = d.invalScratch[:0]
+	for p := 0; p < d.ncpu; p++ {
+		if p == cpu {
+			continue
+		}
+		if s.owners&(1<<uint(p)) != 0 {
+			s.owners &^= 1 << uint(p)
+			*d.lostTo(i, p) = int8(cpu)
+			d.invalScratch = append(d.invalScratch, p)
+		}
+	}
+	if len(d.invalScratch) == 0 {
+		return nil
+	}
+	return d.invalScratch
+}
+
+// Evict records that cpu's external cache displaced the line containing
+// addr (capacity/conflict, not coherence); a later re-fetch by cpu is a
+// Replacement miss.
+func (d *oldDirectory) Evict(cpu int, addr uint64) {
+	j, ok := d.index.Get(d.lineOf(addr))
+	if !ok {
+		return
+	}
+	i := uint32(j)
+	s := &d.lines[i]
+	bit := uint64(1) << uint(cpu)
+	if s.owners&bit == 0 {
+		return
+	}
+	s.owners &^= bit
+	*d.lostTo(i, cpu) = -1 // self-inflicted loss
+	if int(s.dirtyOwner) == cpu {
+		s.dirtyOwner = -1 // written back to memory
+	}
+}
+
+// Holders returns how many CPUs currently hold addr's line; for tests.
+func (d *oldDirectory) Holders(addr uint64) int {
+	i, ok := d.index.Get(d.lineOf(addr))
+	if !ok {
+		return 0
+	}
+	return bits.OnesCount64(d.lines[i].owners)
+}
+
+// Forget drops all protocol state for the line containing addr; used
+// when a page is recolored and its old frame's lines cease to exist.
+// The line's slot is reused by the next line the directory creates.
+func (d *oldDirectory) Forget(addr uint64) {
+	la := d.lineOf(addr)
+	if i, ok := d.index.Get(la); ok {
+		d.index.Delete(la)
+		d.free = append(d.free, uint32(i))
+	}
+}
+
+// Reset drops all line state (between independent runs).
+func (d *oldDirectory) Reset() {
+	d.index.Clear()
+	d.lines, d.bytes, d.free = d.lines[:0], d.bytes[:0], d.free[:0]
+}
