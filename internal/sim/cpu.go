@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -465,6 +466,18 @@ func (m *Machine) applyInvalidations(c *cpuState, paddr uint64, units []int) {
 	}
 }
 
+// dropL1 invalidates every on-chip line within [vaddr, vaddr+size).
+// On-chip lines may be smaller than the range, and the L1D and L1I may
+// differ in line size, so each cache is stepped by its own.
+func (c *cpuState) dropL1(vaddr, size uint64) {
+	for _, l1 := range [...]*cache.Cache{c.l1d, c.l1i} {
+		step := uint64(l1.Geom.LineSize)
+		for off := uint64(0); off < size; off += step {
+			l1.Invalidate(vaddr + off)
+		}
+	}
+}
+
 // handleLLCEviction keeps the directory, the inner levels (inclusion)
 // and the write-back traffic consistent with a last-level-cache
 // eviction. Every CPU sharing the evicting unit may hold the line
@@ -498,12 +511,8 @@ func (m *Machine) handleLLCEviction(c *cpuState, evicted bool, victim uint64, di
 		// flushed when the owning process switched out.
 		if vaddr, ok := o.as.ReverseVAddr(victim); ok {
 			// Inclusion: every on-chip line within the evicted LLC line
-			// must go. On-chip lines are smaller; invalidate each.
-			step := uint64(m.cfg.L1D.LineSize)
-			for off := uint64(0); off < uint64(m.llcLine); off += step {
-				o.l1d.Invalidate(vaddr + off)
-				o.l1i.Invalidate(vaddr + off)
-			}
+			// must go.
+			o.dropL1(vaddr, uint64(m.llcLine))
 		}
 	}
 	if dirty {

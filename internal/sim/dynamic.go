@@ -64,13 +64,8 @@ func (m *Machine) applyRecoloring(c *cpuState, ev *RecolorEvent) {
 	// On-chip caches are virtually indexed; the virtual lines survive the
 	// move only if their data were copied, which the kernel does — but
 	// their backing physical line changed, so conservatively drop them.
-	vbase := ev.VPN * pageSize
-	step := uint64(m.cfg.L1D.LineSize)
-	for off := uint64(0); off < pageSize; off += step {
-		for _, o := range m.cpus {
-			o.l1d.Invalidate(vbase + off)
-			o.l1i.Invalidate(vbase + off)
-		}
+	for _, o := range m.cpus {
+		o.dropL1(ev.VPN*pageSize, pageSize)
 	}
 
 	// Costs: page copy over the bus (read + write) charged to the

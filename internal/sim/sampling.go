@@ -706,11 +706,7 @@ func (m *Machine) warmEvict(c *cpuState, evicted bool, victim uint64, _ bool) {
 			}
 		}
 		if vaddr, ok := o.as.ReverseVAddr(victim); ok {
-			step := uint64(m.cfg.L1D.LineSize)
-			for off := uint64(0); off < uint64(m.llcLine); off += step {
-				o.l1d.Invalidate(vaddr + off)
-				o.l1i.Invalidate(vaddr + off)
-			}
+			o.dropL1(vaddr, uint64(m.llcLine))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -509,5 +510,44 @@ func TestWriteBufferMechanism(t *testing.T) {
 	}
 	if c.clock != c.stats.StallWriteBuffer {
 		t.Errorf("stall not reflected in clock: clock=%d stall=%d", c.clock, c.stats.StallWriteBuffer)
+	}
+}
+
+// TestLLCEvictionDropsEveryL1SubLine: inclusion must hold when the L1I
+// and L1D line sizes differ. With 16-byte L1I lines under 32-byte L1D
+// lines, an LLC eviction, on the detailed path and on the functional
+// warm-up path, must leave no L1I or L1D sub-line of the evicted line.
+func TestLLCEvictionDropsEveryL1SubLine(t *testing.T) {
+	cfg := smallConfig(1)
+	cfg.L1I.LineSize = 16
+	paths := map[string]func(m *Machine, c *cpuState, paddr uint64){
+		"detailed": func(m *Machine, c *cpuState, paddr uint64) { m.handleLLCEviction(c, true, paddr, false) },
+		"warm-up":  func(m *Machine, c *cpuState, paddr uint64) { m.warmEvict(c, true, paddr, false) },
+	}
+	for name, evict := range paths {
+		m, err := New(Options{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := m.cpus[0]
+		const vaddr = 0x40000 // page-aligned, so its frame address is LLC-line-aligned
+		paddr, _, err := m.as.Translate(vaddr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		llcLine := uint64(m.llcLine)
+		for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
+			for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
+				l1.Access(vaddr+off, false)
+			}
+		}
+		evict(m, c, paddr)
+		for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
+			for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
+				if l1.Probe(vaddr + off) {
+					t.Errorf("%s: %d-byte L1 line at %#x survived the eviction of LLC line %#x", name, l1.Geom.LineSize, vaddr+off, paddr)
+				}
+			}
+		}
 	}
 }
