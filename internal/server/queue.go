@@ -191,29 +191,32 @@ func (q *queue) runJob(j *job) {
 	if collector != nil {
 		out.Attribution = attributionOf(collector)
 	}
-	j.finish(StateDone, out, nil)
+	// Count before finishing: finish releases a synchronous request's
+	// response, and a client that then reads /metrics must see the job.
 	q.completed.Inc()
+	j.finish(StateDone, out, nil)
 }
 
 // finishErr maps a simulation error to the job's terminal state:
 // deadline → timeout, cancellation → canceled, frame exhaustion →
 // failed with the typed out_of_memory code, anything else → failed.
+// As on success, the counter moves before finish releases the job.
 func (q *queue) finishErr(j *job, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
+		q.canceled.Inc()
 		j.finish(StateCanceled, nil, &ErrorInfo{Code: CodeTimeout,
 			Message: "job exceeded its deadline: " + err.Error()})
-		q.canceled.Inc()
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCanceled, nil, &ErrorInfo{Code: CodeCanceled, Message: err.Error()})
 		q.canceled.Inc()
+		j.finish(StateCanceled, nil, &ErrorInfo{Code: CodeCanceled, Message: err.Error()})
 	case errors.Is(err, memory.ErrOutOfMemory):
+		q.failed.Inc()
 		j.finish(StateFailed, nil, &ErrorInfo{Code: CodeOutOfMemory,
 			Message: "simulated machine ran out of physical frames: " + err.Error()})
-		q.failed.Inc()
 	default:
-		j.finish(StateFailed, nil, &ErrorInfo{Code: CodeSimFailed, Message: err.Error()})
 		q.failed.Inc()
+		j.finish(StateFailed, nil, &ErrorInfo{Code: CodeSimFailed, Message: err.Error()})
 	}
 }
 
