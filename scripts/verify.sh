@@ -47,6 +47,10 @@ go test -run=FuzzDecodeTrace ./internal/trace
 # sequences against a Go map.
 go test -run=FuzzFlatMap ./internal/flat
 
+# Nest-stream cursor fuzz seeds: FuzzNestStream diffs the flattened
+# cursor against the oracle interpreter on generated nests.
+go test -run=FuzzNestStream ./internal/ir
+
 # Simulator-throughput regression guard: re-time one tomcatv run through
 # the full simulator and compare against the baseline recorded in
 # BENCH_harness.json (make bench regenerates it). More than 25% slower
