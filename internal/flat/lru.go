@@ -32,9 +32,6 @@ func NewLRU(capacity int) *LRU {
 // Len returns the number of resident keys.
 func (l *LRU) Len() int { return l.index.Len() }
 
-// Has reports whether k is resident, without touching the recency order.
-func (l *LRU) Has(k uint64) bool { return l.index.Has(k) }
-
 // Touch makes k the most recently used key and reports whether it was
 // already resident. A new key takes a removed slot, a never-used slot,
 // or, when the LRU is full, the least recently used key's slot.

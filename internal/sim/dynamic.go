@@ -82,12 +82,10 @@ func (m *Machine) applyRecoloring(c *cpuState, ev *RecolorEvent) {
 	}
 
 	for _, o := range m.cpus {
+		// The page moved to a new frame: drop every cached translation
+		// of the stale mapping, the TLB entry and the instruction-side
+		// translation cache alike.
 		o.tlb.Invalidate(ev.VPN)
-		// The page moved to a new frame: drop any one-entry translation
-		// cache holding the stale mapping alongside the TLB entry.
-		if o.tcData.vpn == ev.VPN {
-			o.tcData.valid = false
-		}
 		if o.tcInst.vpn == ev.VPN {
 			o.tcInst.valid = false
 		}

@@ -267,7 +267,7 @@ func (m *Machine) runNext(p *Process) error {
 // round-robin by ascending pid. Every window runs whole regions until the
 // quantum is spent; at a switch the incoming process pays the kernel
 // switch cost and the virtually indexed per-CPU state is flushed (TLB,
-// on-chip caches, translation caches) while the physically tagged
+// on-chip caches, instruction translation cache) while the physically tagged
 // external caches, prefetch arrivals and write buffers survive.
 func (m *Machine) runTimeSliced(table []*Process, quantum uint64) error {
 	if quantum == 0 {
@@ -296,7 +296,6 @@ func (m *Machine) runTimeSliced(table []*Process, quantum uint64) error {
 					c.l1d.Flush()
 					c.l1i.Flush()
 					c.tlb.Flush()
-					c.tcData = transCache{}
 					c.tcInst = transCache{}
 					c.stats.ContextSwitches++
 					c.stats.KernelCycles += contextSwitchCycles

@@ -188,11 +188,10 @@ type Machine struct {
 	shootdowns uint64
 }
 
-// transCache is a one-entry VPN→physical-page-base cache. On a TLB hit
-// the translation cannot have changed since the last reference to the
-// page (recoloring shoots both down together), so the full page-table
-// map lookup is skipped — the dominant cost of the per-reference hot
-// path once the caches warm up.
+// transCache is a one-entry VPN→physical-page-base cache for
+// instruction fetches, which the model sends through no TLB. Recoloring
+// and a time-slice switch invalidate it, so while valid it skips the
+// page-table lookup that would otherwise be paid on every I-cache miss.
 type transCache struct {
 	vpn   uint64
 	pbase uint64
@@ -212,7 +211,7 @@ type cpuState struct {
 
 	l1d *cache.Cache
 	l1i *cache.Cache
-	tlb *tlb.TLB
+	tlb *tlb.TLB // data translations, each holding its page's current frame base
 
 	// llc is the CPU's last-level-cache unit (possibly shared with
 	// other CPUs); mids are its intermediate physically indexed levels,
@@ -222,10 +221,7 @@ type cpuState struct {
 	llc  *llcUnit
 	mids []*cache.Cache
 
-	// tcData/tcInst are one-entry translation caches for the data and
-	// instruction streams (separate so code fetches do not thrash the
-	// data entry). Invalidated on page recoloring.
-	tcData transCache
+	// tcInst translates instruction fetches, which bypass the TLB.
 	tcInst transCache
 
 	// Prefetch engine: completion times of in-flight prefetches and the

@@ -1,52 +1,138 @@
 package tlb
 
-import "repro/internal/flat"
-
 // TLB is a fully-associative, LRU translation buffer keyed by virtual
-// page number. Its entries live in a flat.LRU, an index-linked recency
-// list with an open-addressed vpn index, so the simulator's
-// per-reference lookup path allocates nothing while keeping exact
-// true-LRU replacement order.
+// page number. Each entry holds the page's physical base, so a hit
+// translates without consulting the page table. The entries live in
+// fixed slices sized to the entry count, with an age stamp per slot: a
+// hit tests the most recently used slot and then scans; only a miss
+// searches for the victim (an empty slot, else the lowest stamp). The
+// replacement order is exact true LRU and no operation allocates.
 type TLB struct {
-	lru *flat.LRU
+	vpns   []uint64
+	bases  []uint64
+	stamps []uint64 // last-use time per slot; 0 marks an empty slot
+	clock  uint64   // stamp of the most recent use
+	mru    int      // slot of the most recent use
+	last   int      // slot the last miss installed, for Fill
+	n      int      // resident entries
 
 	Lookups uint64
 	Misses  uint64
 }
+
+// emptyVPN fills empty slots so a scan for a real vpn rarely stops on
+// one; the stamp check still decides residency, so vpn emptyVPN itself
+// is handled exactly.
+const emptyVPN = ^uint64(0)
 
 // New creates a TLB with the given number of entries.
 func New(entries int) *TLB {
 	if entries <= 0 {
 		panic("tlb: entries must be positive")
 	}
-	return &TLB{lru: flat.NewLRU(entries)}
+	t := &TLB{
+		vpns:   make([]uint64, entries),
+		bases:  make([]uint64, entries),
+		stamps: make([]uint64, entries),
+	}
+	t.Flush()
+	return t
 }
 
-// Lookup touches vpn and reports whether a translation was present;
-// on a miss the translation is installed (hardware refill semantics are
-// charged by the caller).
-func (t *TLB) Lookup(vpn uint64) bool {
+// find returns vpn's slot, -1 when it is not resident.
+func (t *TLB) find(vpn uint64) int {
+	if t.vpns[t.mru] == vpn && t.stamps[t.mru] != 0 {
+		return t.mru
+	}
+	for i, v := range t.vpns {
+		if v == vpn && t.stamps[i] != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// Translate looks vpn up and makes it the most recently used entry. A
+// hit returns the physical page base stored for vpn. A miss installs vpn
+// in place of the least recently used entry and returns hit false; the
+// caller walks the page table and stores the result with Fill.
+func (t *TLB) Translate(vpn uint64) (pbase uint64, hit bool) {
 	t.Lookups++
-	if t.lru.Touch(vpn) {
-		return true
+	if i := t.find(vpn); i >= 0 {
+		if i != t.mru {
+			t.clock++
+			t.stamps[i] = t.clock
+			t.mru = i
+		}
+		return t.bases[i], true
 	}
 	t.Misses++
-	return false
+	i := t.victim()
+	if t.stamps[i] == 0 {
+		t.n++
+	}
+	t.clock++
+	t.vpns[i], t.bases[i], t.stamps[i] = vpn, 0, t.clock
+	t.mru, t.last = i, i
+	return 0, false
 }
 
-// Probe reports whether vpn is mapped without refilling or touching LRU
-// state; used to decide whether a prefetch is dropped.
-func (t *TLB) Probe(vpn uint64) bool { return t.lru.Has(vpn) }
+// victim returns the slot a miss fills: the first empty slot, else the
+// least recently used one.
+func (t *TLB) victim() int {
+	v := 0
+	for i, s := range t.stamps {
+		if s == 0 {
+			return i
+		}
+		if s < t.stamps[v] {
+			v = i
+		}
+	}
+	return v
+}
+
+// Fill stores the physical page base of the entry the last missing
+// Translate installed.
+func (t *TLB) Fill(pbase uint64) { t.bases[t.last] = pbase }
+
+// Lookup touches vpn and reports whether a translation was present;
+// on a miss the entry is installed (hardware refill semantics are
+// charged by the caller).
+func (t *TLB) Lookup(vpn uint64) bool {
+	_, hit := t.Translate(vpn)
+	return hit
+}
+
+// Peek returns vpn's physical page base without refilling or touching
+// LRU order; used to decide whether a prefetch is dropped.
+func (t *TLB) Peek(vpn uint64) (pbase uint64, ok bool) {
+	if i := t.find(vpn); i >= 0 {
+		return t.bases[i], true
+	}
+	return 0, false
+}
 
 // Invalidate drops the translation for vpn if present (single-page
 // shootdown during a recoloring).
-func (t *TLB) Invalidate(vpn uint64) { t.lru.Remove(vpn) }
+func (t *TLB) Invalidate(vpn uint64) {
+	if i := t.find(vpn); i >= 0 {
+		t.vpns[i], t.stamps[i] = emptyVPN, 0
+		t.n--
+	}
+}
 
 // Flush empties the TLB (context switch / recoloring).
-func (t *TLB) Flush() { t.lru.Clear() }
+func (t *TLB) Flush() {
+	for i := range t.vpns {
+		t.vpns[i] = emptyVPN
+	}
+	clear(t.stamps)
+	t.clock, t.mru, t.n = 0, 0, 0
+}
 
 // Len returns the number of resident translations.
-func (t *TLB) Len() int { return t.lru.Len() }
+func (t *TLB) Len() int { return t.n }
 
 // MissRate returns misses/lookups.
 func (t *TLB) MissRate() float64 {

@@ -47,6 +47,10 @@ go test -run=FuzzDecodeTrace ./internal/trace
 # sequences against a Go map.
 go test -run=FuzzFlatMap ./internal/flat
 
+# TLB fuzz seeds: FuzzTLB diffs Translate/Fill/Peek/Invalidate/Flush
+# sequences against a container/list LRU reference.
+go test -run=FuzzTLB ./internal/tlb
+
 # Nest-stream cursor fuzz seeds: FuzzNestStream diffs the flattened
 # cursor against the oracle interpreter on generated nests.
 go test -run=FuzzNestStream ./internal/ir
