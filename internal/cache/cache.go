@@ -146,12 +146,40 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 		return false, false
 	}
 	dirty = set[i].dirty
-	copy(set[i:], set[i+1:]) // compact, keeping LRU order
+	c.remove(si, set, i)
+	return true, dirty
+}
+
+// InvalidateRange removes every line overlapping [addr, addr+size) and
+// reports whether any of them was dirty. Consecutive lines fall in
+// consecutive sets, so the walk steps the set index instead of
+// re-deriving it from each address.
+func (c *Cache) InvalidateRange(addr, size uint64) (dirty bool) {
+	if size == 0 {
+		return false
+	}
+	la := c.lineAddr(addr)
+	n := (c.lineAddr(addr+size-1)-la)>>c.lineShift + 1
+	si := c.setOf(la)
+	for ; n > 0; n-- {
+		set := c.set(si)
+		if i := find(set, la); i >= 0 {
+			dirty = dirty || set[i].dirty
+			c.remove(si, set, i)
+		}
+		la += c.lineMask + 1
+		si = (si + 1) & c.setMask
+	}
+	return dirty
+}
+
+// remove drops way i of set si, compacting the set in LRU order.
+func (c *Cache) remove(si uint64, set []way, i int) {
+	copy(set[i:], set[i+1:])
 	set[len(set)-1] = way{}
 	if c.prof != nil {
 		c.prof.Invalidations[si]++
 	}
-	return true, dirty
 }
 
 // Clean clears the dirty bit of addr's line if present (after a writeback

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -195,6 +196,106 @@ func compareWithReference(t *testing.T, c *Cache, ref *refCache, assoc, step int
 		if p.Misses[si] != ref.misses[si] || p.Evictions[si] != ref.evictions[si] || p.Invalidations[si] != ref.invalidations[si] {
 			t.Fatalf("assoc %d step %d: set %d profile (miss %d, evict %d, inval %d), want (%d, %d, %d)", assoc, step, si,
 				p.Misses[si], p.Evictions[si], p.Invalidations[si], ref.misses[si], ref.evictions[si], ref.invalidations[si])
+		}
+	}
+}
+
+// TestInvalidateRangeMatchesReference diffs InvalidateRange against a
+// loop of single-line Invalidate calls on a second Cache and against
+// the per-set reference: the dirty result, every set's contents and the
+// per-set Invalidations counts. Ranges start anywhere within a line,
+// run from empty to past the whole cache, and wrap past the last set.
+func TestInvalidateRangeMatchesReference(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4} {
+		g := arch.CacheGeometry{Size: 8 * assoc * 32, LineSize: 32, Assoc: assoc}
+		c, loop, ref := New(g), New(g), newRefCache(g)
+		c.EnableSetProfile()
+		loop.EnableSetProfile()
+		rng := rand.New(rand.NewSource(int64(100 + assoc)))
+		var unaligned, wrapped, dirtied int
+		for step := 0; step < 20000; step++ {
+			addr := ref.pick(rng)
+			if rng.Intn(4) > 0 {
+				write := rng.Intn(3) == 0
+				c.Access(addr, write)
+				loop.Access(addr, write)
+				ref.access(addr, write)
+				continue
+			}
+			size := uint64(rng.Intn(int(3 * ref.sets * ref.line)))
+			got := c.InvalidateRange(addr, size)
+			var viaLoop, want bool
+			for la := addr / ref.line * ref.line; size > 0 && la < addr+size; la += ref.line {
+				_, d := loop.Invalidate(la)
+				viaLoop = viaLoop || d
+				_, d = ref.invalidate(la)
+				want = want || d
+			}
+			if got != viaLoop || got != want {
+				t.Fatalf("assoc %d step %d: InvalidateRange(%#x, %d) dirty = %v, single-line loop %v, reference %v",
+					assoc, step, addr, size, got, viaLoop, want)
+			}
+			if !slices.Equal(c.ways, loop.ways) || !slices.Equal(c.Profile().Invalidations, loop.Profile().Invalidations) {
+				t.Fatalf("assoc %d step %d: InvalidateRange(%#x, %d) left a state the single-line loop does not", assoc, step, addr, size)
+			}
+			compareWithReference(t, c, ref, assoc, step)
+			if size > 0 && addr%ref.line != 0 {
+				unaligned++
+			}
+			if size > 0 && (addr+size-1)/ref.line%ref.sets < addr/ref.line%ref.sets {
+				wrapped++
+			}
+			if got {
+				dirtied++
+			}
+		}
+		if unaligned == 0 || wrapped == 0 || dirtied == 0 {
+			t.Errorf("assoc %d: generated %d unaligned, %d wrapping and %d dirty ranges, want some of each", assoc, unaligned, wrapped, dirtied)
+		}
+	}
+}
+
+// TestInvalidateRangeEdges pins the range boundaries: an empty range
+// removes nothing, a one-byte range at a line's last byte removes that
+// line only, and a range ending one byte into the next line removes
+// both lines.
+func TestInvalidateRangeEdges(t *testing.T) {
+	g := arch.CacheGeometry{Size: 4 * 32, LineSize: 32, Assoc: 1}
+	fill := func() *Cache {
+		c := New(g)
+		c.EnableSetProfile()
+		for la := uint64(0); la < 4*32; la += 32 {
+			c.Access(la, la == 32)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		addr, size uint64
+		gone       []uint64
+		dirty      bool
+	}{
+		{addr: 40, size: 0},
+		{addr: 63, size: 1, gone: []uint64{32}, dirty: true},
+		{addr: 31, size: 2, gone: []uint64{0, 32}, dirty: true},
+		{addr: 96, size: 64, gone: []uint64{96}},
+		{addr: 64, size: 1 << 20, gone: []uint64{64, 96}},
+		{addr: 16, size: 1 << 20, gone: []uint64{0, 32, 64, 96}, dirty: true},
+	} {
+		c := fill()
+		if got := c.InvalidateRange(tc.addr, tc.size); got != tc.dirty {
+			t.Errorf("InvalidateRange(%d, %d) dirty = %v, want %v", tc.addr, tc.size, got, tc.dirty)
+		}
+		for la := uint64(0); la < 4*32; la += 32 {
+			gone, invals := slices.Contains(tc.gone, la), uint64(0)
+			if gone {
+				invals = 1
+			}
+			if c.Probe(la) == gone {
+				t.Errorf("InvalidateRange(%d, %d): line %d resident = %v, want %v", tc.addr, tc.size, la, gone, !gone)
+			}
+			if got := c.Profile().Invalidations[la/32]; got != invals {
+				t.Errorf("InvalidateRange(%d, %d): set %d Invalidations = %d, want %d", tc.addr, tc.size, la/32, got, invals)
+			}
 		}
 	}
 }
