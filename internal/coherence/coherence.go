@@ -3,8 +3,6 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/flat"
 )
 
 // Class classifies the outcome of a memory access at the external-cache
@@ -79,8 +77,9 @@ type Outcome struct {
 	Downgraded int
 }
 
-// blockShift is log2 of the lines one index entry covers: the
-// directory allocates the states of 32 consecutive lines together.
+// blockShift is log2 of the lines one block-table entry covers: the
+// directory allocates the states of 32 consecutive lines together. With
+// 128-B lines one block is exactly one 4-KB page frame.
 const blockShift = 5
 
 // Directory tracks all lines. Not safe for concurrent use; the simulator
@@ -92,9 +91,12 @@ type Directory struct {
 	lineMask  uint64 // line size - 1; line size is a validated power of two
 	lineShift uint   // log2(line size)
 
-	// index maps a block number (line address >> (lineShift+blockShift))
-	// to its block b; line l of the block lives in slot
-	// b<<blockShift | l. Slot i's bytes are bytes[i*stride :
+	// blocks is indexed by physical block number (line address >>
+	// (lineShift+blockShift)) and holds b+1 for the block's slab block b,
+	// 0 for a block never touched; line l of the block lives in slot
+	// b<<blockShift | l. Physical addresses are bounded by the machine's
+	// frame count, so the table is sized by the highest block touched
+	// and grows on demand. Slot i's bytes are bytes[i*stride :
 	// (i+1)*stride]: first the words writer entries (wordWriter[w] is
 	// the CPU that last wrote word w, -1 if never), then ncpu lost-to
 	// entries (lostTo[cpu] is the CPU whose write invalidated cpu's
@@ -102,9 +104,9 @@ type Directory struct {
 	// held). Both slabs grow by append, a whole block at a time, every
 	// slot starting fresh. A fresh slot behaves exactly like a line the
 	// directory has never seen.
-	index flat.Map
-	lines []lineState
-	bytes []int8
+	blocks []uint32
+	lines  []lineState
+	bytes  []int8
 
 	// scratch to avoid per-access allocation
 	invalScratch []int
@@ -140,8 +142,12 @@ func (d *Directory) lostTo(i uint32, cpu int) *int8 {
 // never touched.
 func (d *Directory) slot(addr uint64) (uint32, bool) {
 	line := addr >> d.lineShift
-	b, ok := d.index.Get(line >> blockShift)
-	return uint32(b)<<blockShift | uint32(line&(1<<blockShift-1)), ok
+	if blk := line >> blockShift; blk < uint64(len(d.blocks)) {
+		if b := d.blocks[blk]; b != 0 {
+			return (b-1)<<blockShift | uint32(line&(1<<blockShift-1)), true
+		}
+	}
+	return 0, false
 }
 
 // state returns the slot of addr's line, allocating its block's slots,
@@ -150,13 +156,19 @@ func (d *Directory) state(addr uint64) uint32 {
 	if i, ok := d.slot(addr); ok {
 		return i
 	}
+	blk := addr >> d.lineShift >> blockShift
+	if blk >= uint64(len(d.blocks)) {
+		grown := make([]uint32, max(blk+1, 2*uint64(len(d.blocks))))
+		copy(grown, d.blocks)
+		d.blocks = grown
+	}
 	first := len(d.lines)
 	d.lines = append(d.lines, make([]lineState, 1<<blockShift)...)
 	d.bytes = append(d.bytes, make([]int8, d.stride<<blockShift)...)
 	for i := first; i < len(d.lines); i++ {
 		d.reset(uint32(i))
 	}
-	d.index.Put(addr>>d.lineShift>>blockShift, uint64(first>>blockShift))
+	d.blocks[blk] = uint32(first>>blockShift) + 1
 	i, _ := d.slot(addr)
 	return i
 }
@@ -304,6 +316,6 @@ func (d *Directory) Forget(addr uint64) {
 
 // Reset drops all line state (between independent runs).
 func (d *Directory) Reset() {
-	d.index.Clear()
+	clear(d.blocks)
 	d.lines, d.bytes = d.lines[:0], d.bytes[:0]
 }

@@ -1,8 +1,8 @@
 package coherence
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -221,28 +221,12 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 			blockBytes := uint64(lineSize) << blockShift
 			for step := 0; step < 20000; step++ {
 				addr := uint64(rng.Intn(6))*blockBytes*uint64(1+rng.Intn(3)) + uint64(rng.Intn(int(blockBytes)))
-				cpu := rng.Intn(ncpu)
-				switch op := rng.Intn(100); {
-				case op < 70:
-					write := rng.Intn(2) == 0
-					got, want := d.Access(cpu, addr, write), ref.Access(cpu, addr, write)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("ncpu %d line %d step %d: Access(%d, %#x, %v) = %+v, want %+v", ncpu, lineSize, step, cpu, addr, write, got, want)
-					}
-				case op < 85:
-					d.Evict(cpu, addr)
-					ref.Evict(cpu, addr)
-				case op < 92:
-					d.Forget(addr)
-					ref.Forget(addr)
-				case op < 99:
-					if got, want := d.Holders(addr), ref.Holders(addr); got != want {
-						t.Fatalf("ncpu %d line %d step %d: Holders(%#x) = %d, want %d", ncpu, lineSize, step, addr, got, want)
-					}
-				default:
+				if rng.Intn(100) == 0 {
 					d.Reset()
 					ref.Reset()
+					continue
 				}
+				diffOp(t, d, ref, rng, addr, fmt.Sprintf("ncpu %d line %d step %d", ncpu, lineSize, step))
 			}
 		}
 	}

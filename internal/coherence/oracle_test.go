@@ -3,6 +3,9 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
+	"reflect"
+	"testing"
 
 	"repro/internal/flat"
 )
@@ -226,4 +229,80 @@ func (d *oldDirectory) Forget(addr uint64) {
 func (d *oldDirectory) Reset() {
 	d.index.Clear()
 	d.lines, d.bytes, d.free = d.lines[:0], d.bytes[:0], d.free[:0]
+}
+
+// diffOp runs one random Access, Evict, Forget or Holders call at addr
+// on d and ref and fails t, naming the call after at, when the results
+// differ.
+func diffOp(t *testing.T, d *Directory, ref *oldDirectory, rng *rand.Rand, addr uint64, at string) {
+	t.Helper()
+	cpu := rng.Intn(d.ncpu)
+	switch op := rng.Intn(100); {
+	case op < 70:
+		write := rng.Intn(2) == 0
+		if got, want := d.Access(cpu, addr, write), ref.Access(cpu, addr, write); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Access(%d, %#x, %v) = %+v, want %+v", at, cpu, addr, write, got, want)
+		}
+	case op < 85:
+		d.Evict(cpu, addr)
+		ref.Evict(cpu, addr)
+	case op < 92:
+		d.Forget(addr)
+		ref.Forget(addr)
+	default:
+		if got, want := d.Holders(addr), ref.Holders(addr); got != want {
+			t.Fatalf("%s: Holders(%#x) = %d, want %d", at, addr, got, want)
+		}
+	}
+}
+
+// TestBlockTableMatchesOracle diffs the directory against the oracle
+// where the block table's layout matters. Each round touches sparse
+// blocks up to a higher bound, so the table grows round by round. A
+// Reset between rounds keeps the table, and the next round reuses the
+// earlier rounds' blocks. Forget, Evict and Holders on blocks never
+// touched, inside the table and beyond it, must agree with the oracle
+// and must not grow the table.
+func TestBlockTableMatchesOracle(t *testing.T) {
+	for _, lineSize := range []int{16, 128} {
+		d, ref := New(4, lineSize), newOldDirectory(4, lineSize)
+		rng := rand.New(rand.NewSource(int64(lineSize)))
+		blockBytes := uint64(lineSize) << blockShift
+		var blocks []uint64
+		for round, top := range []uint64{1, 40, 1 << 12, 1 << 20} {
+			blocks = append(blocks, top/2+1, top)
+			touched := map[uint64]bool{}
+			for step := 0; step < 4000; step++ {
+				blk := blocks[rng.Intn(len(blocks))]
+				touched[blk] = true
+				addr := blk*blockBytes + uint64(rng.Intn(int(blockBytes)))
+				diffOp(t, d, ref, rng, addr, fmt.Sprintf("line %d round %d step %d", lineSize, round, step))
+			}
+			n := uint64(len(d.blocks))
+			if n <= top {
+				t.Fatalf("line %d round %d: table holds %d blocks, want more than %d", lineSize, round, n, top)
+			}
+			for _, blk := range []uint64{top + 1, n - 1, n, 3*n + 7} {
+				if touched[blk] {
+					continue
+				}
+				addr := blk*blockBytes + uint64(rng.Intn(int(blockBytes)))
+				d.Forget(addr)
+				ref.Forget(addr)
+				d.Evict(1, addr)
+				ref.Evict(1, addr)
+				if got, want := d.Holders(addr), ref.Holders(addr); got != want {
+					t.Fatalf("line %d round %d: Holders(%#x) of an untouched block = %d, want %d", lineSize, round, addr, got, want)
+				}
+			}
+			if got := uint64(len(d.blocks)); got != n {
+				t.Fatalf("line %d round %d: calls on untouched blocks grew the table from %d to %d", lineSize, round, n, got)
+			}
+			d.Reset()
+			ref.Reset()
+			if got := uint64(len(d.blocks)); got != n {
+				t.Fatalf("line %d round %d: Reset resized the table from %d to %d", lineSize, round, n, got)
+			}
+		}
+	}
 }
