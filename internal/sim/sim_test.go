@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/core"
@@ -548,6 +549,46 @@ func TestLLCEvictionDropsEveryL1SubLine(t *testing.T) {
 					t.Errorf("%s: %d-byte L1 line at %#x survived the eviction of LLC line %#x", name, l1.Geom.LineSize, vaddr+off, paddr)
 				}
 			}
+		}
+	}
+}
+
+// TestLLCEvictionWritesBackDirtyMidLine: an inclusive intermediate level
+// with lines smaller than the LLC's loses every sub-line of an evicted
+// LLC line, and a dirty sub-line that is not the first one joins the
+// victim's writeback even when the LLC copy itself is clean.
+func TestLLCEvictionWritesBackDirtyMidLine(t *testing.T) {
+	for _, dirtyMid := range []bool{false, true} {
+		cfg := smallConfig(1)
+		cfg.Topology = &arch.Topology{Name: "mid32", Levels: []arch.Level{
+			{Name: "L2", Geom: arch.CacheGeometry{Size: 16 << 10, LineSize: 32, Assoc: 2}, CPUsPerCache: 1, HitCycles: 4, Inclusive: true, Slices: 1},
+			{Name: "L3", Geom: cfg.L2, CPUsPerCache: 1, HitCycles: cfg.L2HitCycles, Inclusive: true, Slices: 1},
+		}}
+		m, err := New(Options{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := m.cpus[0]
+		paddr, _, err := m.as.Translate(0x40000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid, llcLine := c.mids[0], uint64(m.llcLine)
+		for off := uint64(0); off < llcLine; off += 32 {
+			mid.Access(paddr+off, dirtyMid && off == 64)
+		}
+		m.handleLLCEviction(c, true, paddr, false)
+		for off := uint64(0); off < llcLine; off += 32 {
+			if mid.Probe(paddr + off) {
+				t.Errorf("dirty %v: mid-level line %#x survived the eviction of LLC line %#x", dirtyMid, paddr+off, paddr)
+			}
+		}
+		want := uint64(0)
+		if dirtyMid {
+			want = 1
+		}
+		if got := m.bus.Transactions(bus.Writeback); got != want {
+			t.Errorf("dirty %v: %d writebacks, want %d", dirtyMid, got, want)
 		}
 	}
 }
