@@ -172,9 +172,10 @@ func (as *AddressSpace) Translate(vaddr uint64, cpu int) (paddr uint64, faulted 
 }
 
 // TranslateVPN returns the physical base address of vpn's frame, taking
-// a page fault if unmapped. The simulator's per-CPU translation caches
-// are built on this: one page-table lookup services every subsequent
-// reference to the page until the cached entry is invalidated.
+// a page fault if unmapped. The simulator's TLB refills and instruction
+// translation caches are built on this: one page-table lookup services
+// every subsequent reference to the page until the cached entry is
+// invalidated.
 func (as *AddressSpace) TranslateVPN(vpn uint64, cpu int) (pbase uint64, faulted bool, err error) {
 	frame, ok := as.pages.Get(vpn)
 	if !ok {
