@@ -4,10 +4,37 @@ import (
 	"fmt"
 
 	"repro/internal/bus"
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
+
+// Every reference runs in two stages. Its transition (dataRef, instRef,
+// prefetchRef) moves the hierarchy state — TLB, on-chip caches,
+// directory, intermediate levels, shadow, LLC, inclusion and the
+// pending-prefetch map — and records what happened in the CPU's
+// outcome. Its accounting (stepData, stepInst, stepPrefetch) books
+// cycles, counters, bus time, write-buffer stalls, attribution and
+// recoloring from that outcome. No transition reads the clock or the
+// bus, so the functional warm-up (warmRef) runs the transitions alone
+// and leaves exactly the state a detailed step would.
+
+// outcome is what a reference's transition hands its accounting. Only
+// the fields on the path the transition took are set.
+type outcome struct {
+	paddr      uint64
+	tlbMiss    bool // data: the TLB missed (a prefetch is dropped)
+	faulted    bool // the page-table walk faulted the page in
+	l1Hit      bool
+	serviced   int // innermost intermediate level that hit, -1 when none
+	dir        coherence.Outcome
+	shadowHit  bool
+	llc        cache.Result
+	writeback  bool   // the LLC victim goes to memory
+	prefetched bool   // a demand hit consumed a pending prefetch...
+	ready      uint64 // ...whose data arrives at this time
+}
 
 // step processes one reference on CPU c, advancing its clock.
 func (m *Machine) step(c *cpuState, r *trace.Ref) error {
@@ -21,33 +48,21 @@ func (m *Machine) step(c *cpuState, r *trace.Ref) error {
 	}
 }
 
-// stepData handles a demand load or store.
-func (m *Machine) stepData(c *cpuState, r *trace.Ref) error {
-	work := uint64(r.Work) + 1 // the memory instruction itself plus its arithmetic
-	c.stats.Instructions += work
-	c.stats.ExecCycles += work
-	c.clock += work
-
+// dataRef is the transition of a demand load or store.
+func (m *Machine) dataRef(c *cpuState, r *trace.Ref) error {
+	o := &c.out
 	// Address translation: a TLB hit yields the page base; a miss walks
 	// the page table (possibly faulting) and refills the entry.
 	vpn := r.VAddr >> m.pageShift
 	pbase, hit := c.tlb.Translate(vpn)
+	o.tlbMiss, o.faulted = !hit, false
 	if !hit {
-		c.stats.TLBMisses++
-		c.stats.KernelCycles += uint64(m.cfg.TLBMissCycles)
-		c.clock += uint64(m.cfg.TLBMissCycles)
-		var faulted bool
 		var err error
-		if pbase, faulted, err = m.refill(c, vpn); err != nil {
+		if pbase, o.faulted, err = m.refill(c, vpn); err != nil {
 			return fmt.Errorf("sim: cpu %d: %w", c.id, err)
 		}
-		if faulted {
-			c.stats.PageFaults++
-			c.stats.KernelCycles += uint64(m.cfg.PageFaultCycles)
-			c.clock += uint64(m.cfg.PageFaultCycles)
-		}
 	}
-	paddr := pbase | (r.VAddr & m.pageMask)
+	o.paddr = pbase | (r.VAddr & m.pageMask)
 
 	write := r.Kind == trace.Write
 	l1 := c.l1d.Access(r.VAddr, write)
@@ -58,50 +73,84 @@ func (m *Machine) stepData(c *cpuState, r *trace.Ref) error {
 			m.markDirtyPhys(c, vp)
 		}
 	}
+	o.l1Hit = l1.Hit
 	if l1.Hit && !write {
-		return nil // on-chip load hit: 1 cycle, already charged
+		return nil // on-chip load hit
 	}
 
 	// Physically indexed hierarchy. Stores always check the directory so
 	// that upgrades and invalidations of shared lines are modeled even on
 	// on-chip hits (inclusion guarantees the line is in the LLC as well).
-	out := m.dir.Access(c.llc.id, paddr, write)
-	m.applyDowngrade(paddr, out.Downgraded)
-	m.applyInvalidations(c, paddr, out.Invalidated)
+	o.dir = m.dir.Access(c.llc.id, o.paddr, write)
+	m.applyDowngrade(o.paddr, o.dir.Downgraded)
+	m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
 
 	// Intermediate levels, inner to outer: the innermost hit services
 	// the access at that level's latency. The LLC is accessed either
 	// way — it is the coherence point, and its tags must see every
 	// physical reference to stay inclusive of the levels above.
-	serviced := m.accessMids(c, paddr, write)
+	o.serviced = m.accessMids(c, o.paddr, write)
+	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
+	o.llc = c.llc.cacheFor(o.paddr).Access(o.paddr, write)
+	o.writeback = m.evictLLC(c, o.llc)
 
-	shadowHit := false
-	if !m.opts.DisableClassification {
-		shadowHit = c.llc.shadow.Access(paddr)
+	// An on-chip miss served on chip consumes a pending prefetch of the
+	// line.
+	o.prefetched = false
+	if (o.llc.Hit || o.serviced >= 0) && !l1.Hit {
+		la := m.llcLineAddr(o.paddr)
+		if o.ready, o.prefetched = c.pending[la]; o.prefetched {
+			delete(c.pending, la)
+		}
 	}
-	res := c.llc.cacheFor(paddr).Access(paddr, write)
-	m.handleLLCEviction(c, res.Evicted, res.VictimAddr, res.VictimDirty)
+	return nil
+}
 
-	if res.Hit || serviced >= 0 {
-		if out.Upgrade {
+// stepData handles a demand load or store.
+func (m *Machine) stepData(c *cpuState, r *trace.Ref) error {
+	if err := m.dataRef(c, r); err != nil {
+		return err
+	}
+	o := &c.out
+	work := uint64(r.Work) + 1 // the memory instruction itself plus its arithmetic
+	c.stats.Instructions += work
+	c.stats.ExecCycles += work
+	c.clock += work
+	if o.tlbMiss {
+		c.stats.TLBMisses++
+		c.stats.KernelCycles += uint64(m.cfg.TLBMissCycles)
+		c.clock += uint64(m.cfg.TLBMissCycles)
+		if o.faulted {
+			c.stats.PageFaults++
+			c.stats.KernelCycles += uint64(m.cfg.PageFaultCycles)
+			c.clock += uint64(m.cfg.PageFaultCycles)
+		}
+	}
+	if o.l1Hit && r.Kind != trace.Write {
+		return nil // on-chip load hit: 1 cycle, already charged
+	}
+	if o.writeback {
+		m.writeback(c)
+	}
+
+	if o.llc.Hit || o.serviced >= 0 {
+		if o.dir.Upgrade {
 			done := m.bus.Acquire(c.clock, 0, bus.Upgrade)
 			c.stats.StallUpgrade += done - c.clock
 			c.stats.Upgrades++
 			c.clock = done
 		}
-		if !l1.Hit {
-			la := m.llcLineAddr(paddr)
-			if ready, pending := c.pending[la]; pending {
-				delete(c.pending, la)
+		if !o.l1Hit {
+			if o.prefetched {
 				c.stats.PrefetchedHits++
-				if ready > c.clock {
-					c.stats.StallPrefetch += ready - c.clock
-					c.clock = ready
+				if o.ready > c.clock {
+					c.stats.StallPrefetch += o.ready - c.clock
+					c.clock = o.ready
 				}
 			}
 			hit := m.llcLevel.HitCycles
-			if serviced >= 0 {
-				hit = m.midLevels[serviced].HitCycles
+			if o.serviced >= 0 {
+				hit = m.midLevels[o.serviced].HitCycles
 			}
 			c.stats.StallOnChip += uint64(hit)
 			c.clock += uint64(hit)
@@ -110,23 +159,24 @@ func (m *Machine) stepData(c *cpuState, r *trace.Ref) error {
 	}
 
 	// Full last-level-cache miss.
-	stall := m.missCycles(c, paddr, out.DirtyRemote)
-	m.chargeMiss(c, out.Class, shadowHit, stall)
-	m.countSliceMiss(paddr)
+	vpn := r.VAddr >> m.pageShift
+	stall := m.missCycles(c, o.paddr, o.dir.DirtyRemote)
+	m.chargeMiss(c, o.dir.Class, o.shadowHit, stall)
+	m.countSliceMiss(o.paddr)
 	// Cross-domain attribution: a data miss that displaced a victim
 	// owned by a foreign isolation domain / process is a cache-set
 	// conflict between domains — the co-scheduled collision pathology —
 	// whatever class the accessor's own miss lands in (the incoming
 	// process's first sweep over a co-runner's lines classifies cold or
 	// capacity). Off (crossCheck false) for single-process runs.
-	if m.crossCheck && res.Evicted && m.crossDomainVictim(c.pid, res.VictimAddr) {
+	if m.crossCheck && o.llc.Evicted && m.crossDomainVictim(c.pid, o.llc.VictimAddr) {
 		c.stats.CrossDomainConflicts++
 		if m.obs != nil {
-			m.obs.RecordCrossDomainPID(c.pid, c.id, c.clock, vpn, m.frameColor(res.VictimAddr))
+			m.obs.RecordCrossDomainPID(c.pid, c.id, c.clock, vpn, m.frameColor(o.llc.VictimAddr))
 		}
 	}
 	if m.obs != nil {
-		m.obs.RecordMissPID(c.pid, c.id, c.clock, vpn, m.frameColor(paddr), obsClass(out.Class, shadowHit), stall)
+		m.obs.RecordMissPID(c.pid, c.id, c.clock, vpn, m.frameColor(o.paddr), obsClass(o.dir.Class, o.shadowHit), stall)
 	}
 	c.clock += stall
 	if m.recolorer != nil {
@@ -135,41 +185,53 @@ func (m *Machine) stepData(c *cpuState, r *trace.Ref) error {
 	return nil
 }
 
+// instRef is the transition of an instruction fetch.
+func (m *Machine) instRef(c *cpuState, r *trace.Ref) error {
+	o := &c.out
+	if o.l1Hit = c.l1i.Access(r.VAddr, false).Hit; o.l1Hit {
+		return nil
+	}
+	var err error
+	if o.paddr, o.faulted, err = m.translateInst(c, r.VAddr); err != nil {
+		return fmt.Errorf("sim: cpu %d (inst): %w", c.id, err)
+	}
+	o.dir = m.dir.Access(c.llc.id, o.paddr, false)
+	m.applyDowngrade(o.paddr, o.dir.Downgraded)
+	o.serviced = m.accessMids(c, o.paddr, false)
+	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
+	o.llc = c.llc.cacheFor(o.paddr).Access(o.paddr, false)
+	o.writeback = m.evictLLC(c, o.llc)
+	return nil
+}
+
 // stepInst handles an instruction fetch (one on-chip I-cache line worth
 // of instructions; r.Work carries the instruction count).
 func (m *Machine) stepInst(c *cpuState, r *trace.Ref) error {
+	if err := m.instRef(c, r); err != nil {
+		return err
+	}
+	o := &c.out
 	work := uint64(r.Work)
 	c.stats.Instructions += work
 	c.stats.ExecCycles += work
 	c.clock += work
-
-	if c.l1i.Access(r.VAddr, false).Hit {
+	if o.l1Hit {
 		return nil
 	}
-	vpn := r.VAddr >> m.pageShift
-	paddr, faulted, err := m.translateInst(c, r.VAddr)
-	if err != nil {
-		return fmt.Errorf("sim: cpu %d (inst): %w", c.id, err)
-	}
-	if faulted {
+	if o.faulted {
 		c.stats.PageFaults++
 		c.stats.KernelCycles += uint64(m.cfg.PageFaultCycles)
 		c.clock += uint64(m.cfg.PageFaultCycles)
 	}
-	out := m.dir.Access(c.llc.id, paddr, false)
-	m.applyDowngrade(paddr, out.Downgraded)
-	serviced := m.accessMids(c, paddr, false)
-	if !m.opts.DisableClassification {
-		c.llc.shadow.Access(paddr)
+	if o.writeback {
+		m.writeback(c)
 	}
-	res := c.llc.cacheFor(paddr).Access(paddr, false)
-	m.handleLLCEviction(c, res.Evicted, res.VictimAddr, res.VictimDirty)
-	if res.Hit || serviced >= 0 {
+	if o.llc.Hit || o.serviced >= 0 {
 		// fpppp's signature cost: instruction fetches served by the
 		// external hierarchy (§4.1).
 		hit := m.llcLevel.HitCycles
-		if serviced >= 0 {
-			hit = m.midLevels[serviced].HitCycles
+		if o.serviced >= 0 {
+			hit = m.midLevels[o.serviced].HitCycles
 		}
 		c.stats.StallInst += uint64(hit)
 		c.clock += uint64(hit)
@@ -177,11 +239,11 @@ func (m *Machine) stepInst(c *cpuState, r *trace.Ref) error {
 	}
 	c.stats.L2Misses++
 	c.stats.InstMisses++
-	m.countSliceMiss(paddr)
-	stall := m.missCycles(c, paddr, out.DirtyRemote)
+	m.countSliceMiss(o.paddr)
+	stall := m.missCycles(c, o.paddr, o.dir.DirtyRemote)
 	c.stats.StallInst += stall
 	if m.obs != nil {
-		m.obs.RecordMissPID(c.pid, c.id, c.clock, vpn, m.frameColor(paddr), obs.InstFetch, stall)
+		m.obs.RecordMissPID(c.pid, c.id, c.clock, r.VAddr>>m.pageShift, m.frameColor(o.paddr), obs.InstFetch, stall)
 	}
 	c.clock += stall
 	// Code pages conflict-miss like data pages do; feed the dynamic
@@ -192,60 +254,58 @@ func (m *Machine) stepInst(c *cpuState, r *trace.Ref) error {
 	return nil
 }
 
-// stepPrefetch handles a non-binding software prefetch (§6.2): dropped on
-// a TLB miss, at most MaxOutstandingPrefetches in flight (one more stalls
-// the CPU), fills the external cache only.
+// prefetchRef is the transition of a non-binding software prefetch: it
+// reports whether the prefetch was issued, filling the external cache
+// only. A prefetch is dropped on a TLB miss and skipped when its line is
+// already resident or already coming. The caller records the line's
+// arrival in the pending map.
+func (m *Machine) prefetchRef(c *cpuState, r *trace.Ref) (issued bool) {
+	o := &c.out
+	pbase, ok := c.tlb.Peek(r.VAddr >> m.pageShift)
+	if o.tlbMiss = !ok; !ok {
+		return false
+	}
+	o.paddr = pbase | (r.VAddr & m.pageMask)
+	if _, inflight := c.pending[m.llcLineAddr(o.paddr)]; inflight || c.llc.cacheFor(o.paddr).Probe(o.paddr) {
+		return false
+	}
+	o.dir = m.dir.Access(c.llc.id, o.paddr, false)
+	m.applyDowngrade(o.paddr, o.dir.Downgraded)
+	m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
+	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
+	o.llc = c.llc.cacheFor(o.paddr).Access(o.paddr, false)
+	o.writeback = m.evictLLC(c, o.llc)
+	return true
+}
+
+// stepPrefetch handles a software prefetch (§6.2): at most
+// MaxOutstandingPrefetches in flight (one more stalls the CPU).
 func (m *Machine) stepPrefetch(c *cpuState, r *trace.Ref) error {
+	issued := m.prefetchRef(c, r)
+	o := &c.out
 	c.stats.Instructions++
 	c.stats.ExecCycles++
 	c.clock++
-
-	pbase, ok := c.tlb.Peek(r.VAddr >> m.pageShift)
-	if !ok {
+	if o.tlbMiss {
 		c.stats.PrefetchesDropped++
 		return nil
 	}
-	paddr := pbase | (r.VAddr & m.pageMask)
-	la := m.llcLineAddr(paddr)
-	if _, inflight := c.pending[la]; inflight || c.llc.cacheFor(paddr).Probe(paddr) {
-		return nil // already resident or already coming
+	if !issued {
+		return nil
 	}
-
-	// Enforce the outstanding-prefetch limit: issuing a fifth prefetch
-	// stalls the processor until a slot frees up.
-	c.pruneOutstanding()
-	if len(c.outstanding) >= m.cfg.MaxOutstandingPrefetches {
-		earliest := c.outstanding[0]
-		for _, t := range c.outstanding[1:] {
-			if t < earliest {
-				earliest = t
-			}
-		}
-		if earliest > c.clock {
-			c.stats.StallPrefetch += earliest - c.clock
-			c.clock = earliest
-		}
-		c.pruneOutstanding()
-	}
-
-	out := m.dir.Access(c.llc.id, paddr, false)
-	m.applyDowngrade(paddr, out.Downgraded)
-	m.applyInvalidations(c, paddr, out.Invalidated)
+	// Issuing a fifth prefetch stalls the processor until a slot frees.
+	c.stats.StallPrefetch += c.waitSlot(&c.outstanding, m.cfg.MaxOutstandingPrefetches)
 	latency := uint64(m.cfg.MemCycles)
-	if out.DirtyRemote {
+	if o.dir.DirtyRemote {
 		latency = uint64(m.cfg.RemoteCycles)
 	}
 	done := m.bus.Acquire(c.clock, m.llcLine, bus.Data)
 	queue := done - c.clock - m.bus.HoldCycles(m.llcLine)
 	arrival := c.clock + queue + latency + c.memJitter(m.cfg.MemJitterCycles)
-
-	if !m.opts.DisableClassification {
-		c.llc.shadow.Access(paddr)
+	if o.writeback {
+		m.writeback(c)
 	}
-	res := c.llc.cacheFor(paddr).Access(paddr, false)
-	m.handleLLCEviction(c, res.Evicted, res.VictimAddr, res.VictimDirty)
-
-	c.pending[la] = arrival
+	c.pending[m.llcLineAddr(o.paddr)] = arrival
 	c.outstanding = append(c.outstanding, arrival)
 	c.stats.PrefetchesIssued++
 	return nil
@@ -281,15 +341,25 @@ func (m *Machine) translateInst(c *cpuState, vaddr uint64) (paddr uint64, faulte
 	return c.tcInst.pbase | (vaddr & m.pageMask), faulted, nil
 }
 
-// pruneOutstanding drops completed prefetches from the in-flight list.
-func (c *cpuState) pruneOutstanding() {
-	live := c.outstanding[:0]
-	for _, t := range c.outstanding {
-		if t > c.clock {
-			live = append(live, t)
+// waitSlot drops the completion times in slots that have passed and,
+// while limit (when positive) of them are still in flight, advances the
+// clock to the earliest. It returns the stall for the caller to book.
+func (c *cpuState) waitSlot(slots *[]uint64, limit int) (stall uint64) {
+	for {
+		live, earliest := (*slots)[:0], ^uint64(0)
+		for _, t := range *slots {
+			if t > c.clock {
+				live = append(live, t)
+				earliest = min(earliest, t)
+			}
 		}
+		*slots = live
+		if limit <= 0 || len(live) < limit {
+			return stall
+		}
+		stall += earliest - c.clock
+		c.clock = earliest
 	}
-	c.outstanding = live
 }
 
 // missCycles charges the bus transaction for a line fetch and returns
@@ -479,62 +549,48 @@ func (c *cpuState) dropL1(vaddr, size uint64) {
 	c.l1i.InvalidateRange(vaddr, size)
 }
 
-// handleLLCEviction keeps the directory, the inner levels (inclusion)
-// and the write-back traffic consistent with a last-level-cache
-// eviction. Every CPU sharing the evicting unit may hold the line
-// on-chip or have a prefetch in flight for it; inclusive intermediate
-// levels are back-invalidated, and a dirty copy surfaced there joins
-// the victim's writeback.
-func (m *Machine) handleLLCEviction(c *cpuState, evicted bool, victim uint64, dirty bool) {
-	if !evicted {
-		return
+// evictLLC keeps the directory and the inner levels (inclusion)
+// consistent with a last-level-cache eviction and reports whether the
+// victim must be written back. Every CPU sharing the evicting unit may
+// hold the line on-chip or have a prefetch in flight for it; inclusive
+// intermediate levels are back-invalidated, and a dirty copy surfaced
+// there joins the victim's writeback.
+func (m *Machine) evictLLC(c *cpuState, res cache.Result) (writeback bool) {
+	if !res.Evicted {
+		return false
 	}
-	m.dir.Evict(c.llc.id, victim)
-	la := m.llcLineAddr(victim)
+	m.dir.Evict(c.llc.id, res.VictimAddr)
+	writeback = res.VictimDirty
+	la := m.llcLineAddr(res.VictimAddr)
 	for _, p := range c.llc.cpus {
 		o := m.cpus[p]
 		delete(o.pending, la)
 		for li, mc := range o.mids {
 			if m.midLevels[li].Inclusive && mc.InvalidateRange(la, uint64(m.llcLine)) {
-				dirty = true
+				writeback = true
 			}
 		}
 		// The victim may belong to a descheduled process (physical tags
 		// survive context switches); o.as then has no reverse mapping and
 		// the on-chip invalidation is skipped — those L1 lines were
 		// flushed when the owning process switched out.
-		if vaddr, ok := o.as.ReverseVAddr(victim); ok {
+		if vaddr, ok := o.as.ReverseVAddr(res.VictimAddr); ok {
 			// Inclusion: every on-chip line within the evicted LLC line
 			// must go.
 			o.dropL1(vaddr, uint64(m.llcLine))
 		}
 	}
-	if dirty {
-		// Write-back buffers hide the latency from the processor as long
-		// as an entry is free; a full buffer stalls the CPU until the
-		// oldest write-back's bus transaction completes.
-		if n := m.cfg.WriteBufferEntries; n > 0 {
-			live := c.writeBuffer[:0]
-			for _, t := range c.writeBuffer {
-				if t > c.clock {
-					live = append(live, t)
-				}
-			}
-			c.writeBuffer = live
-			if len(c.writeBuffer) >= n {
-				oldest := c.writeBuffer[0]
-				for _, t := range c.writeBuffer[1:] {
-					if t < oldest {
-						oldest = t
-					}
-				}
-				c.stats.StallWriteBuffer += oldest - c.clock
-				c.clock = oldest
-			}
-		}
-		done := m.bus.Acquire(c.clock, m.llcLine, bus.Writeback)
-		if m.cfg.WriteBufferEntries > 0 {
-			c.writeBuffer = append(c.writeBuffer, done)
-		}
+	return writeback
+}
+
+// writeback books a dirty LLC victim's bus transaction. Write-back
+// buffers hide the latency from the processor as long as an entry is
+// free; a full buffer stalls the CPU until the oldest write-back's bus
+// transaction completes.
+func (m *Machine) writeback(c *cpuState) {
+	c.stats.StallWriteBuffer += c.waitSlot(&c.writeBuffer, m.cfg.WriteBufferEntries)
+	done := m.bus.Acquire(c.clock, m.llcLine, bus.Writeback)
+	if m.cfg.WriteBufferEntries > 0 {
+		c.writeBuffer = append(c.writeBuffer, done)
 	}
 }

@@ -561,127 +561,24 @@ func (m *Machine) warmRanges(prog *ir.Program, n *ir.Nest, p int, lo, hi []int) 
 	return nil
 }
 
-// warmRef applies one reference's state transitions without accounting.
+// warmRef runs one reference's transition without its accounting. A
+// warm prefetch's line is pending with an already-elapsed arrival time,
+// so a demand hit in the measured window pays no arrival stall —
+// matching a prefetch issued far enough ahead, which is what the
+// warm-up window's lead distance amounts to. A page fault goes unbooked
+// (the address-space counter still sees it, keeping Result.PageFaults
+// honest about a wrap seam the pre-touch missed).
 func (m *Machine) warmRef(c *cpuState, r *trace.Ref) error {
 	m.warmRefs++
 	switch r.Kind {
 	case trace.Prefetch:
-		m.warmPrefetch(c, r)
+		if m.prefetchRef(c, r) {
+			c.pending[m.llcLineAddr(c.out.paddr)] = c.clock
+		}
 		return nil
 	case trace.Inst:
-		return m.warmInst(c, r)
+		return m.instRef(c, r)
 	default:
-		return m.warmData(c, r)
-	}
-}
-
-// warmData mirrors stepData: TLB, translation, on-chip and external
-// lookups, coherence side effects — minus every clock and counter. The
-// pages were pre-touched, so a TLB refill never faults in practice; a
-// fault simply goes unbooked (the address-space counter still sees it,
-// keeping Result.PageFaults honest about a wrap seam the pre-touch
-// missed).
-func (m *Machine) warmData(c *cpuState, r *trace.Ref) error {
-	vpn := r.VAddr >> m.pageShift
-	pbase, hit := c.tlb.Translate(vpn)
-	if !hit {
-		var err error
-		if pbase, _, err = m.refill(c, vpn); err != nil {
-			return fmt.Errorf("sim: cpu %d (warm): %w", c.id, err)
-		}
-	}
-	paddr := pbase | (r.VAddr & m.pageMask)
-	write := r.Kind == trace.Write
-	l1 := c.l1d.Access(r.VAddr, write)
-	if l1.Evicted && l1.VictimDirty {
-		if vp, ok := c.as.TranslateNoFault(l1.VictimAddr); ok {
-			m.markDirtyPhys(c, vp)
-		}
-	}
-	if l1.Hit && !write {
-		return nil
-	}
-	out := m.dir.Access(c.llc.id, paddr, write)
-	m.applyDowngrade(paddr, out.Downgraded)
-	m.applyInvalidations(c, paddr, out.Invalidated)
-	serviced := m.accessMids(c, paddr, write)
-	if !m.opts.DisableClassification {
-		c.llc.shadow.Access(paddr)
-	}
-	res := c.llc.cacheFor(paddr).Access(paddr, write)
-	m.warmEvict(c, res.Evicted, res.VictimAddr, res.VictimDirty)
-	if (res.Hit || serviced >= 0) && !l1.Hit {
-		delete(c.pending, m.llcLineAddr(paddr))
-	}
-	return nil
-}
-
-// warmInst mirrors stepInst's state transitions.
-func (m *Machine) warmInst(c *cpuState, r *trace.Ref) error {
-	if c.l1i.Access(r.VAddr, false).Hit {
-		return nil
-	}
-	paddr, _, err := m.translateInst(c, r.VAddr)
-	if err != nil {
-		return fmt.Errorf("sim: cpu %d (warm): %w", c.id, err)
-	}
-	out := m.dir.Access(c.llc.id, paddr, false)
-	m.applyDowngrade(paddr, out.Downgraded)
-	m.accessMids(c, paddr, false)
-	if !m.opts.DisableClassification {
-		c.llc.shadow.Access(paddr)
-	}
-	res := c.llc.cacheFor(paddr).Access(paddr, false)
-	m.warmEvict(c, res.Evicted, res.VictimAddr, res.VictimDirty)
-	return nil
-}
-
-// warmPrefetch mirrors stepPrefetch's fill effect: the line lands in
-// the external cache and the pending map with an already-elapsed
-// arrival time, so a demand hit in the measured window pays no arrival
-// stall — matching a prefetch issued far enough ahead, which is what
-// the warm-up window's lead distance amounts to.
-func (m *Machine) warmPrefetch(c *cpuState, r *trace.Ref) {
-	pbase, ok := c.tlb.Peek(r.VAddr >> m.pageShift)
-	if !ok {
-		return
-	}
-	paddr := pbase | (r.VAddr & m.pageMask)
-	la := m.llcLineAddr(paddr)
-	if _, inflight := c.pending[la]; inflight || c.llc.cacheFor(paddr).Probe(paddr) {
-		return
-	}
-	out := m.dir.Access(c.llc.id, paddr, false)
-	m.applyDowngrade(paddr, out.Downgraded)
-	m.applyInvalidations(c, paddr, out.Invalidated)
-	if !m.opts.DisableClassification {
-		c.llc.shadow.Access(paddr)
-	}
-	res := c.llc.cacheFor(paddr).Access(paddr, false)
-	m.warmEvict(c, res.Evicted, res.VictimAddr, res.VictimDirty)
-	c.pending[la] = c.clock
-}
-
-// warmEvict mirrors handleLLCEviction's state maintenance — directory,
-// pending prefetches, inner-level inclusion — without the write-back
-// buffer or bus transaction (no cycles exist to charge them against;
-// the dirty bit therefore goes unused here).
-func (m *Machine) warmEvict(c *cpuState, evicted bool, victim uint64, _ bool) {
-	if !evicted {
-		return
-	}
-	m.dir.Evict(c.llc.id, victim)
-	la := m.llcLineAddr(victim)
-	for _, p := range c.llc.cpus {
-		o := m.cpus[p]
-		delete(o.pending, la)
-		for li, mc := range o.mids {
-			if m.midLevels[li].Inclusive {
-				mc.InvalidateRange(la, uint64(m.llcLine))
-			}
-		}
-		if vaddr, ok := o.as.ReverseVAddr(victim); ok {
-			o.dropL1(vaddr, uint64(m.llcLine))
-		}
+		return m.dataRef(c, r)
 	}
 }

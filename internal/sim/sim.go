@@ -233,6 +233,9 @@ type cpuState struct {
 	// write-backs; a full buffer stalls the CPU until the oldest drains.
 	writeBuffer []uint64
 
+	// out is the outcome of the reference being processed.
+	out outcome
+
 	stats CPUStats
 }
 

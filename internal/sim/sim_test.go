@@ -501,11 +501,17 @@ func TestWriteBufferMechanism(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.cpus[0]
-	m.handleLLCEviction(c, true, 0x10000, true)
+	evict := func(victim uint64) {
+		if !m.evictLLC(c, cache.Result{Evicted: true, VictimAddr: victim, VictimDirty: true}) {
+			t.Fatalf("dirty victim %#x not written back", victim)
+		}
+		m.writeback(c)
+	}
+	evict(0x10000)
 	if c.stats.StallWriteBuffer != 0 {
 		t.Fatal("first eviction must not stall")
 	}
-	m.handleLLCEviction(c, true, 0x20000, true)
+	evict(0x20000)
 	if c.stats.StallWriteBuffer == 0 {
 		t.Error("second same-cycle eviction should stall on the full buffer")
 	}
@@ -516,38 +522,32 @@ func TestWriteBufferMechanism(t *testing.T) {
 
 // TestLLCEvictionDropsEveryL1SubLine: inclusion must hold when the L1I
 // and L1D line sizes differ. With 16-byte L1I lines under 32-byte L1D
-// lines, an LLC eviction, on the detailed path and on the functional
-// warm-up path, must leave no L1I or L1D sub-line of the evicted line.
+// lines, an LLC eviction must leave no L1I or L1D sub-line of the
+// evicted line.
 func TestLLCEvictionDropsEveryL1SubLine(t *testing.T) {
 	cfg := smallConfig(1)
 	cfg.L1I.LineSize = 16
-	paths := map[string]func(m *Machine, c *cpuState, paddr uint64){
-		"detailed": func(m *Machine, c *cpuState, paddr uint64) { m.handleLLCEviction(c, true, paddr, false) },
-		"warm-up":  func(m *Machine, c *cpuState, paddr uint64) { m.warmEvict(c, true, paddr, false) },
+	m, err := New(Options{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, evict := range paths {
-		m, err := New(Options{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
+	c := m.cpus[0]
+	const vaddr = 0x40000 // page-aligned, so its frame address is LLC-line-aligned
+	paddr, _, err := m.as.Translate(vaddr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	llcLine := uint64(m.llcLine)
+	for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
+		for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
+			l1.Access(vaddr+off, false)
 		}
-		c := m.cpus[0]
-		const vaddr = 0x40000 // page-aligned, so its frame address is LLC-line-aligned
-		paddr, _, err := m.as.Translate(vaddr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		llcLine := uint64(m.llcLine)
-		for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
-			for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
-				l1.Access(vaddr+off, false)
-			}
-		}
-		evict(m, c, paddr)
-		for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
-			for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
-				if l1.Probe(vaddr + off) {
-					t.Errorf("%s: %d-byte L1 line at %#x survived the eviction of LLC line %#x", name, l1.Geom.LineSize, vaddr+off, paddr)
-				}
+	}
+	m.evictLLC(c, cache.Result{Evicted: true, VictimAddr: paddr})
+	for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
+		for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
+			if l1.Probe(vaddr + off) {
+				t.Errorf("%d-byte L1 line at %#x survived the eviction of LLC line %#x", l1.Geom.LineSize, vaddr+off, paddr)
 			}
 		}
 	}
@@ -577,7 +577,9 @@ func TestLLCEvictionWritesBackDirtyMidLine(t *testing.T) {
 		for off := uint64(0); off < llcLine; off += 32 {
 			mid.Access(paddr+off, dirtyMid && off == 64)
 		}
-		m.handleLLCEviction(c, true, paddr, false)
+		if m.evictLLC(c, cache.Result{Evicted: true, VictimAddr: paddr}) {
+			m.writeback(c)
+		}
 		for off := uint64(0); off < llcLine; off += 32 {
 			if mid.Probe(paddr + off) {
 				t.Errorf("dirty %v: mid-level line %#x survived the eviction of LLC line %#x", dirtyMid, paddr+off, paddr)
