@@ -204,16 +204,6 @@ func (s *Summary) Grouped(a, b string) bool {
 	return false
 }
 
-// MaxCommElems returns the largest |offset| of any communication pattern
-// on the array (0 when none).
-func (s *Summary) MaxCommElems(array *ir.Array) int {
-	lo, hi := s.CommReach(array)
-	if lo > hi {
-		return lo
-	}
-	return hi
-}
-
 // CommReach returns how far, in elements, a processor's accesses reach
 // below (loReach) and above (hiReach) its own partition of the array,
 // derived from the signed shift offsets: a[i-1] reaches one element down,

@@ -43,14 +43,11 @@ type CGNode struct {
 	Out []*CGNode
 	In  []*CGNode
 
-	// refs holds every struct field referenced anywhere in the body
-	// (read, written, or named as a composite-literal key) — the
-	// "mentions" relation statsconserve's coverage checks want.
-	// reads and writes split it by direction: reads are field values
-	// flowing out of the struct, writes are assignments into it
-	// (assignment LHS, ++/--, op-assign, keyed composite literals).
-	// An op-assign like x.F += e is both.
-	refs   map[*types.Var]bool
+	// reads and writes hold every struct field referenced anywhere in
+	// the body, split by direction: reads are field values flowing out
+	// of the struct, writes are assignments into it (assignment LHS,
+	// ++/--, op-assign, keyed composite literals). An op-assign like
+	// x.F += e is both.
 	reads  map[*types.Var]bool
 	writes map[*types.Var]bool
 
@@ -98,7 +95,6 @@ func buildCallGraph(prog *Program) *CallGraph {
 				}
 				n := &CGNode{
 					Obj: obj, Pkg: pkg, Decl: fd,
-					refs:   map[*types.Var]bool{},
 					reads:  map[*types.Var]bool{},
 					writes: map[*types.Var]bool{},
 					outSet: map[*CGNode]bool{},
@@ -211,7 +207,6 @@ func summarize(cg *CallGraph, n *CGNode, named []*types.Named) {
 				if !obj.IsField() {
 					return true
 				}
-				n.refs[obj] = true
 				r := role[x]
 				if r&roleWrite != 0 {
 					n.writes[obj] = true
@@ -308,13 +303,6 @@ func (cg *CallGraph) ReadClosure(roots []*CGNode) map[*types.Var]bool {
 // roots.
 func (cg *CallGraph) WriteClosure(roots []*CGNode) map[*types.Var]bool {
 	return cg.closure(roots, func(n *CGNode) map[*types.Var]bool { return n.writes })
-}
-
-// RefClosure returns every field mentioned at all (read or written)
-// anywhere reachable from roots — the relation the coverage checks
-// ("does this counter reach the audit at all") want.
-func (cg *CallGraph) RefClosure(roots []*CGNode) map[*types.Var]bool {
-	return cg.closure(roots, func(n *CGNode) map[*types.Var]bool { return n.refs })
 }
 
 // PkgNodes returns the graph nodes declared in pkg, in source order.

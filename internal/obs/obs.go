@@ -246,10 +246,6 @@ func (c *Collector) RecordCrossDomainPID(pid, cpu int, cycle, vpn uint64, victim
 	}
 }
 
-// CrossByColor returns the cross-domain conflict counts keyed by the
-// victim frame's color.
-func (c *Collector) CrossByColor() []uint64 { return c.perColorCross }
-
 // RecordFault records a serviced page fault of process 0 and its hint
 // outcome (the single-process legacy path).
 func (c *Collector) RecordFault(cpu int, cycle, vpn uint64, color int, hinted, honored bool) {
@@ -327,10 +323,6 @@ func (c *Collector) ColorStall() []uint64 { return c.perColorStall }
 // Page returns vpn's attribution record for process 0, or nil if the
 // page never missed.
 func (c *Collector) Page(vpn uint64) *PageStats { return c.pages[pageKey{0, vpn}] }
-
-// PagePID returns vpn's attribution record for process pid, or nil if
-// the page never missed.
-func (c *Collector) PagePID(pid int, vpn uint64) *PageStats { return c.pages[pageKey{pid, vpn}] }
 
 // Pages returns how many distinct pages took at least one miss.
 func (c *Collector) Pages() int { return len(c.pages) }

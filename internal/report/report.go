@@ -155,21 +155,6 @@ func sliceSplit(misses []uint64) string {
 	return string(b)
 }
 
-// FromMulti flattens a multiprocess result into one row per process
-// (Proc "1", "2", ... in process-table order) followed by the
-// machine-total row (Proc "total").
-func FromMulti(mr *sim.MultiResult, prefetch bool) []Row {
-	rows := make([]Row, 0, len(mr.PerProcess)+1)
-	for i, r := range mr.PerProcess {
-		row := FromResult(r, prefetch)
-		row.Proc = fmt.Sprint(i + 1)
-		rows = append(rows, row)
-	}
-	total := FromResult(mr.Total, prefetch)
-	total.Proc = "total"
-	return append(rows, total)
-}
-
 // column couples a CSV header name with its Row formatter. Header and
 // record are both generated from this one table, so their order cannot
 // drift apart (the bug the old hand-maintained pair invited: counters

@@ -331,17 +331,6 @@ func (e *Encoder) Add(cpu int, r Ref) error {
 	return nil
 }
 
-// AddStream drains a Stream into a CPU's block.
-func (e *Encoder) AddStream(cpu int, s Stream) error {
-	var r Ref
-	for s.Next(&r) {
-		if err := e.Add(cpu, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // File finalizes the encoder. The returned File aliases the encoder's
 // buffers; do not Add afterwards.
 func (e *Encoder) File() *File {

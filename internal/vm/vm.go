@@ -280,9 +280,6 @@ func (as *AddressSpace) TouchInOrder(vpns []uint64, cpu int) (faults int, err er
 	return faults, nil
 }
 
-// Mapped reports whether vpn has a frame.
-func (as *AddressSpace) Mapped(vpn uint64) bool { return as.pages.Has(vpn) }
-
 // ColorOf returns the color of vpn's frame; ok is false if unmapped.
 func (as *AddressSpace) ColorOf(vpn uint64) (int, bool) {
 	frame, mapped := as.pages.Get(vpn)
@@ -294,6 +291,3 @@ func (as *AddressSpace) ColorOf(vpn uint64) (int, bool) {
 
 // MappedPages returns the number of resident pages.
 func (as *AddressSpace) MappedPages() int { return as.pages.Len() }
-
-// HintCount returns the number of installed hints.
-func (as *AddressSpace) HintCount() int { return len(as.hints) }
