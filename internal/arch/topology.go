@@ -115,7 +115,7 @@ func (l Level) TotalSize() int { return l.Geom.Size * l.Slices }
 
 // SliceColors returns the page colors within one slice.
 func (l Level) SliceColors(pageSize int) int {
-	n := l.Geom.Size / (pageSize * l.Geom.Assoc)
+	n := l.Geom.Size / l.Geom.Assoc / pageSize // page*assoc may overflow
 	if n < 1 {
 		return 1
 	}

@@ -51,6 +51,12 @@ go test -run=FuzzFlatMap ./internal/flat
 # sequences against a container/list LRU reference.
 go test -run=FuzzTLB ./internal/tlb
 
+# Machine and topology file fuzz seeds: FuzzReadConfig and
+# FuzzReadTopology replay loader inputs; an accepted machine must
+# round-trip through its JSON and build, or error, without panicking.
+go test -run=FuzzReadConfig ./internal/arch
+go test -run=FuzzReadTopology ./internal/arch
+
 # Nest-stream cursor fuzz seeds: FuzzNestStream diffs the flattened
 # cursor against the oracle interpreter on generated nests.
 go test -run=FuzzNestStream ./internal/ir
