@@ -90,6 +90,7 @@ func main() {
 		Variant:  harness.Variant(*variant),
 		Prefetch: *prefetch,
 		Topology: *topology,
+		Sampled:  *sampled,
 	}
 	for i := 1; i < *procs; i++ {
 		spec.CoRunners = append(spec.CoRunners, harness.CoRunner{})
@@ -117,22 +118,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cdpcsim: -sched/-quantum/-isolate only apply to multiprocess runs (-procs or -corun)")
 		os.Exit(1)
 	}
-	if *sampled {
-		// Mirror the server's bad_fidelity rules: these modes need the
-		// full reference stream, so silently degrading would mislead.
-		switch {
-		case *attr || *traceN > 0:
-			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled is incompatible with -attr/-trace (attribution needs the full reference trace)")
-			os.Exit(1)
-		case multi:
-			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled is incompatible with -procs/-corun (co-scheduled runs cannot be sampled)")
-			os.Exit(1)
-		case spec.Variant == harness.DynamicRecoloring:
-			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled is incompatible with -variant dynamic-recoloring (the policy reacts to per-page miss counts the sampled run skips)")
-			os.Exit(1)
-		}
-		spec.Sampled = true
-	}
 	if *trcFile != "" {
 		switch {
 		case *progFile != "":
@@ -140,9 +125,6 @@ func main() {
 			os.Exit(1)
 		case multi:
 			fmt.Fprintln(os.Stderr, "cdpcsim: trace runs are single-process (no -procs/-corun)")
-			os.Exit(1)
-		case *sampled:
-			fmt.Fprintln(os.Stderr, "cdpcsim: traces have no phase structure to sample (no -sampled)")
 			os.Exit(1)
 		case *prefetch:
 			fmt.Fprintln(os.Stderr, "cdpcsim: -prefetch needs a compiled program; traces record their reference stream")
@@ -211,6 +193,13 @@ func main() {
 			os.Exit(1)
 		}
 		spec.ConfigOverride = &cfg
+	}
+	if spec.Sampled {
+		// Reject rather than let the harness silently run full fidelity.
+		if err := harness.SampleConflict(spec); err != nil {
+			fmt.Fprintln(os.Stderr, "cdpcsim: -sampled:", err)
+			os.Exit(1)
+		}
 	}
 	if *dumpMach {
 		cfg := spec.Config()

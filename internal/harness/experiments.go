@@ -54,12 +54,7 @@ type ExpOptions struct {
 func (o ExpOptions) run(s Spec) (*sim.Result, error) {
 	var res *sim.Result
 	var err error
-	if o.Sampled && CanSample(s) {
-		s.Sampled = true
-	}
-	if o.Topology != "" && s.Topology == "" {
-		s.Topology = o.Topology
-	}
+	s = o.mapSpec(s)
 	if o.Runner != nil {
 		res, err = o.Runner.Run(s)
 	} else {
@@ -92,21 +87,28 @@ func (o ExpOptions) warm(specs []Spec) {
 		return
 	}
 	if o.Sampled || o.Topology != "" {
-		// Mirror run's fidelity and topology mapping so the warmed memo
-		// keys match the keys the render loop will ask for.
+		// Apply run's mapping so the warmed memo keys match the keys the
+		// render loop will ask for.
 		mapped := make([]Spec, len(specs))
 		for i, s := range specs {
-			if o.Sampled && CanSample(s) {
-				s.Sampled = true
-			}
-			if o.Topology != "" && s.Topology == "" {
-				s.Topology = o.Topology
-			}
-			mapped[i] = s
+			mapped[i] = o.mapSpec(s)
 		}
 		specs = mapped
 	}
 	o.Runner.Warm(specs)
+}
+
+// mapSpec applies the options' fidelity and topology to one spec.
+// Sampled is set unconditionally: withDefaults clears it again on specs
+// with a SampleConflict.
+func (o ExpOptions) mapSpec(s Spec) Spec {
+	if o.Sampled {
+		s.Sampled = true
+	}
+	if o.Topology != "" && s.Topology == "" {
+		s.Topology = o.Topology
+	}
+	return s
 }
 
 func (o ExpOptions) scale() int {

@@ -226,10 +226,10 @@ type Spec struct {
 	// Sampled requests phase-sampled execution: representative windows
 	// per nest with functional warm-up, clustered by the compiler's
 	// access-pattern signatures and extrapolated to full-run statistics
-	// (sim.SamplingOptions). Incompatible spec shapes — an observability
-	// collector, co-runners, or dynamic recoloring — are normalized back
-	// to full fidelity by withDefaults; callers that must reject instead
-	// (the server's explicit "sampled" requests) check CanSample first.
+	// (sim.Machine.RunSampled). Specs with a SampleConflict are
+	// normalized back to full fidelity by withDefaults; callers that
+	// must reject instead (the server's explicit "sampled" requests)
+	// check SampleConflict first.
 	Sampled bool
 
 	// CoRunners lists additional processes co-scheduled with the primary
@@ -300,19 +300,27 @@ func (s Spec) withDefaults() Spec {
 	if s.Variant == "" {
 		s.Variant = PageColoring
 	}
-	if s.Sampled && !CanSample(s) {
+	if s.Sampled && SampleConflict(s) != nil {
 		s.Sampled = false
 	}
 	return s
 }
 
-// CanSample reports whether a spec can run phase-sampled. Observed
-// runs need the full reference trace for the event stream, co-runners
-// share a timeline no window can be cut out of, dynamic recoloring
-// reacts to per-page miss counts a window cannot reproduce, and an
-// external trace has no phase structure to cluster windows from.
-func CanSample(s Spec) bool {
-	return s.Obs == nil && len(s.CoRunners) == 0 && s.Variant != DynamicRecoloring && s.Trace == nil
+// SampleConflict is the one rule for when a spec can run phase-sampled:
+// nil if it can, otherwise an error naming the first field that needs
+// the full reference stream.
+func SampleConflict(s Spec) error {
+	switch {
+	case s.Obs != nil:
+		return errors.New("attribution and event tracing need the full reference trace")
+	case len(s.CoRunners) > 0:
+		return errors.New("co-scheduled runs share a timeline no window can be cut out of")
+	case s.Variant == DynamicRecoloring:
+		return errors.New("dynamic recoloring reacts to per-page miss counts a sampled run skips")
+	case s.Trace != nil:
+		return errors.New("traces have no phase structure to sample")
+	}
+	return nil
 }
 
 // Config resolves the machine configuration for a spec. An unknown
@@ -615,12 +623,9 @@ func compilerHints(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s S
 }
 
 // runPrepared maps the variant to simulator options and runs a prepared
-// program alone on the machine.
+// program alone on the machine, phase-sampled when the spec asks.
 func runPrepared(ctx context.Context, prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (*sim.Result, error) {
 	opts := s.simOptions(ctx, cfg)
-	if s.Sampled {
-		opts.Sampling = sim.SamplingOptions{Enabled: true, Clusters: samplingClusters(prog)}
-	}
 	k, err := programKnobs(prog, sum, cfg, s)
 	if err != nil {
 		return nil, err
@@ -631,7 +636,12 @@ func runPrepared(ctx context.Context, prog *ir.Program, sum *compiler.Summary, c
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.Run(prog)
+	var res *sim.Result
+	if s.Sampled {
+		res, err = m.RunSampled(prog, samplingClusters(prog))
+	} else {
+		res, err = m.Run(prog)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,46 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
+
+// TestSampleConflict is the table of the one sampling rule: each shape
+// that needs the full reference stream has a conflict, the placement
+// and compiler variants have none, and withDefaults clears Sampled
+// exactly on the conflicting specs.
+func TestSampleConflict(t *testing.T) {
+	base := Spec{Workload: "tomcatv", CPUs: 2, Sampled: true}
+	with := func(mut func(*Spec)) Spec {
+		s := base
+		mut(&s)
+		return s
+	}
+	cases := []struct {
+		name     string
+		spec     Spec
+		conflict bool
+	}{
+		{"obs", with(func(s *Spec) { s.Obs = obs.NewCollector(obs.Options{}) }), true},
+		{"co-runner", with(func(s *Spec) { s.CoRunners = []CoRunner{{}} }), true},
+		{"dynamic recoloring", with(func(s *Spec) { s.Variant = DynamicRecoloring }), true},
+		{"trace", with(func(s *Spec) { s.Workload = ""; s.Trace = NewTraceWorkload("irregular", loadBundledTrace(t)) }), true},
+		{"coloring", with(func(s *Spec) { s.Variant = PageColoring }), false},
+		{"cdpc", with(func(s *Spec) { s.Variant = CDPC }), false},
+		{"prefetch", with(func(s *Spec) { s.Prefetch = true }), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := SampleConflict(tc.spec)
+			if (err != nil) != tc.conflict {
+				t.Fatalf("SampleConflict = %v, want conflict %v", err, tc.conflict)
+			}
+			if got := tc.spec.withDefaults().Sampled; got != !tc.conflict {
+				t.Errorf("withDefaults kept Sampled = %v, want %v", got, !tc.conflict)
+			}
+		})
+	}
+}
 
 // TestSampledFidelity is the tentpole acceptance gate: across all ten
 // workloads, phase-sampled simulation must land within the 2% MCPI

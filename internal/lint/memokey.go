@@ -10,7 +10,7 @@ import (
 //
 //   - every exported field of harness.Spec and harness.CoRunner must be
 //     consumed in the interprocedural closure of keyOf (through
-//     withDefaults, processSpecs, CanSample, or any other helper it
+//     withDefaults, processSpecs, SampleConflict, or any other helper it
 //     calls) — a field keyOf never sees means two specs differing only
 //     in that field share a memo slot, and one of them is served a
 //     stale result fleet-wide;

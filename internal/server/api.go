@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/harness"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -72,8 +73,9 @@ type JobRequest struct {
 	// fig6 and cdpc specs). Empty picks
 	// the endpoint default: async jobs (POST /v1/jobs) run sampled when
 	// the request is compatible, synchronous /v1/simulate runs full.
-	// Attribution, co-scheduled and dynamic-recoloring requests cannot be
-	// sampled; asking for "sampled" on one fails with bad_fidelity.
+	// Attribution, co-scheduled, dynamic-recoloring and trace requests
+	// cannot be sampled (harness.SampleConflict); asking for "sampled"
+	// on one fails with bad_fidelity.
 	Fidelity string `json:"fidelity,omitempty"`
 
 	// CoRunners lists additional processes co-scheduled with the primary
@@ -390,17 +392,8 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 	switch req.Fidelity {
 	case "", string(sim.FidelityFull):
 	case string(sim.FidelitySampled):
-		switch {
-		case req.Attr:
-			return spec, nil, &ErrorInfo{Code: CodeBadFidelity, Field: "fidelity",
-				Message: "attribution requires the full reference trace; sampled runs cannot attr"}
-		case len(req.CoRunners) > 0:
-			return spec, nil, &ErrorInfo{Code: CodeBadFidelity, Field: "fidelity",
-				Message: "co-scheduled jobs cannot be sampled"}
-		case req.Variant == string(harness.DynamicRecoloring):
-			return spec, nil, &ErrorInfo{Code: CodeBadFidelity, Field: "fidelity",
-				Message: "dynamic recoloring reacts to per-page miss counts and cannot be sampled"}
-		}
+		// Whether the spec can be sampled is decided once it is complete
+		// (admit resolves the trace id first).
 		spec.Sampled = true
 	default:
 		return spec, nil, &ErrorInfo{Code: CodeBadFidelity, Field: "fidelity",
@@ -417,14 +410,17 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 	spec.Quantum = req.QuantumCycles
 	spec.Isolate = req.Isolate
 	spec.Domain = req.IsolationDomain
+	if req.Attr {
+		spec.Obs = obs.NewCollector(obs.Options{})
+	}
 	return spec, prog, nil
 }
 
 // validateTrace checks the fields a trace-backed job cannot carry: a
 // recorded reference stream has no compiler pipeline (no prefetch
-// insertion, no layout/touch-order variants), no phase structure to
-// sample, and no process to co-schedule. Store membership of the id is
-// checked at admission, not here.
+// insertion, no layout/touch-order variants) and no process to
+// co-schedule. Store membership of the id is checked at admission, not
+// here.
 func (req *JobRequest) validateTrace() *ErrorInfo {
 	if len(req.CoRunners) > 0 {
 		return &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
@@ -433,10 +429,6 @@ func (req *JobRequest) validateTrace() *ErrorInfo {
 	if req.Prefetch {
 		return &ErrorInfo{Code: CodeInvalidRequest, Field: "prefetch",
 			Message: "prefetch insertion needs a compiled program; traces record their reference stream"}
-	}
-	if req.Fidelity == string(sim.FidelitySampled) {
-		return &ErrorInfo{Code: CodeBadFidelity, Field: "fidelity",
-			Message: "trace jobs have no phase structure to sample; use full"}
 	}
 	if req.Variant != "" && !harness.CanTraceVariant(harness.Variant(req.Variant)) {
 		return &ErrorInfo{Code: CodeInvalidRequest, Field: "variant",

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -93,10 +94,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) (*job
 			Code: CodeShuttingDown, Message: "server is draining", RetryAfterSec: retryAfterSec})
 		return nil, JobStatus{}
 	}
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorInfo{Code: CodeInvalidRequest, Message: err.Error()})
 		return nil, JobStatus{}
 	}
@@ -124,8 +123,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) (*job
 		}
 		spec.Trace = harness.NewTraceWorkload("trace:"+shortTraceID(req.TraceID), f)
 	}
-	if req.Fidelity == "" && async && !req.Attr && harness.CanSample(spec) {
-		spec.Sampled = true
+	conflict := harness.SampleConflict(spec)
+	switch {
+	case req.Fidelity == "" && async:
+		spec.Sampled = conflict == nil
+	case spec.Sampled && conflict != nil:
+		writeError(w, http.StatusBadRequest, ErrorInfo{Code: CodeBadFidelity, Field: "fidelity",
+			Message: "cannot sample: " + conflict.Error()})
+		return nil, JobStatus{}
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -154,6 +159,16 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) (*job
 	}
 	s.logf("job %s accepted: %s", j.id, describe(j.req))
 	return j, accepted
+}
+
+// decodeJobRequest decodes one JobRequest body; unknown fields are
+// errors, so a misspelled option never silently takes its default.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // maxBodyBytes bounds request bodies; custom programs are text and

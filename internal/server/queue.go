@@ -152,17 +152,13 @@ func (q *queue) runJob(j *job) {
 	defer q.inFlight.Add(-1)
 
 	spec := j.spec
-	var collector *obs.Collector
-	if j.req.Attr {
-		collector = obs.NewCollector(obs.Options{})
-		spec.Obs = collector
-	}
 
 	// The memo cache only serves spec-keyed runs; custom programs and
-	// instrumented runs always simulate fresh. Solo and multiprocess
-	// specs share one memo table keyed on the full process mix.
+	// instrumented runs (HasResult is false for them) always simulate
+	// fresh. Solo and multiprocess specs share one memo table keyed on
+	// the full process mix.
 	multi := len(spec.CoRunners) > 0
-	cached := j.prog == nil && !j.req.Attr && q.sched.HasResult(spec)
+	cached := j.prog == nil && q.sched.HasResult(spec)
 	start := time.Now()
 	var res *sim.Result
 	var mres *sim.MultiResult
@@ -188,8 +184,8 @@ func (q *queue) runJob(j *job) {
 	} else {
 		out = summarize(res, cached, simTime)
 	}
-	if collector != nil {
-		out.Attribution = attributionOf(collector)
+	if spec.Obs != nil {
+		out.Attribution = attributionOf(spec.Obs)
 	}
 	// Count before finishing: finish releases a synchronous request's
 	// response, and a client that then reads /metrics must see the job.

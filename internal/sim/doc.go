@@ -16,7 +16,8 @@
 // regions on the master while the slaves' idle time is charged to the
 // matching overhead bucket, per-phase statistics weighted by phase
 // occurrence counts, the paper's representative-execution-window
-// method (§3.2) — or the phase-sampled mode for a program when
-// Options.Sampling asks for it. RunProcesses runs several sources'
-// Regions under a space-sharing scheduler on one machine.
+// method (§3.2). RunSampled is the phase-sampled mode for a program:
+// one representative window per nest, clustered phases, extrapolated
+// statistics. RunProcesses runs several sources' Regions under a
+// space-sharing scheduler on one machine.
 package sim

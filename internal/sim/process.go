@@ -140,13 +140,11 @@ func (mr *MultiResult) Audit() []obs.Violation {
 }
 
 // RunProcesses executes the given processes under the space-sharing
-// scheduler on a fresh machine. A single process with no explicit
-// policy or hints runs as RunSource would (warm-up, phase weighting,
-// the machine's configured policy, sampling when requested) and is
-// byte-identical to it. Multiprocess runs measure every executed cycle
-// — there is no warm-up discard, and each phase runs once, unweighted —
+// scheduler on a fresh machine. Every executed cycle is measured —
+// there is no warm-up discard, and each phase runs once, unweighted —
 // because co-runners share the timeline and a per-process measured
-// window cannot be cut out of it.
+// window cannot be cut out of it. A lone workload runs through
+// RunSource or RunSampled instead.
 func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*MultiResult, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("sim: no processes to run")
@@ -167,13 +165,6 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 		if po.Domain < 0 {
 			return nil, fmt.Errorf("sim: negative isolation domain %d", po.Domain)
 		}
-	}
-	if len(procs) == 1 && procs[0].Policy == nil && procs[0].Hints == nil && !m.opts.Isolate {
-		res, err := m.runAlone(procs[0].Source)
-		if err != nil {
-			return nil, err
-		}
-		return &MultiResult{Sched: sched.Policy.String(), PerProcess: []*Result{res}, Total: res}, nil
 	}
 	if m.opts.Recolor != nil {
 		return nil, fmt.Errorf("sim: dynamic recoloring is not supported in multiprocess runs")

@@ -55,19 +55,6 @@ func twoProcs(conflict bool) []ProcessOptions {
 	}
 }
 
-func TestRunProcessesSingleMatchesRun(t *testing.T) {
-	cfg := smallConfig(4)
-	opts := Options{Config: cfg, SkipWarmup: true}
-	single := mustRun(t, makeProgram(8, 16, 0), opts)
-	mr := multiRun(t, opts, []ProcessOptions{{Source: ProgramSource(makeProgram(8, 16, 0))}}, SchedOptions{})
-	if !reflect.DeepEqual(single, mr.Total) {
-		t.Errorf("single-process RunProcesses diverged from Run:\n%+v\nvs\n%+v", mr.Total, single)
-	}
-	if len(mr.PerProcess) != 1 || !reflect.DeepEqual(mr.PerProcess[0], mr.Total) {
-		t.Error("single-process MultiResult must alias the one result as the total")
-	}
-}
-
 func TestTimeSliceAuditsClean(t *testing.T) {
 	mr := multiRun(t, Options{Config: smallConfig(4)}, twoProcs(true),
 		SchedOptions{Policy: SchedTimeSlice, Quantum: 50_000})

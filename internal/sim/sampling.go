@@ -30,68 +30,18 @@ import (
 // at full detail (scale 1/1); the speedup comes from the long nests,
 // which are also where the simulation time goes.
 
-// Sampling parameter defaults; SamplingOptions zero values resolve to
-// these.
+// Sampling window sizes, in outer iterations per CPU span.
 const (
-	// DefaultWindowIters is the measured outer iterations per CPU span.
-	DefaultWindowIters = 10
-	// DefaultWarmIters is the functional warm-up iterations preceding
-	// each measured window.
-	DefaultWarmIters = 4
-	// DefaultMinSpanIters is the shortest per-CPU span worth sampling;
-	// shorter spans run at full detail. Must exceed the window plus the
-	// warm-up for the split to mean anything.
-	DefaultMinSpanIters = 24
+	// windowIters is the measured window.
+	windowIters = 10
+	// warmIters is the minimum functional warm-up preceding each
+	// measured window.
+	warmIters = 4
+	// minSpanIters is the shortest span worth sampling; shorter spans
+	// run at full detail. Must exceed the window plus the warm-up for
+	// the split to mean anything.
+	minSpanIters = 24
 )
-
-// SamplingOptions configures phase-sampled execution (Options.Sampling).
-type SamplingOptions struct {
-	// Enabled turns sampling on. It is honored only on the
-	// single-process path without dynamic recoloring or an observability
-	// collector; unsupported combinations silently run at full fidelity
-	// (the Result's Fidelity field reports what actually happened).
-	Enabled bool
-
-	// WindowIters is the measured outer-iteration window per CPU span
-	// (0 → DefaultWindowIters).
-	WindowIters int
-	// WarmIters is the functional warm-up window preceding each
-	// measured window (0 → DefaultWarmIters).
-	WarmIters int
-	// MinSpanIters is the shortest per-CPU span that gets sampled;
-	// shorter spans run at full detail (0 → DefaultMinSpanIters).
-	MinSpanIters int
-
-	// Clusters, if non-nil, partitions the program's phases into
-	// signature-equal groups: only each cluster's representative phase
-	// is simulated, weighted by the summed occurrences of its members.
-	// Nil means identity clustering (every phase its own cluster),
-	// which is always sound. The harness fills this from the compiler's
-	// access-pattern signatures.
-	Clusters []PhaseCluster
-}
-
-// windowIters/warmIters/minSpanIters resolve the zero-value defaults.
-func (o SamplingOptions) windowIters() int {
-	if o.WindowIters <= 0 {
-		return DefaultWindowIters
-	}
-	return o.WindowIters
-}
-
-func (o SamplingOptions) warmIters() int {
-	if o.WarmIters <= 0 {
-		return DefaultWarmIters
-	}
-	return o.WarmIters
-}
-
-func (o SamplingOptions) minSpanIters() int {
-	if o.MinSpanIters <= 0 {
-		return DefaultMinSpanIters
-	}
-	return o.MinSpanIters
-}
 
 // PhaseCluster names one group of access-pattern-identical phases. Rep
 // and Members index Program.Phases; the representative's nests are the
@@ -100,24 +50,6 @@ func (o SamplingOptions) minSpanIters() int {
 type PhaseCluster struct {
 	Rep     int
 	Members []int
-}
-
-// samplingSupported reports whether this machine configuration can run
-// the sampled path. Dynamic recoloring reacts to per-page miss counts a
-// window cannot reproduce, and the observability collector's event
-// stream is defined over the full reference trace; both fall back to
-// full fidelity.
-func (m *Machine) samplingSupported() bool {
-	return m.recolorer == nil && m.obs == nil
-}
-
-// identityClusters is the fallback clustering: every phase stands alone.
-func identityClusters(prog *ir.Program) []PhaseCluster {
-	out := make([]PhaseCluster, len(prog.Phases))
-	for i := range prog.Phases {
-		out[i] = PhaseCluster{Rep: i, Members: []int{i}}
-	}
-	return out
 }
 
 // windowPlan is one nest's per-CPU sampling decision: the functional
@@ -141,17 +73,16 @@ type windowPlan struct {
 	num, den                                       uint64
 }
 
-// warmItersFor sizes a nest's functional warm-up window: at least the
-// configured minimum, and long enough that the warm-up's line
-// footprint cycles the external cache twice. A warm-up that only
-// grazes the cache leaves most ways invalid, so the measured window's
-// early misses evict nothing — no dirty victims, no write-back bus
-// traffic, and bus queueing (a real component of every miss's stall)
-// comes out systematically low. Cycling the cache before measurement
+// warmItersFor sizes a nest's functional warm-up window: at least
+// warmIters, and long enough that the warm-up's line footprint cycles
+// the external cache twice. A warm-up that only grazes the cache
+// leaves most ways invalid, so the measured window's early misses
+// evict nothing — no dirty victims, no write-back bus traffic, and bus
+// queueing (a real component of every miss's stall) comes out
+// systematically low. Cycling the cache before measurement
 // reconstructs the full run's steady state: every set full, dirty in
 // the sweep's proportions.
 func (m *Machine) warmItersFor(n *ir.Nest) int {
-	warm := m.opts.Sampling.warmIters()
 	line := m.llcLine
 	f := 0 // bytes of distinct cache lines touched per outer iteration
 	type group struct {
@@ -183,12 +114,12 @@ func (m *Machine) warmItersFor(n *ir.Nest) int {
 		f += n.InnerIters * b
 	}
 	if f <= 0 {
-		return warm
+		return warmIters
 	}
-	if need := (2*m.llcLevel.Slices*m.llcLevel.Geom.Size + f - 1) / f; need > warm {
+	if need := (2*m.llcLevel.Slices*m.llcLevel.Geom.Size + f - 1) / f; need > warmIters {
 		return need
 	}
-	return warm
+	return warmIters
 }
 
 // tailItersFor sizes a nest's functional tail sweep: enough iterations
@@ -199,8 +130,8 @@ func (m *Machine) warmItersFor(n *ir.Nest) int {
 // nothing extra here.
 func (m *Machine) tailItersFor(n *ir.Nest) int {
 	t := m.warmItersFor(n) / 2
-	if min := m.opts.Sampling.warmIters(); t < min {
-		t = min
+	if t < warmIters {
+		t = warmIters
 	}
 	return t
 }
@@ -215,7 +146,7 @@ func (m *Machine) tailItersFor(n *ir.Nest) int {
 // miss count — while in the full run a consumer sweeps rows the
 // producer touched long enough ago to have been evicted.
 //
-// Spans shorter than MinSpanIters — or too short to fit warm-up plus
+// Spans shorter than minSpanIters — or too short to fit warm-up plus
 // window — run at full detail with no self-warm and no tail: the
 // measured sweep starts on whatever state the previous nest's tail
 // left (exactly what the full engine's measured pass sees) and its own
@@ -224,9 +155,8 @@ func (m *Machine) tailItersFor(n *ir.Nest) int {
 // pass just cached — apsi's filter nest lost a third of its misses to
 // exactly that artifact.
 func (m *Machine) planWindows(n *ir.Nest, p, ord int) windowPlan {
-	w := m.opts.Sampling.windowIters()
+	w := windowIters
 	warm := m.warmItersFor(n)
-	minSpan := m.opts.Sampling.minSpanIters()
 	plan := windowPlan{
 		warmLo: make([]int, p),
 		warmHi: make([]int, p),
@@ -244,7 +174,7 @@ func (m *Machine) planWindows(n *ir.Nest, p, ord int) windowPlan {
 			plan.tailLo[cpu], plan.spanHi[cpu] = lo, lo
 			continue
 		}
-		if span < minSpan || span <= w+warm {
+		if span < minSpanIters || span <= w+warm {
 			// Full detail; the tail is inside the measured sweep.
 			plan.warmLo[cpu], plan.warmHi[cpu] = lo, lo
 			plan.measLo[cpu], plan.measHi[cpu] = lo, hi
@@ -271,21 +201,27 @@ func (m *Machine) planWindows(n *ir.Nest, p, ord int) windowPlan {
 	return plan
 }
 
-// runSampled is the phase-sampled counterpart of runSource's full
-// engine. The caller has validated the program and checked
-// samplingSupported.
-func (m *Machine) runSampled(ps *programSource) (*Result, error) {
-	prog := ps.prog
-	clusters := m.opts.Sampling.Clusters
-	if clusters == nil {
-		clusters = identityClusters(prog)
+// RunSampled is the phase-sampled counterpart of Run: it simulates one
+// representative window per nest of each cluster's representative
+// phase and extrapolates to the full run. clusters must partition the
+// program's phases (the harness passes the compiler's access-pattern
+// clustering). Dynamic recoloring reacts to per-page miss counts a
+// window cannot reproduce, and the observability collector's event
+// stream is defined over the full reference trace, so a machine with
+// either is rejected rather than run at full fidelity.
+func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result, error) {
+	if m.recolorer != nil || m.obs != nil {
+		return nil, fmt.Errorf("sim: sampled runs support neither dynamic recoloring nor an observability collector")
+	}
+	if err := prog.Validate(); err != nil {
+		return nil, err
 	}
 	if err := validateClusters(clusters, len(prog.Phases)); err != nil {
 		return nil, err
 	}
 
 	m.warmRefs = 0
-	err := m.prologue(ps, func() error {
+	err := m.prologue(ProgramSource(prog), func() error {
 		// Fault pre-touch: replay the program's first-touch pattern at
 		// page granularity — init phase first (it takes the first-touch
 		// faults in the full engine), then every steady-state phase, CPUs

@@ -82,14 +82,6 @@ type Options struct {
 	// Ignored on the single-process path; unpartitioned runs are
 	// byte-identical with this off.
 	Isolate bool
-
-	// Sampling enables phase-sampled execution: representative windows
-	// per nest with functional warm-up, extrapolated by span and phase
-	// weights (see sampling.go). Active only on the single-process path
-	// without dynamic recoloring or observability — unsupported
-	// combinations silently run at full fidelity, which the Result's
-	// Fidelity field reports.
-	Sampling SamplingOptions
 }
 
 // llcUnit is one last-level-cache instance: its hash-selected slice
@@ -401,14 +393,10 @@ func (m *Machine) crossDomainVictim(pid int, victim uint64) bool {
 	return ok && owner != pid
 }
 
-// AddressSpace exposes the simulated application's address space (the
-// access-map tool reads page colors from it).
-func (m *Machine) AddressSpace() *vm.AddressSpace { return m.as }
-
 // Run executes prog's steady state on the machine's own address space
 // and returns the weighted result: the paper's methodology (warm-up
-// discard, phase-occurrence weighting), phase-sampled when
-// Options.Sampling asks for it.
+// discard, phase-occurrence weighting). RunSampled is the phase-sampled
+// alternative.
 func (m *Machine) Run(prog *ir.Program) (*Result, error) {
 	return m.RunSource(ProgramSource(prog))
 }

@@ -175,16 +175,6 @@ func (m *Machine) RunSource(src Source) (*Result, error) {
 	if err := src.Validate(m.cfg.NumCPUs); err != nil {
 		return nil, err
 	}
-	return m.runAlone(src)
-}
-
-// runAlone runs a validated source as the machine's only process: an IR
-// program takes the phase-sampled path when Options.Sampling asks for
-// it and the machine supports it, everything else the full engine.
-func (m *Machine) runAlone(src Source) (*Result, error) {
-	if ps, ok := src.(*programSource); ok && m.opts.Sampling.Enabled && m.samplingSupported() {
-		return m.runSampled(ps)
-	}
 	return m.runSource(src)
 }
 

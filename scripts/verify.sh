@@ -57,6 +57,11 @@ go test -run=FuzzTLB ./internal/tlb
 go test -run=FuzzReadConfig ./internal/arch
 go test -run=FuzzReadTopology ./internal/arch
 
+# cdpcd request fuzz seeds: FuzzJobRequest decodes and validates
+# arbitrary bodies; validate must not panic, and an accepted request's
+# machine must validate.
+go test -run=FuzzJobRequest ./internal/server
+
 # Nest-stream cursor fuzz seeds: FuzzNestStream diffs the flattened
 # cursor against the oracle interpreter on generated nests.
 go test -run=FuzzNestStream ./internal/ir
