@@ -31,10 +31,6 @@ type Cache struct {
 	lineMask  uint64 // low bits within a line
 	setMask   uint64 // set index mask after the line shift
 
-	// counters
-	Accesses uint64
-	Hits     uint64
-
 	// prof, when enabled, records per-set miss/eviction/invalidation
 	// counts for the observability layer; nil by default so the hot path
 	// pays only an untaken branch on misses.
@@ -92,19 +88,16 @@ type Result struct {
 // Access looks up addr, allocating on miss, and returns the outcome.
 // write marks the (resulting) line dirty.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.Accesses++
 	la := c.lineAddr(addr)
 	si := c.setOf(addr)
 	if w := &c.ways[int(si)*c.assoc]; w.valid && w.lineAddr == la {
 		// MRU hit: the common case, and LRU order stays as it is.
-		c.Hits++
 		w.dirty = w.dirty || write
 		return Result{Hit: true}
 	}
 	set := c.set(si)
 	for i := 1; i < len(set); i++ {
 		if set[i].valid && set[i].lineAddr == la {
-			c.Hits++
 			w := set[i]
 			w.dirty = w.dirty || write
 			copy(set[1:i+1], set[:i]) // move to MRU

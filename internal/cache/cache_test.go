@@ -196,16 +196,6 @@ func TestShadowRemove(t *testing.T) {
 	}
 }
 
-func TestHitRateCounters(t *testing.T) {
-	c := New(dm(1<<10, 64))
-	c.Access(0, false)
-	c.Access(0, false)
-	c.Access(64, false)
-	if c.Accesses != 3 || c.Hits != 1 {
-		t.Errorf("counters = %d/%d, want 3/1", c.Hits, c.Accesses)
-	}
-}
-
 func BenchmarkCacheAccess(b *testing.B) {
 	c := New(arch.CacheGeometry{Size: 64 << 10, LineSize: 128, Assoc: 2})
 	rng := rand.New(rand.NewSource(7))

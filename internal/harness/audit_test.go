@@ -11,7 +11,9 @@ import (
 // TestAuditMatrix runs a bounded workload x variant seed matrix and
 // checks the conservation invariants (cycles, misses, bus occupancy)
 // hold on every cell. Scale 32 keeps each simulation small; the shared
-// scheduler keeps program builds to one per workload.
+// scheduler keeps program builds to one per workload, and warming the
+// whole matrix first runs the cells on every worker before the checks
+// read them back in order.
 func TestAuditMatrix(t *testing.T) {
 	names := workloads.Names()
 	variants := Variants()
@@ -21,19 +23,23 @@ func TestAuditMatrix(t *testing.T) {
 		cpuCounts = []int{4}
 	}
 
-	sc := NewScheduler(0)
+	var specs []Spec
 	for _, w := range names {
 		for _, v := range variants {
 			for _, n := range cpuCounts {
-				spec := Spec{Workload: w, Scale: 32, CPUs: n, Variant: v}
-				res, err := sc.Run(spec)
-				if err != nil {
-					t.Fatalf("%s/%s on %d cpus: %v", w, v, n, err)
-				}
-				if vs := res.Audit(); len(vs) != 0 {
-					t.Errorf("%s/%s on %d cpus: %v", w, v, n, obs.AuditError(vs))
-				}
+				specs = append(specs, Spec{Workload: w, Scale: 32, CPUs: n, Variant: v})
 			}
+		}
+	}
+	sc := NewScheduler(0)
+	sc.Warm(specs)
+	for _, spec := range specs {
+		res, err := sc.Run(spec)
+		if err != nil {
+			t.Fatalf("%s/%s on %d cpus: %v", spec.Workload, spec.Variant, spec.CPUs, err)
+		}
+		if vs := res.Audit(); len(vs) != 0 {
+			t.Errorf("%s/%s on %d cpus: %v", spec.Workload, spec.Variant, spec.CPUs, obs.AuditError(vs))
 		}
 	}
 }

@@ -188,6 +188,7 @@ func (m *Machine) stepData(c *cpuState, r *trace.Ref) error {
 // instRef is the transition of an instruction fetch.
 func (m *Machine) instRef(c *cpuState, r *trace.Ref) error {
 	o := &c.out
+	c.fetched = true
 	if o.l1Hit = c.l1i.Access(r.VAddr, false).Hit; o.l1Hit {
 		return nil
 	}
@@ -535,7 +536,9 @@ func (m *Machine) applyInvalidations(c *cpuState, paddr uint64, units []int) {
 			delete(o.pending, la)
 			if haveV {
 				o.l1d.Invalidate(vaddr)
-				o.l1i.Invalidate(vaddr)
+				if o.fetched {
+					o.l1i.Invalidate(vaddr)
+				}
 			}
 		}
 	}
@@ -543,10 +546,13 @@ func (m *Machine) applyInvalidations(c *cpuState, paddr uint64, units []int) {
 
 // dropL1 invalidates every on-chip line within [vaddr, vaddr+size).
 // On-chip lines may be smaller than the range, and the L1D and L1I may
-// differ in line size; each cache walks its own lines.
+// differ in line size; each cache walks its own lines. An L1I that no
+// fetch ever filled is skipped.
 func (c *cpuState) dropL1(vaddr, size uint64) {
 	c.l1d.InvalidateRange(vaddr, size)
-	c.l1i.InvalidateRange(vaddr, size)
+	if c.fetched {
+		c.l1i.InvalidateRange(vaddr, size)
+	}
 }
 
 // evictLLC keeps the directory and the inner levels (inclusion)

@@ -205,6 +205,10 @@ type cpuState struct {
 	l1i *cache.Cache
 	tlb *tlb.TLB // data translations, each holding its page's current frame base
 
+	// fetched is set by the CPU's first instruction fetch. Until then
+	// the L1I is empty, and inclusion and coherence skip walking it.
+	fetched bool
+
 	// llc is the CPU's last-level-cache unit (possibly shared with
 	// other CPUs); mids are its intermediate physically indexed levels,
 	// inner to outer, one cache instance per level (also possibly
@@ -606,8 +610,11 @@ type runner struct {
 // CPU with the smallest clock processes its next reference, the lowest
 // CPU index winning ties. This is what makes bus contention and
 // coherence interactions honest. A winner tree keyed by clock picks the
-// CPU in log2(P) compares; a step moves only its own CPU's clock, except
-// for a recoloring shootdown, after which every key is reloaded.
+// CPU in log2(P) compares. A step moves only its own CPU's clock, except
+// for a recoloring shootdown, after which every key is reloaded. The
+// winner runs ahead without touching the tree while its packed key
+// stays below the runner-up's: packed keys are unique, so the tree
+// would pick it again. Its leaf is replayed once, when the run ends.
 func (m *Machine) runParallel(cpus []*cpuState, streams []trace.Stream) error {
 	if cap(m.runners) < len(streams) {
 		m.runners = make([]runner, len(streams))
@@ -633,37 +640,54 @@ func (m *Machine) runParallel(cpus []*cpuState, streams []trace.Stream) error {
 			return nil
 		}
 		ru := &runners[best]
-		shootdowns := m.shootdowns
-		if err := m.step(ru.c, &ru.r); err != nil {
-			return err
-		}
-		key := doneKey
-		if ru.s.Next(&ru.r) {
-			var err error
-			if key, err = t.key(best, ru.c.clock); err != nil {
+		next := t.runnerUp(best)
+		for {
+			shootdowns := m.shootdowns
+			if err := m.step(ru.c, &ru.r); err != nil {
 				return err
 			}
-		}
-		if m.shootdowns == shootdowns {
-			t.update(best, key)
-		} else {
-			t.set(best, key)
-			for i := range runners {
-				if t.leaf(i) == doneKey {
-					continue
-				}
-				k, err := t.key(i, runners[i].c.clock)
-				if err != nil {
+			key := doneKey
+			if ru.s.Next(&ru.r) {
+				var err error
+				if key, err = t.key(best, ru.c.clock); err != nil {
 					return err
 				}
-				t.set(i, k)
 			}
-			t.rebuild()
-		}
-		if steps++; steps&(cancelPollRefs-1) == 0 {
-			if err := m.pollCancel(); err != nil {
-				return err
+			if steps++; steps&(cancelPollRefs-1) == 0 {
+				if err := m.pollCancel(); err != nil {
+					return err
+				}
+			}
+			if m.shootdowns != shootdowns {
+				if err := m.reloadKeys(runners, best, key); err != nil {
+					return err
+				}
+				break
+			}
+			if key >= next {
+				t.update(best, key)
+				break
 			}
 		}
 	}
+}
+
+// reloadKeys rebuilds the event loop's tree after a shootdown advanced
+// other CPUs' clocks: leaf best takes key, every other live leaf its
+// runner's current clock.
+func (m *Machine) reloadKeys(runners []runner, best int, key uint64) error {
+	t := &m.tree
+	t.set(best, key)
+	for i := range runners {
+		if i == best || t.leaf(i) == doneKey {
+			continue
+		}
+		k, err := t.key(i, runners[i].c.clock)
+		if err != nil {
+			return err
+		}
+		t.set(i, k)
+	}
+	t.rebuild()
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
@@ -523,7 +524,8 @@ func TestWriteBufferMechanism(t *testing.T) {
 // TestLLCEvictionDropsEveryL1SubLine: inclusion must hold when the L1I
 // and L1D line sizes differ. With 16-byte L1I lines under 32-byte L1D
 // lines, an LLC eviction must leave no L1I or L1D sub-line of the
-// evicted line.
+// evicted line. The L1I fills through instruction fetches, the only
+// way the engine fills it.
 func TestLLCEvictionDropsEveryL1SubLine(t *testing.T) {
 	cfg := smallConfig(1)
 	cfg.L1I.LineSize = 16
@@ -538,10 +540,13 @@ func TestLLCEvictionDropsEveryL1SubLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	llcLine := uint64(m.llcLine)
-	for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {
-		for off := uint64(0); off < llcLine; off += uint64(l1.Geom.LineSize) {
-			l1.Access(vaddr+off, false)
+	for off := uint64(0); off < llcLine; off += uint64(c.l1i.Geom.LineSize) {
+		if err := m.instRef(c, &trace.Ref{Kind: trace.Inst, VAddr: vaddr + off}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for off := uint64(0); off < llcLine; off += uint64(c.l1d.Geom.LineSize) {
+		c.l1d.Access(vaddr+off, false)
 	}
 	m.evictLLC(c, cache.Result{Evicted: true, VictimAddr: paddr})
 	for _, l1 := range []*cache.Cache{c.l1i, c.l1d} {

@@ -78,6 +78,17 @@ func (t *winnerTree) update(i int, key uint64) {
 	}
 }
 
+// runnerUp returns the smallest packed key among every leaf but i: the
+// sibling subtrees on i's path to the root cover the other leaves
+// exactly once. doneKey means no other runner is live.
+func (t *winnerTree) runnerUp(i int) uint64 {
+	r := doneKey
+	for k := len(t.node)/2 + i; k > 1; k >>= 1 {
+		r = min(r, t.node[k^1])
+	}
+	return r
+}
+
 // min returns the winning leaf, and false once every leaf is done.
 func (t *winnerTree) min() (int, bool) {
 	w := t.node[1]

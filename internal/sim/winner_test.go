@@ -6,11 +6,12 @@ import (
 )
 
 // scanMin is the linear scan the winner tree replaces: the lowest-index
-// live runner with the strictly smallest clock, -1 when none is live.
-func scanMin(clocks []uint64, done []bool) int {
+// live runner other than skip with the strictly smallest clock, -1 when
+// none is live.
+func scanMin(clocks []uint64, done []bool, skip int) int {
 	best := -1
 	for i := range clocks {
-		if done[i] {
+		if done[i] || i == skip {
 			continue
 		}
 		if best < 0 || clocks[i] < clocks[best] {
@@ -23,8 +24,8 @@ func scanMin(clocks []uint64, done []bool) int {
 // TestWinnerTreeMatchesScan drives the tree the way runParallel does —
 // step the winner, replay its leaf, retire drained runners, reload every
 // key after an out-of-band bump of the other clocks — and checks each
-// pick against the linear scan. Small clock increments (often zero)
-// make ties common.
+// pick, and the runner-up's key, against the linear scan. Small clock
+// increments (often zero) make ties common.
 func TestWinnerTreeMatchesScan(t *testing.T) {
 	var tree winnerTree
 	pack := func(i int, clock uint64) uint64 {
@@ -46,7 +47,7 @@ func TestWinnerTreeMatchesScan(t *testing.T) {
 		}
 		tree.rebuild()
 		for step := 0; ; step++ {
-			want := scanMin(clocks, done)
+			want := scanMin(clocks, done, -1)
 			got, live := tree.min()
 			if want < 0 {
 				if live {
@@ -56,6 +57,13 @@ func TestWinnerTreeMatchesScan(t *testing.T) {
 			}
 			if !live || got != want {
 				t.Fatalf("n=%d step %d: tree picked %d (live %v), scan picked %d (clock %d)", n, step, got, live, want, clocks[want])
+			}
+			wantUp := doneKey
+			if j := scanMin(clocks, done, got); j >= 0 {
+				wantUp = pack(j, clocks[j])
+			}
+			if up := tree.runnerUp(got); up != wantUp {
+				t.Fatalf("n=%d step %d: runner-up key %#x, scan wants %#x", n, step, up, wantUp)
 			}
 			clocks[got] += uint64(rng.Intn(3))
 			key := pack(got, clocks[got])

@@ -1,29 +1,25 @@
 package tlb
 
+import "repro/internal/flat"
+
 // TLB is a fully-associative, LRU translation buffer keyed by virtual
 // page number. Each entry holds the page's physical base, so a hit
 // translates without consulting the page table. The entries live in
-// fixed slices sized to the entry count, with an age stamp per slot: a
-// hit tests the most recently used slot and then scans; only a miss
-// searches for the victim (an empty slot, else the lowest stamp). The
-// replacement order is exact true LRU and no operation allocates.
+// fixed slices sized to the entry count, with an age stamp per slot,
+// and an index maps every resident vpn to its slot: a hit tests the
+// most recently used slot and then makes one index probe; only a miss
+// scans the stamps for the victim (an empty slot, else the lowest
+// stamp). The replacement order is exact true LRU and no operation
+// allocates.
 type TLB struct {
 	vpns   []uint64
 	bases  []uint64
 	stamps []uint64 // last-use time per slot; 0 marks an empty slot
+	index  flat.Map // resident vpn -> slot
 	clock  uint64   // stamp of the most recent use
 	mru    int      // slot of the most recent use
 	last   int      // slot the last miss installed, for Fill
-	n      int      // resident entries
-
-	Lookups uint64
-	Misses  uint64
 }
-
-// emptyVPN fills empty slots so a scan for a real vpn rarely stops on
-// one; the stamp check still decides residency, so vpn emptyVPN itself
-// is handled exactly.
-const emptyVPN = ^uint64(0)
 
 // New creates a TLB with the given number of entries.
 func New(entries int) *TLB {
@@ -35,7 +31,7 @@ func New(entries int) *TLB {
 		bases:  make([]uint64, entries),
 		stamps: make([]uint64, entries),
 	}
-	t.Flush()
+	t.index.Reserve(entries)
 	return t
 }
 
@@ -44,10 +40,8 @@ func (t *TLB) find(vpn uint64) int {
 	if t.vpns[t.mru] == vpn && t.stamps[t.mru] != 0 {
 		return t.mru
 	}
-	for i, v := range t.vpns {
-		if v == vpn && t.stamps[i] != 0 {
-			return i
-		}
+	if i, ok := t.index.Get(vpn); ok {
+		return int(i)
 	}
 	return -1
 }
@@ -57,7 +51,6 @@ func (t *TLB) find(vpn uint64) int {
 // in place of the least recently used entry and returns hit false; the
 // caller walks the page table and stores the result with Fill.
 func (t *TLB) Translate(vpn uint64) (pbase uint64, hit bool) {
-	t.Lookups++
 	if i := t.find(vpn); i >= 0 {
 		if i != t.mru {
 			t.clock++
@@ -66,11 +59,11 @@ func (t *TLB) Translate(vpn uint64) (pbase uint64, hit bool) {
 		}
 		return t.bases[i], true
 	}
-	t.Misses++
 	i := t.victim()
-	if t.stamps[i] == 0 {
-		t.n++
+	if t.stamps[i] != 0 {
+		t.index.Delete(t.vpns[i])
 	}
+	t.index.Put(vpn, uint64(i))
 	t.clock++
 	t.vpns[i], t.bases[i], t.stamps[i] = vpn, 0, t.clock
 	t.mru, t.last = i, i
@@ -117,27 +110,17 @@ func (t *TLB) Peek(vpn uint64) (pbase uint64, ok bool) {
 // shootdown during a recoloring).
 func (t *TLB) Invalidate(vpn uint64) {
 	if i := t.find(vpn); i >= 0 {
-		t.vpns[i], t.stamps[i] = emptyVPN, 0
-		t.n--
+		t.stamps[i] = 0
+		t.index.Delete(vpn)
 	}
 }
 
 // Flush empties the TLB (context switch / recoloring).
 func (t *TLB) Flush() {
-	for i := range t.vpns {
-		t.vpns[i] = emptyVPN
-	}
 	clear(t.stamps)
-	t.clock, t.mru, t.n = 0, 0, 0
+	t.index.Clear()
+	t.clock, t.mru = 0, 0
 }
 
 // Len returns the number of resident translations.
-func (t *TLB) Len() int { return t.n }
-
-// MissRate returns misses/lookups.
-func (t *TLB) MissRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(t.Lookups)
-}
+func (t *TLB) Len() int { return t.index.Len() }

@@ -16,9 +16,6 @@ func TestMissThenHit(t *testing.T) {
 	if !tb.Lookup(10) {
 		t.Error("second lookup missed")
 	}
-	if tb.Lookups != 2 || tb.Misses != 1 {
-		t.Errorf("counters %d/%d, want 2/1", tb.Misses, tb.Lookups)
-	}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -46,8 +43,8 @@ func TestPeekDoesNotRefill(t *testing.T) {
 	if tb.Len() != 0 {
 		t.Error("peek installed a translation")
 	}
-	if tb.Misses != 0 || tb.Lookups != 0 {
-		t.Error("peek counted as a lookup")
+	if tb.Lookup(7) {
+		t.Error("lookup after a peek hit")
 	}
 }
 
@@ -61,20 +58,6 @@ func TestFlush(t *testing.T) {
 	}
 	if tb.Lookup(1) {
 		t.Error("hit after flush")
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	tb := New(8)
-	if tb.MissRate() != 0 {
-		t.Error("empty TLB should report 0 miss rate")
-	}
-	tb.Lookup(1)
-	tb.Lookup(1)
-	tb.Lookup(1)
-	tb.Lookup(2)
-	if got := tb.MissRate(); got != 0.5 {
-		t.Errorf("MissRate = %v, want 0.5", got)
 	}
 }
 
@@ -183,8 +166,7 @@ const (
 
 // applyOp runs op on tb and ref and fails t on any difference: every
 // result, the resident translations in recency order with their bases,
-// Len and the Lookups/Misses counters. A missing Translate fills the
-// base pbase.
+// Len and the vpn index. A missing Translate fills the base pbase.
 func applyOp(t *testing.T, tb *TLB, ref *refLRU, op tlbOp, vpn, pbase uint64, step int) {
 	t.Helper()
 	switch op {
@@ -218,35 +200,70 @@ func applyOp(t *testing.T, tb *TLB, ref *refLRU, op tlbOp, vpn, pbase uint64, st
 	if tb.Len() != ref.order.Len() {
 		t.Fatalf("step %d: Len = %d, want %d", step, tb.Len(), ref.order.Len())
 	}
+	checkIndex(t, tb, step)
 }
+
+// checkIndex fails t unless tb's index maps exactly the resident vpns
+// to their slots: every resident slot's vpn finds that slot, and the
+// index holds no other entry.
+func checkIndex(t *testing.T, tb *TLB, step int) {
+	t.Helper()
+	resident := 0
+	for i, s := range tb.stamps {
+		if s == 0 {
+			continue
+		}
+		resident++
+		if got, ok := tb.index.Get(tb.vpns[i]); !ok || got != uint64(i) {
+			t.Fatalf("step %d: index[%d] = (%d, %v), want slot %d", step, tb.vpns[i], got, ok, i)
+		}
+	}
+	if tb.index.Len() != resident || tb.index.Len() != tb.Len() {
+		t.Fatalf("step %d: index holds %d entries, want %d resident (Len %d)", step, tb.index.Len(), resident, tb.Len())
+	}
+}
+
+// maxVPN is the largest vpn, an edge case beside vpn 0 (which the index
+// stores outside its table).
+const maxVPN = ^uint64(0)
 
 // TestAgainstListLRU diffs the TLB against the container/list reference
 // under random translations (with and without a fill), lookups, peeks,
-// single-page invalidations and flushes, including vpn 0, the empty-slot
-// filler vpn and working sets just above and below capacity. After every
+// single-page invalidations and flushes, including vpn 0, the largest
+// vpn and working sets just above and below capacity. After every
 // operation the resident translations must match in recency order with
-// their bases: a Translate hit returns the base Fill stored, and Peek
-// leaves the order unchanged.
+// their bases (a Translate hit returns the base Fill stored, and Peek
+// leaves the order unchanged), and the index must map exactly the
+// resident vpns to their slots.
 func TestAgainstListLRU(t *testing.T) {
 	for _, entries := range []int{1, 2, 3, 16, 64} {
 		rng := rand.New(rand.NewSource(int64(entries)))
 		tb := New(entries)
 		ref := newRefLRU(entries)
 		universe := int64(entries + entries/2 + 2)
+		lookups, misses := 0, 0
 		for i := 0; i < 50000; i++ {
 			vpn := uint64(rng.Int63n(universe))
 			if vpn == 1 {
-				vpn = emptyVPN
+				vpn = maxVPN
 			}
-			switch op := rng.Intn(100); {
+			op := rng.Intn(100)
+			_, resident := ref.peek(vpn)
+			if op < 70 { // a translation or a lookup
+				lookups++
+				if !resident {
+					misses++
+				}
+			}
+			switch {
 			case op < 60:
 				applyOp(t, tb, ref, opTranslate, vpn, uint64(rng.Int63()), i)
 			case op < 70:
-				_, want := ref.peek(vpn)
-				if got := tb.Lookup(vpn); got != want {
-					t.Fatalf("entries=%d op %d: Lookup(%d) = %v, want %v", entries, i, vpn, got, want)
+				if got := tb.Lookup(vpn); got != resident {
+					t.Fatalf("entries=%d op %d: Lookup(%d) = %v, want %v", entries, i, vpn, got, resident)
 				}
 				ref.translate(vpn)
+				checkIndex(t, tb, i)
 			case op < 85:
 				applyOp(t, tb, ref, opPeek, vpn, 0, i)
 			case op < 99:
@@ -255,8 +272,8 @@ func TestAgainstListLRU(t *testing.T) {
 				applyOp(t, tb, ref, opFlush, vpn, 0, i)
 			}
 		}
-		if tb.Misses == 0 || tb.Misses == tb.Lookups {
-			t.Errorf("entries=%d: %d misses in %d lookups, want some hits and some misses", entries, tb.Misses, tb.Lookups)
+		if misses == 0 || misses == lookups {
+			t.Errorf("entries=%d: %d misses in %d lookups, want some hits and some misses", entries, misses, lookups)
 		}
 	}
 }
@@ -273,6 +290,12 @@ func FuzzTLB(f *testing.F) {
 		seq = append(seq, byte(i*7%11), byte(i*13%23), byte(i))
 	}
 	f.Add(seq)
+	// vpn 0, which the index keeps outside its table, evicted, peeked,
+	// invalidated and refilled.
+	f.Add([]byte{1, 0, 0, 1, 0, 5, 2, 2, 0, 0, 0, 6, 3, 2, 0, 0, 0, 0, 4, 3, 0, 0, 0, 0, 5, 0, 5, 0})
+	// Reuse after Flush: the same vpns come back into slots whose stale
+	// vpns the flush left behind.
+	f.Add([]byte{1, 0, 3, 1, 0, 4, 2, 4, 0, 0, 0, 4, 3, 0, 3, 4, 2, 3, 0, 4, 0, 0, 0, 0, 4, 0, 5, 1, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -283,7 +306,7 @@ func FuzzTLB(f *testing.F) {
 			op := tlbOp(data[i] % byte(numOps))
 			vpn := uint64(data[i+1])
 			if vpn == 0xff {
-				vpn = emptyVPN
+				vpn = maxVPN
 			}
 			applyOp(t, tb, ref, op, vpn, uint64(data[i+2])<<12, i)
 		}
