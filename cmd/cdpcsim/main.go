@@ -91,6 +91,9 @@ func main() {
 		Prefetch: *prefetch,
 		Topology: *topology,
 		Sampled:  *sampled,
+		Sched:    harness.SchedKind(*schedF),
+		Quantum:  *quantum,
+		Isolate:  *isolate,
 	}
 	for i := 1; i < *procs; i++ {
 		spec.CoRunners = append(spec.CoRunners, harness.CoRunner{})
@@ -105,29 +108,9 @@ func main() {
 			spec.CoRunners = append(spec.CoRunners, cr)
 		}
 	}
-	multi := len(spec.CoRunners) > 0
-	if multi {
-		spec.Sched = harness.SchedKind(*schedF)
-		spec.Quantum = *quantum
-		spec.Isolate = *isolate
-		if *progFile != "" {
-			fmt.Fprintln(os.Stderr, "cdpcsim: -procs/-corun need a bundled workload (no -program)")
-			os.Exit(1)
-		}
-	} else if *schedF != "" || *quantum != 0 || *isolate {
-		fmt.Fprintln(os.Stderr, "cdpcsim: -sched/-quantum/-isolate only apply to multiprocess runs (-procs or -corun)")
-		os.Exit(1)
-	}
 	if *trcFile != "" {
-		switch {
-		case *progFile != "":
+		if *progFile != "" {
 			fmt.Fprintln(os.Stderr, "cdpcsim: -trace-file and -program are mutually exclusive")
-			os.Exit(1)
-		case multi:
-			fmt.Fprintln(os.Stderr, "cdpcsim: trace runs are single-process (no -procs/-corun)")
-			os.Exit(1)
-		case *prefetch:
-			fmt.Fprintln(os.Stderr, "cdpcsim: -prefetch needs a compiled program; traces record their reference stream")
 			os.Exit(1)
 		}
 		f, err := os.Open(*trcFile)
@@ -166,7 +149,7 @@ func main() {
 		}
 		spec.Obs = obs.NewCollector(o)
 	}
-	post := func(res *sim.Result) {
+	post := func(violations func() []obs.Violation) {
 		if *attr {
 			fmt.Println()
 			fmt.Print(spec.Obs.Report(10))
@@ -179,7 +162,7 @@ func main() {
 			}
 		}
 		if *audit {
-			if vs := res.Audit(); len(vs) > 0 {
+			if vs := violations(); len(vs) > 0 {
 				fmt.Fprintln(os.Stderr, "cdpcsim:", obs.AuditError(vs))
 				os.Exit(2)
 			}
@@ -193,6 +176,10 @@ func main() {
 			os.Exit(1)
 		}
 		spec.ConfigOverride = &cfg
+	}
+	if err := harness.Check(spec); err != nil {
+		fmt.Fprintln(os.Stderr, "cdpcsim:", err)
+		os.Exit(1)
 	}
 	if spec.Sampled {
 		// Reject rather than let the harness silently run full fidelity.
@@ -227,34 +214,17 @@ func main() {
 			os.Exit(1)
 		}
 		print(res, spec)
-		post(res)
+		post(res.Audit)
 		return
 	}
-	if multi {
+	if len(spec.CoRunners) > 0 {
 		mr, err := harness.RunMulti(spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cdpcsim:", err)
 			os.Exit(1)
 		}
 		printMulti(mr, spec)
-		if *attr {
-			fmt.Println()
-			fmt.Print(spec.Obs.Report(10))
-		}
-		if ring != nil {
-			events := ring.Events()
-			fmt.Printf("\nevent trace (last %d of %d):\n", len(events), uint64(len(events))+ring.Dropped())
-			for _, e := range events {
-				fmt.Println(" ", e)
-			}
-		}
-		if *audit {
-			if vs := mr.Audit(); len(vs) > 0 {
-				fmt.Fprintln(os.Stderr, "cdpcsim:", obs.AuditError(vs))
-				os.Exit(2)
-			}
-			fmt.Println("\naudit: all conservation invariants hold")
-		}
+		post(mr.Audit)
 		return
 	}
 	res, err := harness.Run(spec)
@@ -263,7 +233,7 @@ func main() {
 		os.Exit(1)
 	}
 	print(res, spec)
-	post(res)
+	post(res.Audit)
 }
 
 // parseCoRunner parses one -corun field of the form workload[/variant];

@@ -81,3 +81,25 @@ func TestExtPaddingWithSchedulerAndAudit(t *testing.T) {
 		t.Error("scheduler executed no runs")
 	}
 }
+
+// TestExtMultiprogHonorsTopology runs the multiprogramming extension
+// with a topology option and requires every simulation that reached the
+// scheduler, warmed and rendered alike, to carry that topology.
+func TestExtMultiprogHonorsTopology(t *testing.T) {
+	o := extOpts()
+	o.Runner, o.Topology = NewScheduler(2), "sliced-llc4"
+	if _, err := ExtMultiprog(o); err != nil {
+		t.Fatal(err)
+	}
+	sc := o.Runner
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if len(sc.memo) == 0 {
+		t.Fatal("scheduler executed no runs")
+	}
+	for k := range sc.memo {
+		if k.Topology != o.Topology {
+			t.Errorf("%s with co-runners %q ran on topology %q, want %q", k.Workload, k.CoRunners, k.Topology, o.Topology)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/arch"
@@ -81,24 +82,11 @@ const (
 	SchedPartition SchedKind = "partition"
 )
 
-// simSched maps a SchedKind to the simulator's scheduler options.
-func simSched(k SchedKind, quantum uint64) (sim.SchedOptions, error) {
-	switch k {
-	case "", SchedTimeSlice:
-		return sim.SchedOptions{Policy: sim.SchedTimeSlice, Quantum: quantum}, nil
-	case SchedPartition:
-		return sim.SchedOptions{Policy: sim.SchedPartition, Quantum: quantum}, nil
-	default:
-		return sim.SchedOptions{}, fmt.Errorf("harness: unknown scheduling discipline %q", k)
-	}
-}
-
-// CanCoSchedule reports whether a variant can run under the
+// canCoSchedule reports whether a variant can run under the
 // space-sharing scheduler. Variants built on machine-wide mechanisms —
 // a global touch order serializing first faults, or the dynamic
-// recolorer watching one address space — have no per-process meaning
-// and are rejected by RunMulti.
-func CanCoSchedule(v Variant) bool {
+// recolorer watching one address space — have no per-process meaning.
+func canCoSchedule(v Variant) bool {
 	switch v {
 	case CDPCTouch, ColoringTouch, DynamicRecoloring:
 		return false
@@ -149,7 +137,7 @@ func (t *TraceWorkload) contentHash() string {
 	return t.File.Hash()
 }
 
-// CanTraceVariant reports whether a variant works on an external
+// canTraceVariant reports whether a variant works on an external
 // trace. A trace fixes the virtual address of every reference, so only
 // variants that steer physical placement at fault time qualify; the
 // ones needing the compiler — layout transforms (padding, unaligned),
@@ -157,7 +145,7 @@ func (t *TraceWorkload) contentHash() string {
 // CDPC variant qualifies through the online access-pattern summarizer
 // (trace.PreferredColors), which infers the per-page color preferences
 // the compiler summary would have carried.
-func CanTraceVariant(v Variant) bool {
+func canTraceVariant(v Variant) bool {
 	switch v {
 	case "", PageColoring, BinHopping, FirstTouch, CDPC, DynamicRecoloring:
 		return true
@@ -189,9 +177,9 @@ type Spec struct {
 	// a bundled IR workload; Workload is then only a fallback label and
 	// no compiler pipeline runs. CPUs defaults to the trace's own CPU
 	// count and must be at least that wide. Only placement-time variants
-	// apply (CanTraceVariant); sampling, co-runners and prefetching are
-	// rejected. The scheduler memoizes trace-backed specs by the trace's
-	// content hash.
+	// apply (canTraceVariant); co-runners and prefetching are rejected,
+	// and sampling is normalized back to full fidelity. The scheduler
+	// memoizes trace-backed specs by the trace's content hash.
 	Trace *TraceWorkload
 
 	// L2Override replaces the external-cache geometry (Figure 7 sweeps).
@@ -239,21 +227,23 @@ type Spec struct {
 	// result as well.
 	CoRunners []CoRunner
 	// Sched selects the space-sharing discipline for multiprocess runs
-	// ("" → time-slicing). Ignored without co-runners.
+	// ("" → time-slicing). Check rejects it without co-runners.
 	Sched SchedKind
 	// Quantum overrides the time-slice length in cycles; 0 uses
-	// sim.DefaultQuantum.
+	// sim.DefaultQuantum. Check rejects it without co-runners.
 	Quantum uint64
 
 	// Isolate runs the process mix under color-partitioned isolation
 	// domains: the frame allocator grants each domain an exclusive color
 	// subset and clamps every allocation (policy preference, CDPC hint,
 	// pressure fallback) to the owner's partition, making cross-domain
-	// conflict misses impossible (audit invariant 12). Ignored without
-	// co-runners; unpartitioned runs are byte-identical with this off.
+	// conflict misses impossible (audit invariant 12). Check rejects it
+	// without co-runners; unpartitioned runs are byte-identical with this
+	// off.
 	Isolate bool
 	// Domain is the primary process's isolation domain label under
-	// Isolate (see CoRunner.Domain); 0 means a domain of its own.
+	// Isolate (see CoRunner.Domain); 0 means a domain of its own. Every
+	// label lies in [0, processes].
 	Domain int
 }
 
@@ -323,9 +313,143 @@ func SampleConflict(s Spec) error {
 	return nil
 }
 
+// Rule classifies the combination rule a SpecError reports.
+type Rule int
+
+// The rule classes Check enforces.
+const (
+	// RuleName: a machine, variant, topology, scheduling discipline or
+	// co-runner workload that does not exist.
+	RuleName Rule = iota + 1
+	// RuleCoSchedule: Sched or Quantum without co-runners, a partition
+	// that does not divide the CPUs evenly, or a variant that needs
+	// machine-wide state in a mix.
+	RuleCoSchedule
+	// RuleIsolation: Isolate or Domain without co-runners, a domain label
+	// without Isolate, or a label outside [0, processes].
+	RuleIsolation
+	// RuleTrace: a trace-backed spec with co-runners, prefetching, a
+	// variant that needs the compiler, or fewer CPUs than the trace has
+	// streams.
+	RuleTrace
+)
+
+// SpecError is Check's rejection: the Spec field path the broken rule
+// names (for example "CoRunners[1].Variant") and the rule's class, so a
+// caller can map every rejection to its own error vocabulary without a
+// copy of the rules.
+type SpecError struct {
+	Field string
+	Rule  Rule
+	Msg   string
+}
+
+func (e *SpecError) Error() string { return "harness: " + e.Field + ": " + e.Msg }
+
+// Check is the one home of the spec-combination rules: which names
+// exist, and which variants combine with traces, co-scheduling and
+// isolation domains. It returns nil or a *SpecError for the first broken
+// rule. Every Run entry point, the Scheduler and Prepare call it once on
+// the whole spec, before anything compiles. The primary Workload name is
+// Prepare's check, because RunProgram ignores that field.
+func Check(s Spec) error {
+	s = s.withDefaults()
+	reject := func(field string, rule Rule, format string, args ...any) error {
+		return &SpecError{Field: field, Rule: rule, Msg: fmt.Sprintf(format, args...)}
+	}
+	coField := func(i int, name string) string { return fmt.Sprintf("CoRunners[%d].%s", i, name) }
+
+	switch s.Machine {
+	case BaseMachine, AlphaMachine:
+	default:
+		return reject("Machine", RuleName, "unknown machine %q (base, alpha)", s.Machine)
+	}
+	if !slices.Contains(Variants(), s.Variant) {
+		return reject("Variant", RuleName, "unknown variant %q", s.Variant)
+	}
+	if !arch.KnownTopology(s.Topology) {
+		return reject("Topology", RuleName, "unknown topology %q (have %s)",
+			s.Topology, strings.Join(arch.TopologyNames(), ", "))
+	}
+	switch s.Sched {
+	case "", SchedTimeSlice, SchedPartition:
+	default:
+		return reject("Sched", RuleName, "unknown scheduling discipline %q (timeslice, partition)", s.Sched)
+	}
+
+	cpus := s.CPUs
+	if s.ConfigOverride != nil {
+		cpus = s.ConfigOverride.NumCPUs
+	}
+	if s.Trace != nil {
+		switch n := s.Trace.File.NumCPUs(); {
+		case len(s.CoRunners) > 0:
+			return reject("CoRunners", RuleTrace, "a trace is one process and cannot be co-scheduled")
+		case s.Prefetch:
+			return reject("Prefetch", RuleTrace, "prefetch insertion needs a compiled program; traces record their reference stream")
+		case !canTraceVariant(s.Variant):
+			return reject("Variant", RuleTrace, "variant %q needs compiler layout or touch-order output and cannot run an external trace", s.Variant)
+		case n > cpus:
+			return reject("CPUs", RuleTrace, "trace %q carries %d CPU streams but the machine has %d CPUs", s.Trace.Name, n, cpus)
+		}
+	}
+
+	if len(s.CoRunners) == 0 {
+		if s.Sched != "" || s.Quantum != 0 {
+			return reject("Sched", RuleCoSchedule, "Sched and Quantum require co-runners")
+		}
+		if s.Isolate || s.Domain != 0 {
+			return reject("Isolate", RuleIsolation, "Isolate and Domain require co-runners")
+		}
+		return nil
+	}
+	nprocs := 1 + len(s.CoRunners)
+	if s.Sched == SchedPartition && (nprocs > cpus || cpus%nprocs != 0) {
+		return reject("Sched", RuleCoSchedule, "partition scheduling needs %d CPUs divisible into %d equal blocks", cpus, nprocs)
+	}
+	const machineWide = "variant %q needs machine-wide state and cannot be co-scheduled"
+	if !canCoSchedule(s.Variant) {
+		return reject("Variant", RuleCoSchedule, machineWide, s.Variant)
+	}
+	for i, cr := range s.CoRunners {
+		if cr.Variant != "" {
+			if !slices.Contains(Variants(), cr.Variant) {
+				return reject(coField(i, "Variant"), RuleName, "unknown variant %q", cr.Variant)
+			}
+			if !canCoSchedule(cr.Variant) {
+				return reject(coField(i, "Variant"), RuleCoSchedule, machineWide, cr.Variant)
+			}
+		}
+		if cr.Workload != "" {
+			if _, err := workloads.ByName(cr.Workload); err != nil {
+				return reject(coField(i, "Workload"), RuleName, "%v", err)
+			}
+		}
+	}
+
+	domain := func(field string, d int) error {
+		switch {
+		case d != 0 && !s.Isolate:
+			return reject(field, RuleIsolation, "a domain label requires Isolate")
+		case d < 0 || d > nprocs:
+			return reject(field, RuleIsolation, "domain %d out of range [0, %d]", d, nprocs)
+		}
+		return nil
+	}
+	if err := domain("Domain", s.Domain); err != nil {
+		return err
+	}
+	for i, cr := range s.CoRunners {
+		if err := domain(coField(i, "Domain"), cr.Domain); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Config resolves the machine configuration for a spec. An unknown
 // Topology name is ignored here (Config cannot error); the Run entry
-// points reject it via validateSpec first.
+// points reject it through Check first.
 func (s Spec) Config() arch.Config {
 	s = s.withDefaults()
 	var cfg arch.Config
@@ -349,48 +473,32 @@ func (s Spec) Config() arch.Config {
 	return cfg
 }
 
-// validateSpec rejects spec fields whose resolution Config would have
-// to swallow silently — an unknown topology name, or a trace-backed
-// spec combined with machinery that needs a compiled program. It
-// expects withDefaults to have been applied.
-func validateSpec(s Spec) error {
-	if !arch.KnownTopology(s.Topology) {
-		return fmt.Errorf("harness: unknown topology %q (have %s)",
-			s.Topology, strings.Join(arch.TopologyNames(), ", "))
-	}
-	if s.Trace != nil {
-		if len(s.CoRunners) > 0 {
-			return fmt.Errorf("harness: trace-backed specs cannot have co-runners")
-		}
-		if s.Prefetch {
-			return fmt.Errorf("harness: prefetch insertion needs a compiled program; traces record their reference stream")
-		}
-		if !CanTraceVariant(s.Variant) {
-			return fmt.Errorf("harness: variant %q needs compiler layout or touch-order output and cannot run an external trace", s.Variant)
-		}
-		if n := s.Trace.File.NumCPUs(); n > s.CPUs {
-			return fmt.Errorf("harness: trace %q carries %d CPU streams but the spec machine has %d CPUs", s.Trace.Name, n, s.CPUs)
-		}
-	}
-	return nil
-}
-
 // Prepare builds the workload program and runs the compiler pipeline for
 // a spec, returning the program, its summary, and the machine config.
 func Prepare(s Spec) (*ir.Program, *compiler.Summary, arch.Config, error) {
-	s = s.withDefaults()
-	if err := validateSpec(s); err != nil {
+	if err := Check(s); err != nil {
 		return nil, nil, arch.Config{}, err
 	}
+	return compile(s)
+}
+
+// compile is Prepare without Check, for specs execute has already
+// checked whole: a co-runner's derived spec carries the mix-level fields
+// (Sched, Isolate, Domain) that Check rejects on a lone spec.
+func compile(s Spec) (*ir.Program, *compiler.Summary, arch.Config, error) {
+	s = s.withDefaults()
 	meta, err := workloads.ByName(s.Workload)
 	if err != nil {
 		return nil, nil, arch.Config{}, err
 	}
-	prog := meta.Build(s.Scale)
-	cfg := s.Config()
+	return lower(meta.Build(s.Scale), s)
+}
 
-	layout := layoutFor(s.Variant, cfg)
-	if err := compiler.Layout(prog, layout); err != nil {
+// lower runs the compiler pipeline over a built program: the variant's
+// layout, then prefetch insertion when the spec asks for it.
+func lower(prog *ir.Program, s Spec) (*ir.Program, *compiler.Summary, arch.Config, error) {
+	cfg := s.Config()
+	if err := compiler.Layout(prog, layoutFor(s.Variant, cfg)); err != nil {
 		return nil, nil, arch.Config{}, err
 	}
 	if s.Prefetch {
@@ -411,7 +519,7 @@ func Run(s Spec) (*sim.Result, error) {
 // simulation at the next synchronization point with ctx's error. The
 // cdpcd server threads every request's context through here.
 func RunCtx(ctx context.Context, s Spec) (*sim.Result, error) {
-	mr, err := execute(ctx, s, Prepare)
+	mr, err := execute(ctx, s, compile)
 	if err != nil {
 		return nil, err
 	}
@@ -428,34 +536,34 @@ func RunMulti(s Spec) (*sim.MultiResult, error) {
 // RunMultiCtx is RunMulti with cancellation (see RunCtx). Every process
 // is prepared through the regular compiler pipeline; placement policy
 // and CDPC hints are installed per process, and all processes draw
-// frames from the machine's single shared allocator. Variants that need
-// machine-wide mechanisms (touch ordering, dynamic recoloring) cannot
-// be co-scheduled and are rejected, as are trace-backed specs.
+// frames from the machine's single shared allocator. Check rejects
+// variants that need machine-wide mechanisms (touch ordering, dynamic
+// recoloring) in a mix; trace-backed specs are rejected here.
 func RunMultiCtx(ctx context.Context, s Spec) (*sim.MultiResult, error) {
 	if s.Trace != nil {
 		return nil, errTraceMix
 	}
-	return execute(ctx, s, Prepare)
+	return execute(ctx, s, compile)
 }
 
 // errTraceMix rejects trace-backed specs at the RunMulti entry points:
 // a recorded trace is one process and has no per-process breakdown.
 var errTraceMix = errors.New("harness: trace-backed specs are single-process; use Run")
 
-// prepareFunc resolves a spec's compiled program: Prepare, or a
+// prepareFunc resolves a checked spec's compiled program: compile, or a
 // Scheduler's memoizing program cache.
 type prepareFunc func(Spec) (*ir.Program, *compiler.Summary, arch.Config, error)
 
 // execute is the one execution path behind every Run entry point and
-// the Scheduler. It decides the spec's shape once: co-runners run as a
-// multiprogrammed mix (runMix); a solo spec — bundled workload or
-// external trace — runs alone and comes back as a mix of one, the shape
-// sim.RunProcesses gives a single process.
+// the Scheduler. It checks the whole spec, then decides its shape once:
+// co-runners run as a multiprogrammed mix (runMix); a solo spec —
+// bundled workload or external trace — runs alone and comes back as a
+// mix of one, the shape sim.RunProcesses gives a single process.
 func execute(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult, error) {
-	s = s.withDefaults()
-	if err := validateSpec(s); err != nil {
+	if err := Check(s); err != nil {
 		return nil, err
 	}
+	s = s.withDefaults()
 	if len(s.CoRunners) > 0 {
 		return runMix(ctx, s, prepare)
 	}
@@ -528,22 +636,18 @@ func RunProgram(prog *ir.Program, s Spec) (*sim.Result, error) {
 // RunProgramCtx is RunProgram with cancellation (see RunCtx). A custom
 // program runs alone; co-runners are rejected.
 func RunProgramCtx(ctx context.Context, prog *ir.Program, s Spec) (*sim.Result, error) {
-	s = s.withDefaults()
-	if err := validateSpec(s); err != nil {
+	if err := Check(s); err != nil {
 		return nil, err
 	}
+	s = s.withDefaults()
 	if len(s.CoRunners) > 0 {
 		return nil, fmt.Errorf("harness: custom programs cannot be co-scheduled")
 	}
-	cfg := s.Config()
-	layout := layoutFor(s.Variant, cfg)
-	if err := compiler.Layout(prog, layout); err != nil {
+	prog, sum, cfg, err := lower(prog, s)
+	if err != nil {
 		return nil, err
 	}
-	if s.Prefetch {
-		compiler.InsertPrefetches(prog, compiler.DefaultPrefetch())
-	}
-	return runPrepared(ctx, prog, compiler.Summarize(prog), cfg, s)
+	return runPrepared(ctx, prog, sum, cfg, s)
 }
 
 // variantKnobs is the variant-specific slice of the simulator options:
@@ -561,7 +665,7 @@ type variantKnobs struct {
 // CDPC page colors and touch order — the compiler summary's for a
 // program (programKnobs), the online summarizer's for a trace — and is
 // called only by the variants that consume them. prog is nil for
-// traces, whose variants (CanTraceVariant) never need it.
+// traces, whose variants (canTraceVariant) never need it.
 func variantOptions(s Spec, cfg arch.Config, prog *ir.Program, hints func() (*core.Hints, error)) (variantKnobs, error) {
 	var k variantKnobs
 	colors := cfg.Colors()
@@ -654,16 +758,9 @@ func runPrepared(ctx context.Context, prog *ir.Program, sum *compiler.Summary, c
 
 // runMix runs a spec with co-runners as one multiprogrammed machine.
 func runMix(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult, error) {
-	sched, err := simSched(s.Sched, s.Quantum)
-	if err != nil {
-		return nil, err
-	}
 	list := s.processSpecs()
 	procs := make([]sim.ProcessOptions, len(list))
 	for i, ps := range list {
-		if !CanCoSchedule(ps.Variant) {
-			return nil, fmt.Errorf("harness: variant %q needs machine-wide state and cannot be co-scheduled", ps.Variant)
-		}
 		prog, sum, cfg, err := prepare(ps)
 		if err != nil {
 			return nil, err
@@ -679,6 +776,10 @@ func runMix(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult,
 	m, err := sim.New(opts)
 	if err != nil {
 		return nil, err
+	}
+	sched := sim.SchedOptions{Policy: sim.SchedTimeSlice, Quantum: s.Quantum}
+	if s.Sched == SchedPartition {
+		sched.Policy = sim.SchedPartition
 	}
 	mr, err := m.RunProcesses(procs, sched)
 	if err != nil {

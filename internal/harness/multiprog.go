@@ -8,12 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// runMulti executes one co-scheduled spec, through the scheduler when
-// one is configured, auditing every per-process result and the machine
-// total when auditing is on.
+// runMulti executes one co-scheduled spec under the options' fidelity
+// and topology (see run), through the scheduler when one is configured,
+// auditing every per-process result and the machine total when auditing
+// is on.
 func (o ExpOptions) runMulti(s Spec) (*sim.MultiResult, error) {
 	var mr *sim.MultiResult
 	var err error
+	s = o.mapSpec(s)
 	if o.Runner != nil {
 		mr, err = o.Runner.RunMulti(s)
 	} else {
@@ -29,15 +31,6 @@ func (o ExpOptions) runMulti(s Spec) (*sim.MultiResult, error) {
 		}
 	}
 	return mr, nil
-}
-
-// warmMulti pre-executes co-scheduled specs on the scheduler's pool
-// (see warm) without warm's fidelity and topology rewrites, which
-// runMulti does not apply either. A no-op without a scheduler.
-func (o ExpOptions) warmMulti(specs []Spec) {
-	if o.Runner != nil {
-		o.Runner.Warm(specs)
-	}
 }
 
 // multiprogWays returns the co-scheduling degrees the extension sweeps:
@@ -96,7 +89,7 @@ func ExtMultiprog(o ExpOptions) (string, error) {
 			}
 		}
 	}
-	o.warmMulti(specs)
+	o.warm(specs)
 
 	var b strings.Builder
 	b.WriteString("Extension — CDPC under multiprogramming (time-sliced co-scheduling)\n")
@@ -194,7 +187,7 @@ func extIsolationMatrix(b *strings.Builder, o ExpOptions, names []string) error 
 			}
 		}
 	}
-	o.warmMulti(specs)
+	o.warm(specs)
 
 	b.WriteString("\nIsolation domains — color-partitioned co-scheduling\n")
 	b.WriteString("Each process gets an exclusive color subset (its isolation domain);\n")

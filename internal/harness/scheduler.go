@@ -241,8 +241,13 @@ func (sc *Scheduler) RunMultiCtx(ctx context.Context, spec Spec) (*sim.MultiResu
 // poisons the memo cache: a run that dies on its owner's context error
 // is removed from the cache, and callers that were coalesced onto it
 // retry under their own (still live) context instead of inheriting the
-// stranger's cancellation.
+// stranger's cancellation. Check runs before the memo lookup: keyOf
+// drops the co-scheduling fields of a solo spec, so a memoized result
+// must never stand in for a rejection, nor a rejection for a result.
 func (sc *Scheduler) run(ctx context.Context, spec Spec) (*sim.MultiResult, error) {
+	if err := Check(spec); err != nil {
+		return nil, err
+	}
 	if spec.Obs != nil {
 		// Instrumented specs are never memoized: a cached result could
 		// not have filled this run's collector. The program cache is
@@ -300,10 +305,11 @@ func (sc *Scheduler) CacheStats() (hits, misses uint64) {
 }
 
 // HasResult reports whether spec's result is already memoized and
-// complete, i.e. whether a Run would return without simulating.
-// Instrumented specs always report false (they bypass the cache).
+// complete, i.e. whether a Run would return it without simulating.
+// Instrumented specs always report false (they bypass the cache), and
+// so do specs Check rejects.
 func (sc *Scheduler) HasResult(spec Spec) bool {
-	if spec.Obs != nil {
+	if spec.Obs != nil || Check(spec) != nil {
 		return false
 	}
 	key := keyOf(spec)
@@ -390,7 +396,7 @@ func (sc *Scheduler) prepare(s Spec) (*ir.Program, *compiler.Summary, arch.Confi
 	sc.progs[key] = e
 	sc.mu.Unlock()
 
-	e.prog, e.sum, _, e.err = Prepare(s)
+	e.prog, e.sum, _, e.err = compile(s)
 	close(e.done)
 	return e.prog, e.sum, cfg, e.err
 }

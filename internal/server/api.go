@@ -1,11 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/harness"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -295,9 +295,17 @@ const maxScale = 256
 // maxCPUs mirrors the simulator's supported processor range.
 const maxCPUs = 16
 
-// validate checks a JobRequest and resolves it into a harness.Spec
-// (and a parsed program for custom requests). Validation is strict so
-// that queue slots are never wasted on requests that cannot run.
+// maxProcs bounds the process table of a multiprocess job; beyond the
+// paper-motivated 2- and 4-way mixes an 8-way mix already saturates the
+// time-slice scheduler's interference effects.
+const maxProcs = 8
+
+// validate makes the wire and admission checks on a JobRequest and
+// resolves it into a harness.Spec (and a parsed program for custom
+// requests). Which names exist and which fields combine is
+// harness.Check's decision; admit applies it once the trace id
+// resolves. Validation is strict so that queue slots are never wasted on
+// requests that cannot run.
 func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 	var spec harness.Spec
 	nsources := 0
@@ -314,11 +322,6 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 		return spec, nil, &ErrorInfo{Code: CodeInvalidRequest, Field: "workload",
 			Message: "workload, program and trace_id are mutually exclusive"}
 	}
-	if req.TraceID != "" {
-		if errInfo := req.validateTrace(); errInfo != nil {
-			return spec, nil, errInfo
-		}
-	}
 	if req.CPUs < 0 || req.CPUs > maxCPUs {
 		return spec, nil, &ErrorInfo{Code: CodeInvalidRequest, Field: "cpus",
 			Message: fmt.Sprintf("cpus must be 1-%d (or 0 for the default 8)", maxCPUs)}
@@ -331,29 +334,6 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 		return spec, nil, &ErrorInfo{Code: CodeInvalidRequest, Field: "timeout_ms",
 			Message: "timeout_ms must be >= 0"}
 	}
-	switch req.Machine {
-	case "", string(harness.BaseMachine), string(harness.AlphaMachine):
-	default:
-		return spec, nil, &ErrorInfo{Code: CodeInvalidRequest, Field: "machine",
-			Message: fmt.Sprintf("unknown machine %q (base, alpha)", req.Machine)}
-	}
-	if !arch.KnownTopology(req.Topology) {
-		return spec, nil, &ErrorInfo{Code: CodeBadTopology, Field: "topology",
-			Message: fmt.Sprintf("unknown topology %q (have %s)", req.Topology, strings.Join(arch.TopologyNames(), ", "))}
-	}
-	if req.Variant != "" {
-		ok := false
-		for _, v := range harness.Variants() {
-			if harness.Variant(req.Variant) == v {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return spec, nil, &ErrorInfo{Code: CodeInvalidRequest, Field: "variant",
-				Message: fmt.Sprintf("unknown variant %q", req.Variant)}
-		}
-	}
 
 	var prog *ir.Program
 	if req.Program != "" {
@@ -362,16 +342,24 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 			return spec, nil, &ErrorInfo{Code: CodeBadProgram, Field: "program", Message: err.Error()}
 		}
 		prog = p
+		if len(req.CoRunners) > 0 {
+			return spec, nil, &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
+				Message: "custom programs cannot be co-scheduled; use bundled workloads"}
+		}
 	} else if req.Workload != "" {
 		if _, err := workloads.ByName(req.Workload); err != nil {
 			return spec, nil, &ErrorInfo{Code: CodeUnknownWorkload, Field: "workload", Message: err.Error()}
 		}
 	}
+	if nprocs := 1 + len(req.CoRunners); nprocs > maxProcs {
+		return spec, nil, &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
+			Message: fmt.Sprintf("%d processes exceed the %d-process limit", nprocs, maxProcs)}
+	}
 
 	cpus := req.CPUs
 	if cpus == 0 && req.TraceID == "" {
 		// Trace jobs leave 0: the width defaults to the trace's own CPU
-		// count once the id resolves (admit checks it fits the machine).
+		// count once the id resolves.
 		cpus = 8
 	}
 	spec = harness.Spec{
@@ -382,12 +370,10 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 		Topology: req.Topology,
 		Variant:  harness.Variant(req.Variant),
 		Prefetch: req.Prefetch,
-	}
-	if errInfo := req.validateCoSchedule(cpus); errInfo != nil {
-		return spec, nil, errInfo
-	}
-	if errInfo := req.validateIsolation(); errInfo != nil {
-		return spec, nil, errInfo
+		Sched:    harness.SchedKind(req.Sched),
+		Quantum:  req.QuantumCycles,
+		Isolate:  req.Isolate,
+		Domain:   req.IsolationDomain,
 	}
 	switch req.Fidelity {
 	case "", string(sim.FidelityFull):
@@ -406,145 +392,71 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 			Domain:   cr.IsolationDomain,
 		})
 	}
-	spec.Sched = harness.SchedKind(req.Sched)
-	spec.Quantum = req.QuantumCycles
-	spec.Isolate = req.Isolate
-	spec.Domain = req.IsolationDomain
 	if req.Attr {
 		spec.Obs = obs.NewCollector(obs.Options{})
 	}
 	return spec, prog, nil
 }
 
-// validateTrace checks the fields a trace-backed job cannot carry: a
-// recorded reference stream has no compiler pipeline (no prefetch
-// insertion, no layout/touch-order variants) and no process to
-// co-schedule. Store membership of the id is checked at admission, not
-// here.
-func (req *JobRequest) validateTrace() *ErrorInfo {
-	if len(req.CoRunners) > 0 {
-		return &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
-			Message: "trace jobs cannot be co-scheduled"}
-	}
-	if req.Prefetch {
-		return &ErrorInfo{Code: CodeInvalidRequest, Field: "prefetch",
-			Message: "prefetch insertion needs a compiled program; traces record their reference stream"}
-	}
-	if req.Variant != "" && !harness.CanTraceVariant(harness.Variant(req.Variant)) {
-		return &ErrorInfo{Code: CodeInvalidRequest, Field: "variant",
-			Message: fmt.Sprintf("variant %q needs compiler layout or touch-order output and cannot run a trace", req.Variant)}
-	}
-	return nil
+// specCodes maps a harness.Check rejection to its wire error code: the
+// first row whose rule matches and whose field is the rejected Spec
+// field with co-runner indices dropped, or empty, wins.
+var specCodes = []struct {
+	rule  harness.Rule
+	field string
+	info  ErrorInfo
+}{
+	{harness.RuleName, "Topology", ErrorInfo{Code: CodeBadTopology}},
+	{harness.RuleName, "Sched", ErrorInfo{Code: CodeBadCoSchedule}},
+	{harness.RuleName, "CoRunners.Variant", ErrorInfo{Code: CodeBadCoSchedule}},
+	{harness.RuleName, "CoRunners.Workload", ErrorInfo{Code: CodeUnknownWorkload}},
+	{harness.RuleName, "", ErrorInfo{Code: CodeInvalidRequest}},
+	{harness.RuleCoSchedule, "", ErrorInfo{Code: CodeBadCoSchedule}},
+	{harness.RuleIsolation, "", ErrorInfo{Code: CodeBadIsolation}},
+	{harness.RuleTrace, "CoRunners", ErrorInfo{Code: CodeBadCoSchedule}},
+	{harness.RuleTrace, "", ErrorInfo{Code: CodeInvalidRequest}},
 }
 
-// maxProcs bounds the process table of a multiprocess job; beyond the
-// paper-motivated 2- and 4-way mixes an 8-way mix already saturates the
-// time-slice scheduler's interference effects.
-const maxProcs = 8
-
-// validateCoSchedule checks the multiprocess fields of a request
-// against the space-sharing scheduler's constraints. All violations
-// carry CodeBadCoSchedule (except an unknown co-runner workload, which
-// keeps CodeUnknownWorkload for consistency with the primary field).
-func (req *JobRequest) validateCoSchedule(cpus int) *ErrorInfo {
-	if len(req.CoRunners) == 0 {
-		if req.Sched != "" || req.QuantumCycles > 0 {
-			return &ErrorInfo{Code: CodeBadCoSchedule, Field: "sched",
-				Message: "sched and quantum_cycles require co_runners"}
-		}
-		return nil
-	}
-	if req.Program != "" {
-		return &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
-			Message: "custom programs cannot be co-scheduled; use bundled workloads"}
-	}
-	nprocs := 1 + len(req.CoRunners)
-	if nprocs > maxProcs {
-		return &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
-			Message: fmt.Sprintf("%d processes exceed the %d-process limit", nprocs, maxProcs)}
-	}
-	switch req.Sched {
-	case "", string(harness.SchedTimeSlice):
-	case string(harness.SchedPartition):
-		if nprocs > cpus || cpus%nprocs != 0 {
-			return &ErrorInfo{Code: CodeBadCoSchedule, Field: "sched",
-				Message: fmt.Sprintf("partition scheduling needs %d cpus divisible into %d equal blocks", cpus, nprocs)}
-		}
-	default:
-		return &ErrorInfo{Code: CodeBadCoSchedule, Field: "sched",
-			Message: fmt.Sprintf("unknown scheduling discipline %q (timeslice, partition)", req.Sched)}
-	}
-	if req.Variant != "" && !harness.CanCoSchedule(harness.Variant(req.Variant)) {
-		return &ErrorInfo{Code: CodeBadCoSchedule, Field: "variant",
-			Message: fmt.Sprintf("variant %q needs machine-wide state and cannot be co-scheduled", req.Variant)}
-	}
-	for i, cr := range req.CoRunners {
-		field := fmt.Sprintf("co_runners[%d]", i)
-		if cr.Variant != "" {
-			known := false
-			for _, v := range harness.Variants() {
-				if harness.Variant(cr.Variant) == v {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return &ErrorInfo{Code: CodeBadCoSchedule, Field: field + ".variant",
-					Message: fmt.Sprintf("unknown variant %q", cr.Variant)}
-			}
-			if !harness.CanCoSchedule(harness.Variant(cr.Variant)) {
-				return &ErrorInfo{Code: CodeBadCoSchedule, Field: field + ".variant",
-					Message: fmt.Sprintf("variant %q needs machine-wide state and cannot be co-scheduled", cr.Variant)}
-			}
-		}
-		if cr.Workload != "" {
-			if _, err := workloads.ByName(cr.Workload); err != nil {
-				return &ErrorInfo{Code: CodeUnknownWorkload, Field: field + ".workload",
-					Message: err.Error()}
-			}
-		}
-	}
-	return nil
+// wireNames maps Spec field names to their JobRequest JSON names.
+var wireNames = map[string]string{
+	"Machine":   "machine",
+	"Variant":   "variant",
+	"Topology":  "topology",
+	"Sched":     "sched",
+	"Isolate":   "isolate",
+	"Domain":    "isolation_domain",
+	"Prefetch":  "prefetch",
+	"CPUs":      "cpus",
+	"CoRunners": "co_runners",
+	"Workload":  "workload",
 }
 
-// validateIsolation checks the color-partitioning fields. All
-// violations carry CodeBadIsolation: isolation is a property of a
-// co-scheduled mix, so the fields are meaningless (and rejected, never
-// silently ignored) on single-process jobs, and domain labels are
-// bounded by the process count — with nprocs processes there can be no
-// more than nprocs distinct domains, so larger labels are always typos.
-func (req *JobRequest) validateIsolation() *ErrorInfo {
-	nprocs := 1 + len(req.CoRunners)
-	if len(req.CoRunners) == 0 && (req.Isolate || req.IsolationDomain != 0) {
-		return &ErrorInfo{Code: CodeBadIsolation, Field: "isolate",
-			Message: "isolate and isolation_domain require co_runners"}
+// checkErrorInfo converts a harness.Check error into the wire error:
+// the code from specCodes, the field renamed to its JSON path (for
+// example CoRunners[1].Variant becomes co_runners[1].variant).
+func checkErrorInfo(err error) ErrorInfo {
+	var se *harness.SpecError
+	if !errors.As(err, &se) {
+		return ErrorInfo{Code: CodeInvalidRequest, Message: err.Error()}
 	}
-	if !req.Isolate {
-		if req.IsolationDomain != 0 {
-			return &ErrorInfo{Code: CodeBadIsolation, Field: "isolation_domain",
-				Message: "isolation_domain requires isolate"}
-		}
-		for i, cr := range req.CoRunners {
-			if cr.IsolationDomain != 0 {
-				return &ErrorInfo{Code: CodeBadIsolation,
-					Field:   fmt.Sprintf("co_runners[%d].isolation_domain", i),
-					Message: "isolation_domain requires isolate"}
-			}
-		}
-		return nil
-	}
-	if req.IsolationDomain < 0 || req.IsolationDomain > nprocs {
-		return &ErrorInfo{Code: CodeBadIsolation, Field: "isolation_domain",
-			Message: fmt.Sprintf("isolation_domain %d out of range [0, %d]", req.IsolationDomain, nprocs)}
-	}
-	for i, cr := range req.CoRunners {
-		if cr.IsolationDomain < 0 || cr.IsolationDomain > nprocs {
-			return &ErrorInfo{Code: CodeBadIsolation,
-				Field:   fmt.Sprintf("co_runners[%d].isolation_domain", i),
-				Message: fmt.Sprintf("isolation_domain %d out of range [0, %d]", cr.IsolationDomain, nprocs)}
+	parts := strings.Split(se.Field, ".")
+	names := make([]string, len(parts))
+	for i, p := range parts {
+		name, index, indexed := strings.Cut(p, "[")
+		names[i], parts[i] = name, wireNames[name]
+		if indexed {
+			parts[i] += "[" + index
 		}
 	}
-	return nil
+	key, field := strings.Join(names, "."), strings.Join(parts, ".")
+	for _, row := range specCodes {
+		if row.rule == se.Rule && (row.field == "" || row.field == key) {
+			info := row.info
+			info.Field, info.Message = field, se.Msg
+			return info
+		}
+	}
+	return ErrorInfo{Code: CodeInvalidRequest, Field: field, Message: se.Msg}
 }
 
 // summarizeMulti converts a multiprocess result into the wire

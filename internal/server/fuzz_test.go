@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // FuzzJobRequest throws arbitrary bytes at request decoding and
-// validation, with the handler's decoder settings. validate must never
-// panic, and a workload or program request it accepts must resolve to
-// a machine configuration that validates: the worker would otherwise
-// fail a job admission already promised could run.
+// validation, with the handler's decoder settings. validate and
+// harness.Check must never panic, and a workload or program request
+// both accept must resolve to a machine configuration that validates:
+// the worker would otherwise fail a job admission already promised
+// could run.
 func FuzzJobRequest(f *testing.F) {
 	co := []CoRunnerRequest{{}}
 	prog := "program p\narray a elems=64\nphase m occurs=1\n  nest n parallel iters=4 inner=4 work=1 sched=even\n    load a outer=4\n"
@@ -56,6 +59,10 @@ func FuzzJobRequest(f *testing.F) {
 		spec, _, errInfo := req.validate()
 		if errInfo != nil || req.TraceID != "" {
 			// A trace job's width is only known once admit resolves the id.
+			return
+		}
+		if harness.Check(spec) != nil {
+			// admit rejects what Check rejects.
 			return
 		}
 		if err := spec.Config().Validate(); err != nil {

@@ -116,12 +116,16 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) (*job
 		if spec.CPUs == 0 {
 			spec.CPUs = f.NumCPUs()
 		}
-		if n := f.NumCPUs(); n > spec.CPUs || spec.CPUs > maxCPUs {
+		if spec.CPUs > maxCPUs {
 			writeError(w, http.StatusBadRequest, ErrorInfo{Code: CodeInvalidRequest, Field: "cpus",
-				Message: fmt.Sprintf("trace carries %d CPU streams; cpus must be %d-%d", n, n, maxCPUs)})
+				Message: fmt.Sprintf("trace carries %d CPU streams; cpus must be at most %d", spec.CPUs, maxCPUs)})
 			return nil, JobStatus{}
 		}
 		spec.Trace = harness.NewTraceWorkload("trace:"+shortTraceID(req.TraceID), f)
+	}
+	if err := harness.Check(spec); err != nil {
+		writeError(w, http.StatusBadRequest, checkErrorInfo(err))
+		return nil, JobStatus{}
 	}
 	conflict := harness.SampleConflict(spec)
 	switch {

@@ -367,9 +367,6 @@ func (c *cpuState) waitSlot(slots *[]uint64, limit int) (stall uint64) {
 // the total stall: queueing delay plus the (contention-free) latency
 // plus a small deterministic jitter modeling DRAM timing variance.
 func (m *Machine) missCycles(c *cpuState, paddr uint64, dirtyRemote bool) uint64 {
-	if m.missTrace != nil {
-		m.missTrace(c.id, c.clock, paddr)
-	}
 	latency := uint64(m.cfg.MemCycles)
 	if dirtyRemote {
 		latency = uint64(m.cfg.RemoteCycles)

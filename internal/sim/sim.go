@@ -106,14 +106,6 @@ func (u *llcUnit) cacheFor(paddr uint64) *cache.Cache {
 	return u.slices[u.hash.SliceOf(paddr)]
 }
 
-// sliceOf returns the slice index serving a physical address.
-func (u *llcUnit) sliceOf(paddr uint64) int {
-	if u.hash == nil {
-		return 0
-	}
-	return u.hash.SliceOf(paddr)
-}
-
 // Machine is a configured simulator instance.
 type Machine struct {
 	cfg   arch.Config
@@ -151,10 +143,6 @@ type Machine struct {
 	recolorer *recolorAdapter
 
 	opts Options
-
-	// missTrace, when set (tests only), observes every full external
-	// cache miss as (cpu, issue cycle).
-	missTrace func(cpu int, at uint64, paddr uint64)
 
 	// crossCheck enables cross-domain victim attribution on the conflict
 	// miss path. Set only for multiprocess or isolated runs so the

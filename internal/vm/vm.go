@@ -137,9 +137,6 @@ func NewAddressSpaceProc(pid, pageSize int, alloc *memory.Allocator, policy Poli
 // PageSize returns the page size in bytes.
 func (as *AddressSpace) PageSize() int { return int(as.pageSize) }
 
-// Pid returns the owning process id.
-func (as *AddressSpace) Pid() int { return as.pid }
-
 // PolicyName returns the active mapping policy's name.
 func (as *AddressSpace) PolicyName() string { return as.policy.Name() }
 

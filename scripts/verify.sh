@@ -156,6 +156,13 @@ grep -q 'sliced-llc4' /tmp/cdpc-topology-smoke.txt || { echo "sliced run does no
 grep -q 'slice split' /tmp/cdpc-topology-smoke.txt || { echo "sliced run did not print the per-slice miss split"; cat /tmp/cdpc-topology-smoke.txt; exit 1; }
 rm -f /tmp/cdpc-topology-smoke.txt
 
+# Rejection smoke: a spec harness.Check rejects must make cdpcsim exit
+# non-zero before simulating (an unknown machine preset used to run the
+# base machine silently).
+if go run ./cmd/cdpcsim -machine cray -workload tomcatv -cpus 1 -scale 64 > /dev/null 2>&1; then
+    echo "cdpcsim accepted the unknown machine preset cray"; exit 1
+fi
+
 # Trace smoke: convert the bundled irregular text trace to the binary
 # format and replay it under first-touch and the online-summarizer cdpc
 # variant, audited. The conservation invariants must hold on both runs,
