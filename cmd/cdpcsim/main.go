@@ -177,7 +177,11 @@ func main() {
 		}
 		spec.ConfigOverride = &cfg
 	}
-	if err := harness.Check(spec); err != nil {
+	check := harness.Check
+	if *progFile != "" {
+		check = harness.CheckProgram
+	}
+	if err := check(spec); err != nil {
 		fmt.Fprintln(os.Stderr, "cdpcsim:", err)
 		os.Exit(1)
 	}

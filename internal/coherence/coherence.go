@@ -45,11 +45,17 @@ func (c Class) String() string {
 
 const wordSize = 8 // classification granularity (double-precision words)
 
-// lineState tracks one physical cache line. Its per-word writers and
-// per-CPU invalidators are bytes in the directory's shared slab (see
-// Directory.bytes), so a line costs no allocation of its own.
+// lineState tracks one physical cache line. Its per-word writers are
+// bytes in the directory's shared slab (see Directory.bytes), so a line
+// costs no allocation of its own.
 type lineState struct {
 	owners uint64 // bitmask of CPUs holding the line
+	// inval is the bitmask of CPUs whose last copy of the line was
+	// invalidated by another CPU's write. A bit clears when the CPU
+	// fetches the line again, so no holder's bit is ever set; a miss by a
+	// CPU whose bit is set is a coherence (true- or false-sharing) miss
+	// rather than a replacement.
+	inval uint64
 	// held records every CPU that has held the line at some point, to
 	// distinguish Replacement from Cold per-CPU: the paper counts a
 	// first-touch by a CPU of a line another CPU already fetched as a
@@ -65,8 +71,9 @@ type Outcome struct {
 	Class       Class
 	DirtyRemote bool // data supplied by another CPU's cache (higher latency)
 	// Invalidated lists the CPUs whose copies were invalidated (write
-	// path), nil when none were. It aliases the directory's scratch
-	// buffer and is valid only until the next Access.
+	// path) in ascending order, nil when none were. It aliases the
+	// directory's scratch buffer and is valid only until the next
+	// Access or AccessInto.
 	Invalidated []int
 	Upgrade     bool // write hit on a shared line: ownership-only bus transaction
 	// Downgraded is the CPU whose dirty copy was flushed to memory to
@@ -85,9 +92,7 @@ const blockShift = 5
 // Directory tracks all lines. Not safe for concurrent use; the simulator
 // is single-threaded event-driven.
 type Directory struct {
-	ncpu      int
-	words     int    // classification words per line
-	stride    int    // slab bytes per line: words + ncpu
+	words     int    // classification words per line, and slab bytes per line
 	lineMask  uint64 // line size - 1; line size is a validated power of two
 	lineShift uint   // log2(line size)
 
@@ -96,14 +101,12 @@ type Directory struct {
 	// 0 for a block never touched; line l of the block lives in slot
 	// b<<blockShift | l. Physical addresses are bounded by the machine's
 	// frame count, so the table is sized by the highest block touched
-	// and grows on demand. Slot i's bytes are bytes[i*stride :
-	// (i+1)*stride]: first the words writer entries (wordWriter[w] is
-	// the CPU that last wrote word w, -1 if never), then ncpu lost-to
-	// entries (lostTo[cpu] is the CPU whose write invalidated cpu's
-	// copy, -1 when the copy was lost to cpu's own eviction or never
-	// held). Both slabs grow by append, a whole block at a time, every
-	// slot starting fresh. A fresh slot behaves exactly like a line the
-	// directory has never seen.
+	// and grows on demand. Slot i's bytes are bytes[i*words :
+	// (i+1)*words], one writer entry per word (the CPU that last wrote
+	// the word, -1 if never); which CPUs lost the line to another CPU's
+	// write is the line's inval mask. Both slabs grow by append, a whole
+	// block at a time, every slot starting fresh. A fresh slot behaves
+	// exactly like a line the directory has never seen.
 	blocks []uint32
 	lines  []lineState
 	bytes  []int8
@@ -119,9 +122,7 @@ func New(ncpu, lineSize int) *Directory {
 		panic(fmt.Sprintf("coherence: ncpu %d out of range [1,64]", ncpu))
 	}
 	return &Directory{
-		ncpu:         ncpu,
 		words:        lineSize / wordSize,
-		stride:       lineSize/wordSize + ncpu,
 		lineMask:     uint64(lineSize - 1),
 		lineShift:    uint(bits.TrailingZeros(uint(lineSize))),
 		invalScratch: make([]int, 0, ncpu),
@@ -130,12 +131,7 @@ func New(ncpu, lineSize int) *Directory {
 
 // wordWriter returns the writer entry of word w of the line in slot i.
 func (d *Directory) wordWriter(i uint32, w int) *int8 {
-	return &d.bytes[int(i)*d.stride+w]
-}
-
-// lostTo returns the lost-to entry of cpu for the line in slot i.
-func (d *Directory) lostTo(i uint32, cpu int) *int8 {
-	return &d.bytes[int(i)*d.stride+d.words+cpu]
+	return &d.bytes[int(i)*d.words+w]
 }
 
 // slot returns the slot of addr's line, false when its block was
@@ -164,7 +160,7 @@ func (d *Directory) state(addr uint64) uint32 {
 	}
 	first := len(d.lines)
 	d.lines = append(d.lines, make([]lineState, 1<<blockShift)...)
-	d.bytes = append(d.bytes, make([]int8, d.stride<<blockShift)...)
+	d.bytes = append(d.bytes, make([]int8, d.words<<blockShift)...)
 	for i := first; i < len(d.lines); i++ {
 		d.reset(uint32(i))
 	}
@@ -173,10 +169,11 @@ func (d *Directory) state(addr uint64) uint32 {
 	return i
 }
 
-// reset makes slot i fresh: no holder, every writer and invalidator -1.
+// reset makes slot i fresh: no holder, no invalidated copy, every
+// writer -1.
 func (d *Directory) reset(i uint32) {
 	d.lines[i] = lineState{dirtyOwner: -1}
-	b := d.bytes[int(i)*d.stride : int(i+1)*d.stride]
+	b := d.bytes[int(i)*d.words : int(i+1)*d.words]
 	for j := range b {
 		b[j] = -1
 	}
@@ -197,7 +194,7 @@ func (d *Directory) classifyMiss(i uint32, cpu int, word int) Class {
 		}
 		return Cold
 	}
-	if inv := *d.lostTo(i, cpu); inv >= 0 {
+	if s.inval&(1<<uint(cpu)) != 0 {
 		if w := *d.wordWriter(i, word); w >= 0 && int(w) != cpu {
 			return TrueShare
 		}
@@ -211,22 +208,30 @@ func (d *Directory) wordIndex(addr uint64) int {
 	return int((addr & d.lineMask) / wordSize) // wordSize is a constant power of two
 }
 
-// Access performs the protocol action for cpu touching addr. present
-// reports whether the requesting CPU's external cache currently holds the
-// line (the simulator knows; the directory double-checks its mirror).
-func (d *Directory) Access(cpu int, addr uint64, write bool) Outcome {
+// Access performs the protocol action for cpu touching addr and returns
+// its outcome. It is AccessInto for callers that want the outcome as a
+// value.
+func (d *Directory) Access(cpu int, addr uint64, write bool) (out Outcome) {
+	d.AccessInto(&out, cpu, addr, write)
+	return out
+}
+
+// AccessInto performs the protocol action for cpu touching addr and
+// writes its outcome to *out, setting every field. Writing in place
+// spares a hot caller the copy of a returned Outcome.
+func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
 	i := d.state(addr)
 	s := &d.lines[i]
 	word := d.wordIndex(addr)
 	bit := uint64(1) << uint(cpu)
 
-	out := Outcome{Downgraded: -1}
+	out.DirtyRemote, out.Upgrade, out.Invalidated, out.Downgraded = false, false, nil, -1
 	if s.owners&bit != 0 {
 		out.Class = Hit
 		if write && s.owners != bit {
 			// Write hit on a shared line: upgrade + invalidate others.
 			out.Upgrade = true
-			out.Invalidated = d.invalidateOthers(i, cpu)
+			out.Invalidated = d.invalidateOthers(s, bit)
 		}
 	} else {
 		out.Class = d.classifyMiss(i, cpu, word)
@@ -234,7 +239,7 @@ func (d *Directory) Access(cpu int, addr uint64, write bool) Outcome {
 			out.DirtyRemote = true
 		}
 		if write {
-			out.Invalidated = d.invalidateOthers(i, cpu)
+			out.Invalidated = d.invalidateOthers(s, bit)
 		} else if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
 			// Read of a dirty remote line: owner downgrades to shared,
 			// memory (and requester) get the data.
@@ -243,35 +248,29 @@ func (d *Directory) Access(cpu int, addr uint64, write bool) Outcome {
 		}
 		s.owners |= bit
 		s.held |= bit
-		*d.lostTo(i, cpu) = -1
+		s.inval &^= bit
 	}
 
 	if write {
 		s.dirtyOwner = int8(cpu)
 		*d.wordWriter(i, word) = int8(cpu)
 	}
-	return out
 }
 
-// invalidateOthers removes every owner of the line in slot i except
-// cpu, recording cpu as the invalidator, and returns the list of
-// invalidated CPUs in the reused scratch buffer (nil when the list is
-// empty).
-func (d *Directory) invalidateOthers(i uint32, cpu int) []int {
-	s := &d.lines[i]
-	d.invalScratch = d.invalScratch[:0]
-	for p := 0; p < d.ncpu; p++ {
-		if p == cpu {
-			continue
-		}
-		if s.owners&(1<<uint(p)) != 0 {
-			s.owners &^= 1 << uint(p)
-			*d.lostTo(i, p) = int8(cpu)
-			d.invalScratch = append(d.invalScratch, p)
-		}
-	}
-	if len(d.invalScratch) == 0 {
+// invalidateOthers removes every owner of line s except the CPU with
+// mask bit, marks their copies as lost to another CPU's write, and
+// returns the invalidated CPUs in ascending order in the reused scratch
+// buffer (nil when there are none).
+func (d *Directory) invalidateOthers(s *lineState, bit uint64) []int {
+	others := s.owners &^ bit
+	if others == 0 {
 		return nil
+	}
+	s.owners &= bit
+	s.inval |= others
+	d.invalScratch = d.invalScratch[:0]
+	for m := others; m != 0; m &= m - 1 {
+		d.invalScratch = append(d.invalScratch, bits.TrailingZeros64(m))
 	}
 	return d.invalScratch
 }
@@ -289,8 +288,7 @@ func (d *Directory) Evict(cpu int, addr uint64) {
 	if s.owners&bit == 0 {
 		return
 	}
-	s.owners &^= bit
-	*d.lostTo(i, cpu) = -1 // self-inflicted loss
+	s.owners &^= bit // a self-inflicted loss: the CPU's inval bit stays clear
 	if int(s.dirtyOwner) == cpu {
 		s.dirtyOwner = -1 // written back to memory
 	}

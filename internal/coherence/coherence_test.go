@@ -180,7 +180,7 @@ func TestResetForgetsState(t *testing.T) {
 
 // TestForgetReusesSlotFresh: a forgotten line's slot is reset in
 // place, so the line and every new line start with no holders, writers
-// or invalidators, while lines that stayed, including the forgotten
+// or invalidated copies, while lines that stayed, including the forgotten
 // line's neighbours in its index block, keep their state.
 func TestForgetReusesSlotFresh(t *testing.T) {
 	d := New(2, line)

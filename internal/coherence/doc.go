@@ -12,4 +12,14 @@
 // directory. The directory is the single source of truth for which
 // units hold a line; the simulator mirrors its invalidation decisions
 // into the per-unit cache models.
+//
+// Per line the directory keeps three node bitmasks (current holders,
+// every node that ever held it, and the nodes whose copy was lost to
+// another node's write) and, per 8-byte word, the node that last wrote
+// it. A miss by a node that never held the line is cold, or true
+// sharing when another node wrote the word; a miss after a write
+// invalidation is true or false sharing by the same word test; a miss
+// after the node's own eviction is a replacement. Directory.AccessInto
+// writes the outcome into the caller's Outcome, so the simulator's hot
+// path copies no result; Access returns it as a value.
 package coherence

@@ -118,9 +118,7 @@ func (d *oldDirectory) wordIndex(addr uint64) int {
 	return int((addr & d.lineMask) / wordSize) // wordSize is a constant power of two
 }
 
-// Access performs the protocol action for cpu touching addr. present
-// reports whether the requesting CPU's external cache currently holds the
-// line (the simulator knows; the directory double-checks its mirror).
+// Access performs the protocol action for cpu touching addr.
 func (d *oldDirectory) Access(cpu int, addr uint64, write bool) Outcome {
 	la := d.lineOf(addr)
 	i := d.state(la)
@@ -236,7 +234,7 @@ func (d *oldDirectory) Reset() {
 // differ.
 func diffOp(t *testing.T, d *Directory, ref *oldDirectory, rng *rand.Rand, addr uint64, at string) {
 	t.Helper()
-	cpu := rng.Intn(d.ncpu)
+	cpu := rng.Intn(ref.ncpu)
 	switch op := rng.Intn(100); {
 	case op < 70:
 		write := rng.Intn(2) == 0
@@ -305,4 +303,73 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lineSizes are the line sizes FuzzDirectory draws from.
+var lineSizes = [...]int{8, 16, 32, 64, 128, 256}
+
+// FuzzDirectory decodes the input as a CPU-count byte and a line-size
+// byte followed by (op, cpu, offset, block) quadruples, and diffs two
+// directories against the oracle after every operation: one driven
+// through Access, the other through AccessInto with one Outcome reused
+// across calls, so a field AccessInto fails to reset shows as a stale
+// Invalidated, Downgraded or flag.
+func FuzzDirectory(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 4, 0, 0, 0, 0, 6, 1, 0, 0, 0, 1, 0, 0, 13, 0, 0, 0})
+	// Four readers, a writer that invalidates them all, and the
+	// readers back: false and true sharing, then a reset.
+	f.Add([]byte{7, 4, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 6, 4, 0, 1, 0, 0, 9, 1, 0, 1, 3, 1, 0, 1, 15, 0, 0, 0, 0, 0, 0, 1})
+	// Ping-pong writes on one word by the highest and lowest of 64
+	// CPUs, evictions, a forget and a dirty read.
+	f.Add([]byte{63, 2, 6, 63, 5, 0, 6, 0, 5, 0, 6, 63, 5, 0, 10, 0, 5, 0, 0, 0, 5, 0, 12, 63, 5, 0, 6, 63, 5, 0, 0, 0, 5, 0, 13, 0, 5, 0})
+	// A copy invalidated, fetched again and then evicted misses as a
+	// replacement, not as sharing.
+	f.Add([]byte{1, 4, 0, 1, 0, 0, 6, 0, 0, 0, 0, 1, 0, 0, 10, 1, 0, 0, 0, 1, 0, 0})
+	seq := []byte{15, 5}
+	for i := 0; i < 400; i++ {
+		seq = append(seq, byte(i*7%16), byte(i*11%17), byte(i*13%32), byte(i%5))
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ncpu := int(data[0]%64) + 1
+		lineSize := lineSizes[int(data[1])%len(lineSizes)]
+		byValue, inPlace, ref := New(ncpu, lineSize), New(ncpu, lineSize), newOldDirectory(ncpu, lineSize)
+		var out Outcome
+		for i := 2; i+4 <= len(data); i += 4 {
+			cpu := int(data[i+1]) % ncpu
+			addr := uint64(data[i+3])<<13 | uint64(data[i+2])<<3
+			switch op := data[i] % 16; {
+			case op < 10: // 0-5 read, 6-9 write
+				write := op >= 6
+				want := ref.Access(cpu, addr, write)
+				if got := byValue.Access(cpu, addr, write); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: Access(%d, %#x, %v) = %+v, want %+v", i, cpu, addr, write, got, want)
+				}
+				if inPlace.AccessInto(&out, cpu, addr, write); !reflect.DeepEqual(out, want) {
+					t.Fatalf("op %d: AccessInto(%d, %#x, %v) wrote %+v, want %+v", i, cpu, addr, write, out, want)
+				}
+			case op < 12:
+				byValue.Evict(cpu, addr)
+				inPlace.Evict(cpu, addr)
+				ref.Evict(cpu, addr)
+			case op < 13:
+				byValue.Forget(addr)
+				inPlace.Forget(addr)
+				ref.Forget(addr)
+			case op < 15:
+				want := ref.Holders(addr)
+				if a, b := byValue.Holders(addr), inPlace.Holders(addr); a != want || b != want {
+					t.Fatalf("op %d: Holders(%#x) = %d and %d, want %d", i, addr, a, b, want)
+				}
+			default:
+				byValue.Reset()
+				inPlace.Reset()
+				ref.Reset()
+			}
+		}
+	})
 }

@@ -322,8 +322,8 @@ const (
 	// co-runner workload that does not exist.
 	RuleName Rule = iota + 1
 	// RuleCoSchedule: Sched or Quantum without co-runners, a partition
-	// that does not divide the CPUs evenly, or a variant that needs
-	// machine-wide state in a mix.
+	// that does not divide the CPUs evenly, a variant that needs
+	// machine-wide state in a mix, or co-runners on a custom program.
 	RuleCoSchedule
 	// RuleIsolation: Isolate or Domain without co-runners, a domain label
 	// without Isolate, or a label outside [0, processes].
@@ -350,8 +350,9 @@ func (e *SpecError) Error() string { return "harness: " + e.Field + ": " + e.Msg
 // exist, and which variants combine with traces, co-scheduling and
 // isolation domains. It returns nil or a *SpecError for the first broken
 // rule. Every Run entry point, the Scheduler and Prepare call it once on
-// the whole spec, before anything compiles. The primary Workload name is
-// Prepare's check, because RunProgram ignores that field.
+// the whole spec, before anything compiles; RunProgram calls
+// CheckProgram. The primary Workload name is Prepare's check, because
+// RunProgram ignores that field.
 func Check(s Spec) error {
 	s = s.withDefaults()
 	reject := func(field string, rule Rule, format string, args ...any) error {
@@ -443,6 +444,19 @@ func Check(s Spec) error {
 		if err := domain(coField(i, "Domain"), cr.Domain); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// CheckProgram is Check for a spec that runs a custom program in place
+// of its Workload, as RunProgram does: on top of Check's rules, a
+// custom program runs alone, so co-runners are rejected.
+func CheckProgram(s Spec) error {
+	if err := Check(s); err != nil {
+		return err
+	}
+	if len(s.CoRunners) > 0 {
+		return &SpecError{Field: "CoRunners", Rule: RuleCoSchedule, Msg: "custom programs cannot be co-scheduled; use bundled workloads"}
 	}
 	return nil
 }
@@ -634,15 +648,12 @@ func RunProgram(prog *ir.Program, s Spec) (*sim.Result, error) {
 }
 
 // RunProgramCtx is RunProgram with cancellation (see RunCtx). A custom
-// program runs alone; co-runners are rejected.
+// program runs alone; CheckProgram rejects co-runners.
 func RunProgramCtx(ctx context.Context, prog *ir.Program, s Spec) (*sim.Result, error) {
-	if err := Check(s); err != nil {
+	if err := CheckProgram(s); err != nil {
 		return nil, err
 	}
 	s = s.withDefaults()
-	if len(s.CoRunners) > 0 {
-		return nil, fmt.Errorf("harness: custom programs cannot be co-scheduled")
-	}
 	prog, sum, cfg, err := lower(prog, s)
 	if err != nil {
 		return nil, err

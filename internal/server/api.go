@@ -303,9 +303,10 @@ const maxProcs = 8
 // validate makes the wire and admission checks on a JobRequest and
 // resolves it into a harness.Spec (and a parsed program for custom
 // requests). Which names exist and which fields combine is
-// harness.Check's decision; admit applies it once the trace id
-// resolves. Validation is strict so that queue slots are never wasted on
-// requests that cannot run.
+// harness.Check's decision (harness.CheckProgram's for a custom
+// program); admit applies it once the trace id resolves. Validation is
+// strict so that queue slots are never wasted on requests that cannot
+// run.
 func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 	var spec harness.Spec
 	nsources := 0
@@ -342,10 +343,6 @@ func (req *JobRequest) validate() (harness.Spec, *ir.Program, *ErrorInfo) {
 			return spec, nil, &ErrorInfo{Code: CodeBadProgram, Field: "program", Message: err.Error()}
 		}
 		prog = p
-		if len(req.CoRunners) > 0 {
-			return spec, nil, &ErrorInfo{Code: CodeBadCoSchedule, Field: "co_runners",
-				Message: "custom programs cannot be co-scheduled; use bundled workloads"}
-		}
 	} else if req.Workload != "" {
 		if _, err := workloads.ByName(req.Workload); err != nil {
 			return spec, nil, &ErrorInfo{Code: CodeUnknownWorkload, Field: "workload", Message: err.Error()}

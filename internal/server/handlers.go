@@ -123,7 +123,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, async bool) (*job
 		}
 		spec.Trace = harness.NewTraceWorkload("trace:"+shortTraceID(req.TraceID), f)
 	}
-	if err := harness.Check(spec); err != nil {
+	check := harness.Check
+	if prog != nil {
+		check = harness.CheckProgram
+	}
+	if err := check(spec); err != nil {
 		writeError(w, http.StatusBadRequest, checkErrorInfo(err))
 		return nil, JobStatus{}
 	}

@@ -81,7 +81,7 @@ func (m *Machine) dataRef(c *cpuState, r *trace.Ref) error {
 	// Physically indexed hierarchy. Stores always check the directory so
 	// that upgrades and invalidations of shared lines are modeled even on
 	// on-chip hits (inclusion guarantees the line is in the LLC as well).
-	o.dir = m.dir.Access(c.llc.id, o.paddr, write)
+	m.dir.AccessInto(&o.dir, c.llc.id, o.paddr, write)
 	m.applyDowngrade(o.paddr, o.dir.Downgraded)
 	m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
 
@@ -196,7 +196,7 @@ func (m *Machine) instRef(c *cpuState, r *trace.Ref) error {
 	if o.paddr, o.faulted, err = m.translateInst(c, r.VAddr); err != nil {
 		return fmt.Errorf("sim: cpu %d (inst): %w", c.id, err)
 	}
-	o.dir = m.dir.Access(c.llc.id, o.paddr, false)
+	m.dir.AccessInto(&o.dir, c.llc.id, o.paddr, false)
 	m.applyDowngrade(o.paddr, o.dir.Downgraded)
 	o.serviced = m.accessMids(c, o.paddr, false)
 	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
@@ -270,7 +270,7 @@ func (m *Machine) prefetchRef(c *cpuState, r *trace.Ref) (issued bool) {
 	if _, inflight := c.pending[m.llcLineAddr(o.paddr)]; inflight || c.llc.cacheFor(o.paddr).Probe(o.paddr) {
 		return false
 	}
-	o.dir = m.dir.Access(c.llc.id, o.paddr, false)
+	m.dir.AccessInto(&o.dir, c.llc.id, o.paddr, false)
 	m.applyDowngrade(o.paddr, o.dir.Downgraded)
 	m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
 	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)

@@ -4,21 +4,26 @@ import "repro/internal/flat"
 
 // TLB is a fully-associative, LRU translation buffer keyed by virtual
 // page number. Each entry holds the page's physical base, so a hit
-// translates without consulting the page table. The entries live in
-// fixed slices sized to the entry count, with an age stamp per slot,
-// and an index maps every resident vpn to its slot: a hit tests the
-// most recently used slot and then makes one index probe; only a miss
-// scans the stamps for the victim (an empty slot, else the lowest
-// stamp). The replacement order is exact true LRU and no operation
-// allocates.
+// translates without consulting the page table. The entries are records
+// of vpn, base and age stamp in one fixed slice sized to the entry
+// count, and an index maps every resident vpn to its slot: a hit tests
+// the most recently used slot and then makes one index probe, touching
+// only the index and the hit's own record; only a miss scans the stamps
+// for the victim (an empty slot, else the lowest stamp). The
+// replacement order is exact true LRU and no operation allocates.
 type TLB struct {
-	vpns   []uint64
-	bases  []uint64
-	stamps []uint64 // last-use time per slot; 0 marks an empty slot
-	index  flat.Map // resident vpn -> slot
-	clock  uint64   // stamp of the most recent use
-	mru    int      // slot of the most recent use
-	last   int      // slot the last miss installed, for Fill
+	entries []entry
+	index   flat.Map // resident vpn -> slot
+	clock   uint64   // stamp of the most recent use
+	mru     int      // slot of the most recent use
+	last    int      // slot the last miss installed, for Fill
+}
+
+// entry is one translation slot.
+type entry struct {
+	vpn   uint64
+	base  uint64 // physical page base
+	stamp uint64 // last-use time; 0 marks an empty slot
 }
 
 // New creates a TLB with the given number of entries.
@@ -26,18 +31,14 @@ func New(entries int) *TLB {
 	if entries <= 0 {
 		panic("tlb: entries must be positive")
 	}
-	t := &TLB{
-		vpns:   make([]uint64, entries),
-		bases:  make([]uint64, entries),
-		stamps: make([]uint64, entries),
-	}
+	t := &TLB{entries: make([]entry, entries)}
 	t.index.Reserve(entries)
 	return t
 }
 
 // find returns vpn's slot, -1 when it is not resident.
 func (t *TLB) find(vpn uint64) int {
-	if t.vpns[t.mru] == vpn && t.stamps[t.mru] != 0 {
+	if e := &t.entries[t.mru]; e.vpn == vpn && e.stamp != 0 {
 		return t.mru
 	}
 	if i, ok := t.index.Get(vpn); ok {
@@ -51,21 +52,26 @@ func (t *TLB) find(vpn uint64) int {
 // in place of the least recently used entry and returns hit false; the
 // caller walks the page table and stores the result with Fill.
 func (t *TLB) Translate(vpn uint64) (pbase uint64, hit bool) {
-	if i := t.find(vpn); i >= 0 {
-		if i != t.mru {
-			t.clock++
-			t.stamps[i] = t.clock
-			t.mru = i
-		}
-		return t.bases[i], true
+	if e := &t.entries[t.mru]; e.vpn == vpn && e.stamp != 0 {
+		return e.base, true
+	}
+	// vpn is not resident in the MRU slot, so an index hit is another
+	// slot, which becomes the most recently used.
+	if j, ok := t.index.Get(vpn); ok {
+		e := &t.entries[j]
+		t.clock++
+		e.stamp = t.clock
+		t.mru = int(j)
+		return e.base, true
 	}
 	i := t.victim()
-	if t.stamps[i] != 0 {
-		t.index.Delete(t.vpns[i])
+	e := &t.entries[i]
+	if e.stamp != 0 {
+		t.index.Delete(e.vpn)
 	}
 	t.index.Put(vpn, uint64(i))
 	t.clock++
-	t.vpns[i], t.bases[i], t.stamps[i] = vpn, 0, t.clock
+	*e = entry{vpn: vpn, stamp: t.clock}
 	t.mru, t.last = i, i
 	return 0, false
 }
@@ -74,11 +80,12 @@ func (t *TLB) Translate(vpn uint64) (pbase uint64, hit bool) {
 // least recently used one.
 func (t *TLB) victim() int {
 	v := 0
-	for i, s := range t.stamps {
+	for i := range t.entries {
+		s := t.entries[i].stamp
 		if s == 0 {
 			return i
 		}
-		if s < t.stamps[v] {
+		if s < t.entries[v].stamp {
 			v = i
 		}
 	}
@@ -87,7 +94,7 @@ func (t *TLB) victim() int {
 
 // Fill stores the physical page base of the entry the last missing
 // Translate installed.
-func (t *TLB) Fill(pbase uint64) { t.bases[t.last] = pbase }
+func (t *TLB) Fill(pbase uint64) { t.entries[t.last].base = pbase }
 
 // Lookup touches vpn and reports whether a translation was present;
 // on a miss the entry is installed (hardware refill semantics are
@@ -101,7 +108,7 @@ func (t *TLB) Lookup(vpn uint64) bool {
 // LRU order; used to decide whether a prefetch is dropped.
 func (t *TLB) Peek(vpn uint64) (pbase uint64, ok bool) {
 	if i := t.find(vpn); i >= 0 {
-		return t.bases[i], true
+		return t.entries[i].base, true
 	}
 	return 0, false
 }
@@ -110,14 +117,16 @@ func (t *TLB) Peek(vpn uint64) (pbase uint64, ok bool) {
 // shootdown during a recoloring).
 func (t *TLB) Invalidate(vpn uint64) {
 	if i := t.find(vpn); i >= 0 {
-		t.stamps[i] = 0
+		t.entries[i].stamp = 0
 		t.index.Delete(vpn)
 	}
 }
 
 // Flush empties the TLB (context switch / recoloring).
 func (t *TLB) Flush() {
-	clear(t.stamps)
+	for i := range t.entries {
+		t.entries[i].stamp = 0
+	}
 	t.index.Clear()
 	t.clock, t.mru = 0, 0
 }

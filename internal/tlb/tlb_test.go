@@ -138,16 +138,16 @@ func (r *refLRU) entries() []refEntry {
 
 // entries returns tb's resident translations, most recently used first.
 func entries(tb *TLB) []refEntry {
-	var slots []int
-	for i, s := range tb.stamps {
-		if s != 0 {
-			slots = append(slots, i)
+	var resident []entry
+	for _, e := range tb.entries {
+		if e.stamp != 0 {
+			resident = append(resident, e)
 		}
 	}
-	slices.SortFunc(slots, func(a, b int) int { return cmp.Compare(tb.stamps[b], tb.stamps[a]) })
-	out := make([]refEntry, len(slots))
-	for k, i := range slots {
-		out[k] = refEntry{vpn: tb.vpns[i], pbase: tb.bases[i]}
+	slices.SortFunc(resident, func(a, b entry) int { return cmp.Compare(b.stamp, a.stamp) })
+	out := make([]refEntry, len(resident))
+	for k, e := range resident {
+		out[k] = refEntry{vpn: e.vpn, pbase: e.base}
 	}
 	return out
 }
@@ -209,13 +209,13 @@ func applyOp(t *testing.T, tb *TLB, ref *refLRU, op tlbOp, vpn, pbase uint64, st
 func checkIndex(t *testing.T, tb *TLB, step int) {
 	t.Helper()
 	resident := 0
-	for i, s := range tb.stamps {
-		if s == 0 {
+	for i, e := range tb.entries {
+		if e.stamp == 0 {
 			continue
 		}
 		resident++
-		if got, ok := tb.index.Get(tb.vpns[i]); !ok || got != uint64(i) {
-			t.Fatalf("step %d: index[%d] = (%d, %v), want slot %d", step, tb.vpns[i], got, ok, i)
+		if got, ok := tb.index.Get(e.vpn); !ok || got != uint64(i) {
+			t.Fatalf("step %d: index[%d] = (%d, %v), want slot %d", step, e.vpn, got, ok, i)
 		}
 	}
 	if tb.index.Len() != resident || tb.index.Len() != tb.Len() {

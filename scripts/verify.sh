@@ -51,6 +51,11 @@ go test -run=FuzzFlatMap ./internal/flat
 # sequences against a container/list LRU reference.
 go test -run=FuzzTLB ./internal/tlb
 
+# Coherence directory fuzz seeds: FuzzDirectory diffs Access, AccessInto
+# (one reused Outcome), Evict, Forget, Holders and Reset sequences at 1-64
+# CPUs and 8-256-byte lines against the per-line oracle directory.
+go test -run=FuzzDirectory ./internal/coherence
+
 # Machine and topology file fuzz seeds: FuzzReadConfig and
 # FuzzReadTopology replay loader inputs; an accepted machine must
 # round-trip through its JSON and build, or error, without panicking.
