@@ -160,6 +160,29 @@ func BenchmarkSimulatorThroughputSampled(b *testing.B) {
 	}
 }
 
+// BenchmarkSampledMix runs the 40-spec phase-sampled job mix cdpcd
+// serves in the repository benchmark, the ten workloads x
+// {page-coloring, cdpc} x {4, 8} CPUs, once per pass and serially. Its
+// -benchmem bytes per pass are the allocation a daemon's GC must absorb
+// for one round of fresh jobs.
+func BenchmarkSampledMix(b *testing.B) {
+	var specs []harness.Spec
+	for _, w := range workloads.Names() {
+		for _, v := range []harness.Variant{harness.PageColoring, harness.CDPC} {
+			for _, cpus := range []int{4, 8} {
+				specs = append(specs, harness.Spec{Workload: w, CPUs: cpus, Variant: v, Sampled: true})
+			}
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			if _, err := harness.Run(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkTraceDecode measures binary-trace replay speed: decode a
 // CDPCTRC1 image and drain every per-CPU stream. This is the input
 // path of trace-driven simulation (DESIGN.md §15.2), so it reports

@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Class classifies the outcome of a memory access at the external-cache
@@ -46,8 +47,8 @@ func (c Class) String() string {
 const wordSize = 8 // classification granularity (double-precision words)
 
 // lineState tracks one physical cache line. Its per-word writers are
-// bytes in the directory's shared slab (see Directory.bytes), so a line
-// costs no allocation of its own.
+// bytes in its chunk's writer row (see chunk), so a line costs no
+// allocation of its own.
 type lineState struct {
 	owners uint64 // bitmask of CPUs holding the line
 	// inval is the bitmask of CPUs whose last copy of the line was
@@ -85,31 +86,52 @@ type Outcome struct {
 }
 
 // blockShift is log2 of the lines one block-table entry covers: the
-// directory allocates the states of 32 consecutive lines together. With
-// 128-B lines one block is exactly one 4-KB page frame.
+// directory gives 32 consecutive lines their slots together. With 128-B
+// lines one block is exactly one 4-KB page frame.
 const blockShift = 5
+
+// chunkShift is log2 of the slots in one chunk: the directory allocates
+// slots chunkBlocks = 64 blocks (2048 lines) at a time.
+const (
+	chunkShift  = 6 + blockShift
+	chunkBlocks = 1 << (chunkShift - blockShift)
+	chunkMask   = 1<<chunkShift - 1
+)
+
+// chunk holds the states and word-writer bytes of 1<<chunkShift
+// consecutive slots. Slot i lives in chunk i>>chunkShift at offset
+// i&chunkMask; the writers of the slot at offset o are writers[o*words :
+// (o+1)*words], one entry per word (the CPU that last wrote the word, -1
+// if never). A chunk is allocated when the first of its blocks is
+// touched and is never copied or freed, so a slot keeps its address for
+// the directory's life.
+type chunk struct {
+	lines   [1 << chunkShift]lineState
+	writers []int8
+}
 
 // Directory tracks all lines. Not safe for concurrent use; the simulator
 // is single-threaded event-driven.
 type Directory struct {
-	words     int    // classification words per line, and slab bytes per line
+	words     int    // classification words per line, and writer bytes per slot
 	lineMask  uint64 // line size - 1; line size is a validated power of two
 	lineShift uint   // log2(line size)
 
 	// blocks is indexed by physical block number (line address >>
-	// (lineShift+blockShift)) and holds b+1 for the block's slab block b,
-	// 0 for a block never touched; line l of the block lives in slot
+	// (lineShift+blockShift)) and holds b+1 for the block's slot block
+	// b, 0 for a block never touched; line l of the block lives in slot
 	// b<<blockShift | l. Physical addresses are bounded by the machine's
 	// frame count, so the table is sized by the highest block touched
-	// and grows on demand. Slot i's bytes are bytes[i*words :
-	// (i+1)*words], one writer entry per word (the CPU that last wrote
-	// the word, -1 if never); which CPUs lost the line to another CPU's
-	// write is the line's inval mask. Both slabs grow by append, a whole
-	// block at a time, every slot starting fresh. A fresh slot behaves
-	// exactly like a line the directory has never seen.
-	blocks []uint32
-	lines  []lineState
-	bytes  []int8
+	// and grows on demand. Slot blocks are handed out in first-touch
+	// order, nblocks so far, every slot starting fresh, and chunks holds
+	// them 64 blocks to a chunk: a directory's memory is the blocks it
+	// touched, rounded up to one chunk, and growth copies no line state.
+	// Which CPUs lost a line to another CPU's write is the line's inval
+	// mask. A fresh slot behaves exactly like a line the directory has
+	// never seen.
+	blocks  []uint32
+	chunks  []*chunk
+	nblocks uint32
 
 	// scratch to avoid per-access allocation
 	invalScratch []int
@@ -129,9 +151,15 @@ func New(ncpu, lineSize int) *Directory {
 	}
 }
 
-// wordWriter returns the writer entry of word w of the line in slot i.
-func (d *Directory) wordWriter(i uint32, w int) *int8 {
-	return &d.bytes[int(i)*d.words+w]
+// at returns the chunk holding slot i and the slot's offset in it.
+func (d *Directory) at(i uint32) (*chunk, uint32) {
+	return d.chunks[i>>chunkShift], i & chunkMask
+}
+
+// wordWriter returns the writer entry of word w of the slot at offset o
+// of chunk c.
+func (d *Directory) wordWriter(c *chunk, o uint32, w int) *int8 {
+	return &c.writers[int(o)*d.words+w]
 }
 
 // slot returns the slot of addr's line, false when its block was
@@ -146,25 +174,37 @@ func (d *Directory) slot(addr uint64) (uint32, bool) {
 	return 0, false
 }
 
-// state returns the slot of addr's line, allocating its block's slots,
-// all fresh, on first touch.
+// state returns the slot of addr's line, giving its block fresh slots
+// on first touch.
 func (d *Directory) state(addr uint64) uint32 {
 	if i, ok := d.slot(addr); ok {
 		return i
 	}
+	return d.touch(addr)
+}
+
+// touch gives addr's untouched block the next block of slots, all
+// fresh, allocating a chunk when that block is a chunk's first, and
+// returns addr's slot.
+func (d *Directory) touch(addr uint64) uint32 {
 	blk := addr >> d.lineShift >> blockShift
 	if blk >= uint64(len(d.blocks)) {
 		grown := make([]uint32, max(blk+1, 2*uint64(len(d.blocks))))
 		copy(grown, d.blocks)
 		d.blocks = grown
+		// Each block takes at most one slot block, so a chunk table
+		// sized for the whole block table never grows on a new chunk.
+		d.chunks = slices.Grow(d.chunks, (len(grown)+chunkBlocks-1)/chunkBlocks-len(d.chunks))
 	}
-	first := len(d.lines)
-	d.lines = append(d.lines, make([]lineState, 1<<blockShift)...)
-	d.bytes = append(d.bytes, make([]int8, d.words<<blockShift)...)
-	for i := first; i < len(d.lines); i++ {
-		d.reset(uint32(i))
+	b := d.nblocks
+	if b%chunkBlocks == 0 {
+		d.chunks = append(d.chunks, &chunk{writers: make([]int8, d.words<<chunkShift)})
 	}
-	d.blocks[blk] = uint32(first>>blockShift) + 1
+	d.nblocks++
+	for i := b << blockShift; i < (b+1)<<blockShift; i++ {
+		d.reset(i)
+	}
+	d.blocks[blk] = b + 1
 	i, _ := d.slot(addr)
 	return i
 }
@@ -172,30 +212,31 @@ func (d *Directory) state(addr uint64) uint32 {
 // reset makes slot i fresh: no holder, no invalidated copy, every
 // writer -1.
 func (d *Directory) reset(i uint32) {
-	d.lines[i] = lineState{dirtyOwner: -1}
-	b := d.bytes[int(i)*d.words : int(i+1)*d.words]
-	for j := range b {
-		b[j] = -1
+	c, o := d.at(i)
+	c.lines[o] = lineState{dirtyOwner: -1}
+	w := c.writers[int(o)*d.words : int(o+1)*d.words]
+	for j := range w {
+		w[j] = -1
 	}
 }
 
 // classifyMiss determines the miss class for cpu accessing word w of
-// the line in slot i.
-func (d *Directory) classifyMiss(i uint32, cpu int, word int) Class {
-	s := &d.lines[i]
+// the line at offset o of chunk c.
+func (d *Directory) classifyMiss(c *chunk, o uint32, cpu int, word int) Class {
+	s := &c.lines[o]
 	if s.held == 0 && s.owners == 0 {
 		return Cold
 	}
 	if s.held&(1<<uint(cpu)) == 0 {
 		// This CPU never held the line; another CPU touched it first.
 		// If the word was produced by another CPU this is communication.
-		if w := *d.wordWriter(i, word); w >= 0 && int(w) != cpu {
+		if w := *d.wordWriter(c, o, word); w >= 0 && int(w) != cpu {
 			return TrueShare
 		}
 		return Cold
 	}
 	if s.inval&(1<<uint(cpu)) != 0 {
-		if w := *d.wordWriter(i, word); w >= 0 && int(w) != cpu {
+		if w := *d.wordWriter(c, o, word); w >= 0 && int(w) != cpu {
 			return TrueShare
 		}
 		return FalseShare
@@ -220,8 +261,8 @@ func (d *Directory) Access(cpu int, addr uint64, write bool) (out Outcome) {
 // writes its outcome to *out, setting every field. Writing in place
 // spares a hot caller the copy of a returned Outcome.
 func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
-	i := d.state(addr)
-	s := &d.lines[i]
+	c, o := d.at(d.state(addr))
+	s := &c.lines[o]
 	word := d.wordIndex(addr)
 	bit := uint64(1) << uint(cpu)
 
@@ -234,7 +275,7 @@ func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
 			out.Invalidated = d.invalidateOthers(s, bit)
 		}
 	} else {
-		out.Class = d.classifyMiss(i, cpu, word)
+		out.Class = d.classifyMiss(c, o, cpu, word)
 		if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
 			out.DirtyRemote = true
 		}
@@ -253,7 +294,7 @@ func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
 
 	if write {
 		s.dirtyOwner = int8(cpu)
-		*d.wordWriter(i, word) = int8(cpu)
+		*d.wordWriter(c, o, word) = int8(cpu)
 	}
 }
 
@@ -283,7 +324,8 @@ func (d *Directory) Evict(cpu int, addr uint64) {
 	if !ok {
 		return
 	}
-	s := &d.lines[i]
+	c, o := d.at(i)
+	s := &c.lines[o]
 	bit := uint64(1) << uint(cpu)
 	if s.owners&bit == 0 {
 		return
@@ -300,7 +342,8 @@ func (d *Directory) Holders(addr uint64) int {
 	if !ok {
 		return 0
 	}
-	return bits.OnesCount64(d.lines[i].owners)
+	c, o := d.at(i)
+	return bits.OnesCount64(c.lines[o].owners)
 }
 
 // Forget drops all protocol state for the line containing addr; used
@@ -310,10 +353,4 @@ func (d *Directory) Forget(addr uint64) {
 	if i, ok := d.slot(addr); ok {
 		d.reset(i)
 	}
-}
-
-// Reset drops all line state (between independent runs).
-func (d *Directory) Reset() {
-	clear(d.blocks)
-	d.lines, d.bytes = d.lines[:0], d.bytes[:0]
 }

@@ -169,15 +169,6 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
-func TestResetForgetsState(t *testing.T) {
-	d := New(2, line)
-	d.Access(0, 0x1000, true)
-	d.Reset()
-	if out := d.Access(1, 0x1000, false); out.Class != Cold {
-		t.Errorf("class after reset = %v, want cold", out.Class)
-	}
-}
-
 // TestForgetReusesSlotFresh: a forgotten line's slot is reset in
 // place, so the line and every new line start with no holders, writers
 // or invalidated copies, while lines that stayed, including the forgotten
@@ -210,9 +201,9 @@ func TestForgetReusesSlotFresh(t *testing.T) {
 }
 
 // TestDirectoryMatchesOracle diffs the block-indexed directory against
-// the per-line oracle under random Access, Evict, Forget, Holders and
-// Reset calls over addresses that share, straddle and skip index
-// blocks, including address 0.
+// the per-line oracle under random Access, Evict, Forget and Holders
+// calls over addresses that share, straddle and skip index blocks,
+// including address 0.
 func TestDirectoryMatchesOracle(t *testing.T) {
 	for _, ncpu := range []int{1, 2, 5, 16} {
 		for _, lineSize := range []int{16, 64, 128} {
@@ -221,11 +212,6 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 			blockBytes := uint64(lineSize) << blockShift
 			for step := 0; step < 20000; step++ {
 				addr := uint64(rng.Intn(6))*blockBytes*uint64(1+rng.Intn(3)) + uint64(rng.Intn(int(blockBytes)))
-				if rng.Intn(100) == 0 {
-					d.Reset()
-					ref.Reset()
-					continue
-				}
 				diffOp(t, d, ref, rng, addr, fmt.Sprintf("ncpu %d line %d step %d", ncpu, lineSize, step))
 			}
 		}

@@ -19,7 +19,10 @@
 // it. A miss by a node that never held the line is cold, or true
 // sharing when another node wrote the word; a miss after a write
 // invalidation is true or false sharing by the same word test; a miss
-// after the node's own eviction is a replacement. Directory.AccessInto
-// writes the outcome into the caller's Outcome, so the simulator's hot
-// path copies no result; Access returns it as a value.
+// after the node's own eviction is a replacement. This state lives in
+// fixed chunks of 2048 lines, each allocated when its first line is
+// touched and never copied, so a directory's memory is the lines it
+// touched, rounded up to one chunk. Directory.AccessInto writes the
+// outcome into the caller's Outcome, so the simulator's hot path copies
+// no result; Access returns it as a value.
 package coherence

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/flat"
@@ -223,12 +224,6 @@ func (d *oldDirectory) Forget(addr uint64) {
 	}
 }
 
-// Reset drops all line state (between independent runs).
-func (d *oldDirectory) Reset() {
-	d.index.Clear()
-	d.lines, d.bytes, d.free = d.lines[:0], d.bytes[:0], d.free[:0]
-}
-
 // diffOp runs one random Access, Evict, Forget or Holders call at addr
 // on d and ref and fails t, naming the call after at, when the results
 // differ.
@@ -255,32 +250,54 @@ func diffOp(t *testing.T, d *Directory, ref *oldDirectory, rng *rand.Rand, addr 
 }
 
 // TestBlockTableMatchesOracle diffs the directory against the oracle
-// where the block table's layout matters. Each round touches sparse
-// blocks up to a higher bound, so the table grows round by round. A
-// Reset between rounds keeps the table, and the next round reuses the
-// earlier rounds' blocks. Forget, Evict and Holders on blocks never
-// touched, inside the table and beyond it, must agree with the oracle
-// and must not grow the table.
+// where the block table's and the chunks' layout matters. Three rounds
+// touch new blocks on one directory: ascending blocks that fill three
+// chunks and start a fourth, scattered blocks below 1<<12, and blocks
+// beyond the current block table. Each round first touches its blocks in
+// order, then diffs random calls over every block touched so far.
+// Forget, Evict and Holders on blocks never touched, inside the table
+// and beyond it, must agree with the oracle and must not grow the table.
+// Every touched block takes one slot block, and the chunks hold exactly
+// those.
 func TestBlockTableMatchesOracle(t *testing.T) {
 	for _, lineSize := range []int{16, 128} {
 		d, ref := New(4, lineSize), newOldDirectory(4, lineSize)
 		rng := rand.New(rand.NewSource(int64(lineSize)))
 		blockBytes := uint64(lineSize) << blockShift
+		touched := map[uint64]bool{}
 		var blocks []uint64
-		for round, top := range []uint64{1, 40, 1 << 12, 1 << 20} {
-			blocks = append(blocks, top/2+1, top)
-			touched := map[uint64]bool{}
+		for round := range 3 {
+			var set []uint64
+			switch round {
+			case 0:
+				for blk := range uint64(3*chunkBlocks + 5) {
+					set = append(set, blk)
+				}
+			case 1:
+				for range 2 * chunkBlocks {
+					set = append(set, uint64(rng.Intn(1<<12)))
+				}
+			case 2:
+				n := uint64(len(d.blocks))
+				set = []uint64{n, 3*n + 7, 1 << 20}
+			}
+			for _, blk := range set {
+				if !touched[blk] {
+					touched[blk] = true
+					blocks = append(blocks, blk)
+				}
+				addr := blk*blockBytes + uint64(rng.Intn(int(blockBytes)))
+				if got, want := d.Access(1, addr, true), ref.Access(1, addr, true); !reflect.DeepEqual(got, want) {
+					t.Fatalf("line %d round %d: first Access(1, %#x, true) = %+v, want %+v", lineSize, round, addr, got, want)
+				}
+			}
 			for step := 0; step < 4000; step++ {
 				blk := blocks[rng.Intn(len(blocks))]
-				touched[blk] = true
 				addr := blk*blockBytes + uint64(rng.Intn(int(blockBytes)))
 				diffOp(t, d, ref, rng, addr, fmt.Sprintf("line %d round %d step %d", lineSize, round, step))
 			}
 			n := uint64(len(d.blocks))
-			if n <= top {
-				t.Fatalf("line %d round %d: table holds %d blocks, want more than %d", lineSize, round, n, top)
-			}
-			for _, blk := range []uint64{top + 1, n - 1, n, 3*n + 7} {
+			for _, blk := range []uint64{slices.Max(set) + 1, n - 1, n, 3*n + 7} {
 				if touched[blk] {
 					continue
 				}
@@ -296,12 +313,75 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 			if got := uint64(len(d.blocks)); got != n {
 				t.Fatalf("line %d round %d: calls on untouched blocks grew the table from %d to %d", lineSize, round, n, got)
 			}
-			d.Reset()
-			ref.Reset()
-			if got := uint64(len(d.blocks)); got != n {
-				t.Fatalf("line %d round %d: Reset resized the table from %d to %d", lineSize, round, n, got)
+			if got, want := int(d.nblocks), len(touched); got != want {
+				t.Fatalf("line %d round %d: %d slot blocks for %d touched blocks", lineSize, round, got, want)
+			}
+			if got, want := len(d.chunks), (len(touched)+chunkBlocks-1)/chunkBlocks; got != want {
+				t.Fatalf("line %d round %d: %d chunks for %d touched blocks, want %d", lineSize, round, got, len(touched), want)
 			}
 		}
+		if len(d.chunks) < 3 {
+			t.Fatalf("line %d: the rounds span %d chunks, want at least 3", lineSize, len(d.chunks))
+		}
+	}
+}
+
+// TestChunksGrowWithoutCopying: a line's state keeps its address while
+// the directory grows by two chunks, so growth copied nothing. Once the
+// block table spans the blocks touched, a new chunk costs exactly its
+// two allocations, the chunk and its writer row, and touching blocks
+// that fit in the last chunk costs none.
+func TestChunksGrowWithoutCopying(t *testing.T) {
+	const lineSize = 128
+	blockBytes := uint64(lineSize) << blockShift
+	d := New(4, lineSize)
+	// The first block touched sits above every other one below, so the
+	// block table, and with it the chunk table, is sized once here.
+	far := 16 * chunkBlocks * blockBytes
+	d.Access(2, far, true)
+	i, _ := d.slot(far)
+	c, o := d.at(i)
+	early := &c.lines[o]
+
+	next := uint64(0) // lowest block never touched
+	touch := func() {
+		d.Access(1, next*blockBytes, false)
+		next++
+	}
+	for range 2 * chunkBlocks {
+		touch()
+	}
+	if len(d.chunks) != 3 {
+		t.Fatalf("%d chunks after touching %d blocks, want 3", len(d.chunks), d.nblocks)
+	}
+	c, o = d.at(i)
+	if &c.lines[o] != early {
+		t.Fatal("growing by two chunks moved an early line's state")
+	}
+	if early.owners != 1<<2 || early.dirtyOwner != 2 {
+		t.Fatalf("early line state %+v, want owned and dirtied by CPU 2", *early)
+	}
+
+	if got := testing.AllocsPerRun(20, touch); got != 0 {
+		t.Errorf("touching a block that fits in the last chunk: %v allocations, want 0", got)
+	}
+	for d.nblocks%chunkBlocks != 0 {
+		touch()
+	}
+	newChunk := func() {
+		for range chunkBlocks {
+			touch()
+		}
+	}
+	// One run per count, so that no average hides a chunk that cost
+	// more: twelve new chunks take the chunk table past 8 entries.
+	for range 6 {
+		if got := testing.AllocsPerRun(1, newChunk); got != 2 {
+			t.Fatalf("filling new chunk %d: %v allocations, want 2", len(d.chunks), got)
+		}
+	}
+	if next*blockBytes >= far {
+		t.Fatalf("touched up to block %d, past the block that sized the table", next)
 	}
 }
 
@@ -318,7 +398,7 @@ func FuzzDirectory(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 4, 0, 0, 0, 0, 6, 1, 0, 0, 0, 1, 0, 0, 13, 0, 0, 0})
 	// Four readers, a writer that invalidates them all, and the
-	// readers back: false and true sharing, then a reset.
+	// readers back: false and true sharing, then a Holders query.
 	f.Add([]byte{7, 4, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 6, 4, 0, 1, 0, 0, 9, 1, 0, 1, 3, 1, 0, 1, 15, 0, 0, 0, 0, 0, 0, 1})
 	// Ping-pong writes on one word by the highest and lowest of 64
 	// CPUs, evictions, a forget and a dirty read.
@@ -329,6 +409,26 @@ func FuzzDirectory(f *testing.F) {
 	seq := []byte{15, 5}
 	for i := 0; i < 400; i++ {
 		seq = append(seq, byte(i*7%16), byte(i*11%17), byte(i*13%32), byte(i%5))
+	}
+	f.Add(seq)
+	// With 128-B lines every block byte is its own block, so 200
+	// distinct block bytes span four chunks. Ascending first touches
+	// grow the block table past its end ten times, then the early
+	// blocks are shared, written and read back.
+	seq = []byte{7, 4}
+	for i := 0; i < 200; i++ {
+		seq = append(seq, byte(i%6), byte(i%8), byte(i*5%32), byte(i))
+	}
+	for i := 0; i < 200; i++ {
+		seq = append(seq, byte(i*7%16), byte(i*3%8), byte(i*5%32), byte(i%40))
+	}
+	f.Add(seq)
+	// Scattered blocks mixed with every operation: the reads and writes
+	// first-touch 160 distinct blocks, three chunks, four of them beyond
+	// the block table at the time.
+	seq = []byte{15, 4}
+	for i := 0; i < 256; i++ {
+		seq = append(seq, byte(i*7%16), byte(i*11%16), byte(i*13%32), byte(i*97))
 	}
 	f.Add(seq)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -360,15 +460,11 @@ func FuzzDirectory(f *testing.F) {
 				byValue.Forget(addr)
 				inPlace.Forget(addr)
 				ref.Forget(addr)
-			case op < 15:
+			default:
 				want := ref.Holders(addr)
 				if a, b := byValue.Holders(addr), inPlace.Holders(addr); a != want || b != want {
 					t.Fatalf("op %d: Holders(%#x) = %d and %d, want %d", i, addr, a, b, want)
 				}
-			default:
-				byValue.Reset()
-				inPlace.Reset()
-				ref.Reset()
 			}
 		}
 	})

@@ -157,8 +157,9 @@ type Machine struct {
 	// path (fault pre-touch pages plus warm-up window references).
 	warmRefs uint64
 
-	// runners and tree are the parallel event loop's reusable cursor
-	// buffer and scheduling tree.
+	// streams, runners and tree are the parallel event loop's reusable
+	// per-region stream buffer, cursor buffer and scheduling tree.
+	streams []trace.Stream
 	runners []runner
 	tree    winnerTree
 
@@ -517,7 +518,10 @@ func (m *Machine) runRegionStreams(cpus []*cpuState, parallel, suppressed bool, 
 	fork := uint64(m.cfg.ForkCycles)
 	skew := uint64(m.cfg.ForkSkewCycles)
 	*regions++
-	streams := make([]trace.Stream, p)
+	if cap(m.streams) < p {
+		m.streams = make([]trace.Stream, p)
+	}
+	streams := m.streams[:p]
 	for cpu := 0; cpu < p; cpu++ {
 		// The master releases slaves one at a time and in no fixed order
 		// (spin-wait wakeups race): CPU i starts a pseudo-random fraction

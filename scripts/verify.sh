@@ -52,8 +52,8 @@ go test -run=FuzzFlatMap ./internal/flat
 go test -run=FuzzTLB ./internal/tlb
 
 # Coherence directory fuzz seeds: FuzzDirectory diffs Access, AccessInto
-# (one reused Outcome), Evict, Forget, Holders and Reset sequences at 1-64
-# CPUs and 8-256-byte lines against the per-line oracle directory.
+# (one reused Outcome), Evict, Forget and Holders sequences at 1-64 CPUs
+# and 8-256-byte lines against the per-line oracle directory.
 go test -run=FuzzDirectory ./internal/coherence
 
 # Machine and topology file fuzz seeds: FuzzReadConfig and
