@@ -174,15 +174,6 @@ func (d *Directory) slot(addr uint64) (uint32, bool) {
 	return 0, false
 }
 
-// state returns the slot of addr's line, giving its block fresh slots
-// on first touch.
-func (d *Directory) state(addr uint64) uint32 {
-	if i, ok := d.slot(addr); ok {
-		return i
-	}
-	return d.touch(addr)
-}
-
 // touch gives addr's untouched block the next block of slots, all
 // fresh, allocating a chunk when that block is a chunk's first, and
 // returns addr's slot.
@@ -261,7 +252,11 @@ func (d *Directory) Access(cpu int, addr uint64, write bool) (out Outcome) {
 // writes its outcome to *out, setting every field. Writing in place
 // spares a hot caller the copy of a returned Outcome.
 func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
-	c, o := d.at(d.state(addr))
+	i, ok := d.slot(addr)
+	if !ok {
+		i = d.touch(addr) // first touch of addr's block
+	}
+	c, o := d.at(i)
 	s := &c.lines[o]
 	word := d.wordIndex(addr)
 	bit := uint64(1) << uint(cpu)

@@ -44,12 +44,18 @@ func TestGoldenEnginePaths(t *testing.T) {
 	// Dynamic recoloring is the one path where a step advances other
 	// CPUs' clocks (the TLB-shootdown interrupt), and a 16-CPU solo run
 	// is the widest interleave the event loop sees in the experiments.
+	// clustered-l3 is the only topology with intermediate levels and an
+	// LLC unit shared by several CPUs, sliced-llc4 the only sliced LLC,
+	// and Prefetch the only path through the pending-prefetch map.
 	solos := []struct {
 		name string
 		spec Spec
 	}{
 		{"tomcatv/dynamic-recoloring/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Variant: DynamicRecoloring}},
 		{"tomcatv/page-coloring/16cpu", Spec{Workload: "tomcatv", CPUs: 16, Scale: 32, Variant: PageColoring}},
+		{"tomcatv/cdpc/clustered-l3/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Variant: CDPC, Topology: "clustered-l3"}},
+		{"swim/page-coloring/sliced-llc4/4cpu", Spec{Workload: "swim", CPUs: 4, Scale: 32, Variant: PageColoring, Topology: "sliced-llc4"}},
+		{"tomcatv/cdpc/prefetch/4cpu", Spec{Workload: "tomcatv", CPUs: 4, Scale: 32, Variant: CDPC, Prefetch: true}},
 	}
 	for _, so := range solos {
 		res, err := Run(so.spec)
@@ -58,6 +64,9 @@ func TestGoldenEnginePaths(t *testing.T) {
 		}
 		if so.spec.Variant == DynamicRecoloring && res.Total(func(s *sim.CPUStats) uint64 { return s.Recolorings }) == 0 {
 			t.Fatalf("%s: no recoloring happened, so the shootdown path is not covered", so.name)
+		}
+		if so.spec.Prefetch && res.Total(func(s *sim.CPUStats) uint64 { return s.PrefetchedHits }) == 0 {
+			t.Fatalf("%s: no demand hit consumed a prefetch, so the pending-prefetch path is not covered", so.name)
 		}
 		got[so.name] = fingerprint(res)
 	}

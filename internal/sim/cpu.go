@@ -82,22 +82,29 @@ func (m *Machine) dataRef(c *cpuState, r *trace.Ref) error {
 	// that upgrades and invalidations of shared lines are modeled even on
 	// on-chip hits (inclusion guarantees the line is in the LLC as well).
 	m.dir.AccessInto(&o.dir, c.llc.id, o.paddr, write)
-	m.applyDowngrade(o.paddr, o.dir.Downgraded)
-	m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
+	if o.dir.Downgraded >= 0 {
+		m.applyDowngrade(o.paddr, o.dir.Downgraded)
+	}
+	if len(o.dir.Invalidated) > 0 {
+		m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
+	}
 
 	// Intermediate levels, inner to outer: the innermost hit services
 	// the access at that level's latency. The LLC is accessed either
 	// way — it is the coherence point, and its tags must see every
 	// physical reference to stay inclusive of the levels above.
-	o.serviced = m.accessMids(c, o.paddr, write)
+	o.serviced = -1
+	if len(c.mids) > 0 {
+		o.serviced = m.accessMids(c, o.paddr, write)
+	}
 	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
 	o.llc = c.llc.cacheFor(o.paddr).Access(o.paddr, write)
-	o.writeback = m.evictLLC(c, o.llc)
+	o.writeback = o.llc.Evicted && m.evictLLC(c, o.llc)
 
 	// An on-chip miss served on chip consumes a pending prefetch of the
 	// line.
 	o.prefetched = false
-	if (o.llc.Hit || o.serviced >= 0) && !l1.Hit {
+	if (o.llc.Hit || o.serviced >= 0) && !l1.Hit && len(c.pending) > 0 {
 		la := m.llcLineAddr(o.paddr)
 		if o.ready, o.prefetched = c.pending[la]; o.prefetched {
 			delete(c.pending, la)
@@ -197,11 +204,16 @@ func (m *Machine) instRef(c *cpuState, r *trace.Ref) error {
 		return fmt.Errorf("sim: cpu %d (inst): %w", c.id, err)
 	}
 	m.dir.AccessInto(&o.dir, c.llc.id, o.paddr, false)
-	m.applyDowngrade(o.paddr, o.dir.Downgraded)
-	o.serviced = m.accessMids(c, o.paddr, false)
+	if o.dir.Downgraded >= 0 {
+		m.applyDowngrade(o.paddr, o.dir.Downgraded)
+	}
+	o.serviced = -1
+	if len(c.mids) > 0 {
+		o.serviced = m.accessMids(c, o.paddr, false)
+	}
 	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
 	o.llc = c.llc.cacheFor(o.paddr).Access(o.paddr, false)
-	o.writeback = m.evictLLC(c, o.llc)
+	o.writeback = o.llc.Evicted && m.evictLLC(c, o.llc)
 	return nil
 }
 
@@ -267,15 +279,24 @@ func (m *Machine) prefetchRef(c *cpuState, r *trace.Ref) (issued bool) {
 		return false
 	}
 	o.paddr = pbase | (r.VAddr & m.pageMask)
-	if _, inflight := c.pending[m.llcLineAddr(o.paddr)]; inflight || c.llc.cacheFor(o.paddr).Probe(o.paddr) {
+	if len(c.pending) > 0 {
+		if _, inflight := c.pending[m.llcLineAddr(o.paddr)]; inflight {
+			return false
+		}
+	}
+	if c.llc.cacheFor(o.paddr).Probe(o.paddr) {
 		return false
 	}
 	m.dir.AccessInto(&o.dir, c.llc.id, o.paddr, false)
-	m.applyDowngrade(o.paddr, o.dir.Downgraded)
-	m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
+	if o.dir.Downgraded >= 0 {
+		m.applyDowngrade(o.paddr, o.dir.Downgraded)
+	}
+	if len(o.dir.Invalidated) > 0 {
+		m.applyInvalidations(c, o.paddr, o.dir.Invalidated)
+	}
 	o.shadowHit = !m.opts.DisableClassification && c.llc.shadow.Access(o.paddr)
 	o.llc = c.llc.cacheFor(o.paddr).Access(o.paddr, false)
-	o.writeback = m.evictLLC(c, o.llc)
+	o.writeback = o.llc.Evicted && m.evictLLC(c, o.llc)
 	return true
 }
 
@@ -401,9 +422,10 @@ func (m *Machine) markDirtyPhys(c *cpuState, paddr uint64) {
 
 // accessMids runs a physical access through the intermediate levels,
 // inner to outer, returning the index of the innermost level that hit
-// (-1 when none, including on the default mid-less topology). A dirty
-// mid victim is written into the next level down — internal hierarchy
-// traffic, no bus.
+// (-1 when none). A dirty mid victim is written into the next level
+// down — internal hierarchy traffic, no bus. The caller enters it only
+// when c has intermediate levels (the default topology has none) and
+// takes -1 otherwise.
 func (m *Machine) accessMids(c *cpuState, paddr uint64, write bool) int {
 	serviced := -1
 	for li, mc := range c.mids {
@@ -493,10 +515,10 @@ func obsClass(class coherence.Class, shadowHit bool) obs.MissClass {
 // pushed BusUtilization past 1 on sharing-heavy runs. The owner's
 // intermediate levels may also hold the dirty line; clean them too
 // (Clean is a no-op where the line is absent).
+//
+// owner must be a unit index: the caller tests Downgraded >= 0 first,
+// and an owner of -1 (no downgrade) panics.
 func (m *Machine) applyDowngrade(paddr uint64, owner int) {
-	if owner < 0 {
-		return
-	}
 	u := m.llcUnits[owner]
 	u.cacheFor(paddr).Clean(paddr)
 	for _, p := range u.cpus {
@@ -515,10 +537,10 @@ func (m *Machine) applyDowngrade(paddr uint64, owner int) {
 // exactly one live process, so stale sharers from an exited process
 // only need their physically indexed state dropped (their virtually
 // indexed L1s were flushed when they switched out).
+//
+// units must be non-empty: the caller tests it first, so that the common
+// reference, which invalidates nothing, enters no call.
 func (m *Machine) applyInvalidations(c *cpuState, paddr uint64, units []int) {
-	if len(units) == 0 {
-		return
-	}
 	vaddr, haveV := c.as.ReverseVAddr(paddr)
 	la := m.llcLineAddr(paddr)
 	for _, uid := range units {
@@ -558,16 +580,18 @@ func (c *cpuState) dropL1(vaddr, size uint64) {
 // hold the line on-chip or have a prefetch in flight for it; inclusive
 // intermediate levels are back-invalidated, and a dirty copy surfaced
 // there joins the victim's writeback.
+//
+// res.Evicted must be true: the caller tests it first, and on a result
+// that evicted nothing the zero VictimAddr would be evicted instead.
 func (m *Machine) evictLLC(c *cpuState, res cache.Result) (writeback bool) {
-	if !res.Evicted {
-		return false
-	}
 	m.dir.Evict(c.llc.id, res.VictimAddr)
 	writeback = res.VictimDirty
 	la := m.llcLineAddr(res.VictimAddr)
 	for _, p := range c.llc.cpus {
 		o := m.cpus[p]
-		delete(o.pending, la)
+		if len(o.pending) > 0 {
+			delete(o.pending, la)
+		}
 		for li, mc := range o.mids {
 			if m.midLevels[li].Inclusive && mc.InvalidateRange(la, uint64(m.llcLine)) {
 				writeback = true

@@ -87,9 +87,9 @@ func runAheadRefs(rng *rand.Rand, cpu, n, conflictShare int) []trace.Ref {
 }
 
 // runBoth runs the same references on two identical machines, through
-// runParallel and through scanParallel, and fails t unless the step
-// order, every final clock and every CPU's stats agree. It returns the
-// runParallel machine.
+// runParallel (runStream on one CPU) and through scanParallel, and fails
+// t unless the step order, every final clock and every CPU's stats
+// agree. It returns the runParallel (runStream) machine.
 func runBoth(t *testing.T, name string, opts func() Options, seed int64, conflictShare int) *Machine {
 	t.Helper()
 	var logs [2][]int
@@ -106,10 +106,13 @@ func runBoth(t *testing.T, name string, opts func() Options, seed int64, conflic
 			refs := runAheadRefs(rng, i, 200+rng.Intn(300), conflictShare)
 			streams[i] = &loggedStream{s: &trace.SliceStream{Refs: refs}, cpu: i, log: &logs[side]}
 		}
-		if side == 0 {
-			err = m.runParallel(m.cpus, streams)
-		} else {
+		switch {
+		case side == 1:
 			err = scanParallel(m, m.cpus, streams)
+		case len(m.cpus) == 1:
+			err = m.runStream(m.cpus[0], streams[0])
+		default:
+			err = m.runParallel(m.cpus, streams)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -138,14 +141,20 @@ func runBoth(t *testing.T, name string, opts func() Options, seed int64, conflic
 }
 
 // TestRunAheadMatchesScan checks the event loop's run-ahead against the
-// linear-scan loop on 2 to 17 CPUs: the same steps in the same order,
-// the same final clocks and the same stats. A recoloring machine adds
+// linear-scan loop on 2 to 17 CPUs, and the serial loop runStream
+// against it on one CPU: the same steps in the same order, the same
+// final clocks and the same stats. Each loop dispatches references its
+// own way; the scan goes through step. A recoloring machine adds
 // shootdowns, which must end a run and reload every key.
 func TestRunAheadMatchesScan(t *testing.T) {
-	for n := 2; n <= 17; n++ {
+	for n := 1; n <= 17; n++ {
 		cfg := smallConfig(n)
 		opts := func() Options { return Options{Config: cfg} }
-		runBoth(t, fmt.Sprintf("%d cpus", n), opts, int64(n), 5)
+		m := runBoth(t, fmt.Sprintf("%d cpus", n), opts, int64(n), 5)
+		if st := &m.cpus[0].stats; n == 1 && (st.PrefetchesIssued == 0 || !m.cpus[0].fetched) {
+			t.Errorf("1 cpu: %d prefetches issued, fetched %v: the serial loop's fetch and prefetch paths are not covered",
+				st.PrefetchesIssued, m.cpus[0].fetched)
+		}
 	}
 	policy := vm.RecolorPolicy{MissThreshold: 4, MaxRecolorings: 8}
 	for _, n := range []int{3, 4, 8} {

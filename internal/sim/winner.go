@@ -45,11 +45,21 @@ func (t *winnerTree) reset(n int) {
 
 // key packs leaf i's clock, refusing a clock too large to pack: it
 // would wrap or collide with doneKey and silently reorder the runners.
+// It is small enough to inline into the event loop; the error is built
+// out of line.
 func (t *winnerTree) key(i int, clock uint64) (uint64, error) {
 	if clock > t.maxClock {
-		return 0, fmt.Errorf("sim: cpu clock %d exceeds the event loop's limit %d", clock, t.maxClock)
+		return 0, t.overflow(clock)
 	}
 	return clock<<t.shift | uint64(i), nil
+}
+
+// overflow is key's error for a clock beyond maxClock. Inlined, it
+// would push key past the inlining budget.
+//
+//go:noinline
+func (t *winnerTree) overflow(clock uint64) error {
+	return fmt.Errorf("sim: cpu clock %d exceeds the event loop's limit %d", clock, t.maxClock)
 }
 
 // set stores leaf i's packed key without replaying any match; rebuild
