@@ -46,24 +46,31 @@ func (c Class) String() string {
 
 const wordSize = 8 // classification granularity (double-precision words)
 
+// mask is a bitmask with one bit per directory node. New picks the
+// narrowest width that holds the machine's node count, so a line's
+// masks cost 3 bytes on a machine of up to 8 nodes rather than 24.
+type mask interface {
+	~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
 // lineState tracks one physical cache line. Its per-word writers are
 // bytes in its chunk's writer row (see chunk), so a line costs no
 // allocation of its own.
-type lineState struct {
-	owners uint64 // bitmask of CPUs holding the line
+type lineState[M mask] struct {
+	owners M // bitmask of CPUs holding the line
 	// inval is the bitmask of CPUs whose last copy of the line was
 	// invalidated by another CPU's write. A bit clears when the CPU
 	// fetches the line again, so no holder's bit is ever set; a miss by a
 	// CPU whose bit is set is a coherence (true- or false-sharing) miss
 	// rather than a replacement.
-	inval uint64
+	inval M
 	// held records every CPU that has held the line at some point, to
 	// distinguish Replacement from Cold per-CPU: the paper counts a
 	// first-touch by a CPU of a line another CPU already fetched as a
 	// replacement-class (shared-data distribution) miss only when the
 	// requester lost it; an outright first touch by this CPU with no
 	// invalidation is treated as Cold for this CPU.
-	held       uint64
+	held       M
 	dirtyOwner int8 // CPU holding it modified, -1 if none
 }
 
@@ -105,14 +112,33 @@ const (
 // if never). A chunk is allocated when the first of its blocks is
 // touched and is never copied or freed, so a slot keeps its address for
 // the directory's life.
-type chunk struct {
-	lines   [1 << chunkShift]lineState
+type chunk[M mask] struct {
+	lines   [1 << chunkShift]lineState[M]
 	writers []int8
 }
 
 // Directory tracks all lines. Not safe for concurrent use; the simulator
 // is single-threaded event-driven.
+//
+// Its state lives in a table whose masks are as wide as the node count
+// needs, and each method inlines and forwards to it. The access path is
+// a closure compiled with the table's generic code, not a method behind
+// an interface: an interface call to a generic type's method goes
+// through the instantiation's wrapper, a second call on every access.
 type Directory struct {
+	accessInto func(out *Outcome, cpu int, addr uint64, write bool)
+	t          interface {
+		Evict(cpu int, addr uint64)
+		Forget(addr uint64)
+		Holders(addr uint64) int
+	}
+	// out is Access's outcome. A pointer passed to a closure escapes,
+	// so a local Outcome would cost Access an allocation.
+	out Outcome
+}
+
+// table is the directory with M-bit node masks.
+type table[M mask] struct {
 	words     int    // classification words per line, and writer bytes per slot
 	lineMask  uint64 // line size - 1; line size is a validated power of two
 	lineShift uint   // log2(line size)
@@ -130,7 +156,7 @@ type Directory struct {
 	// mask. A fresh slot behaves exactly like a line the directory has
 	// never seen.
 	blocks  []uint32
-	chunks  []*chunk
+	chunks  []*chunk[M]
 	nblocks uint32
 
 	// scratch to avoid per-access allocation
@@ -138,12 +164,25 @@ type Directory struct {
 }
 
 // New creates a directory for ncpu CPUs and the given external-cache line
-// size in bytes.
+// size in bytes. Its masks are the narrowest of 8, 16, 32 and 64 bits
+// that hold ncpu.
 func New(ncpu, lineSize int) *Directory {
-	if ncpu <= 0 || ncpu > 64 {
+	switch {
+	case ncpu <= 0 || ncpu > 64:
 		panic(fmt.Sprintf("coherence: ncpu %d out of range [1,64]", ncpu))
+	case ncpu <= 8:
+		return newTable[uint8](ncpu, lineSize).directory()
+	case ncpu <= 16:
+		return newTable[uint16](ncpu, lineSize).directory()
+	case ncpu <= 32:
+		return newTable[uint32](ncpu, lineSize).directory()
+	default:
+		return newTable[uint64](ncpu, lineSize).directory()
 	}
-	return &Directory{
+}
+
+func newTable[M mask](ncpu, lineSize int) *table[M] {
+	return &table[M]{
 		words:        lineSize / wordSize,
 		lineMask:     uint64(lineSize - 1),
 		lineShift:    uint(bits.TrailingZeros(uint(lineSize))),
@@ -151,20 +190,48 @@ func New(ncpu, lineSize int) *Directory {
 	}
 }
 
+// Access performs the protocol action for cpu touching addr and returns
+// its outcome. It is AccessInto for callers that want the outcome as a
+// value.
+func (d *Directory) Access(cpu int, addr uint64, write bool) Outcome {
+	d.accessInto(&d.out, cpu, addr, write)
+	return d.out
+}
+
+// AccessInto performs the protocol action for cpu touching addr and
+// writes its outcome to *out, setting every field. Writing in place
+// spares a hot caller the copy of a returned Outcome.
+func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
+	d.accessInto(out, cpu, addr, write)
+}
+
+// Evict records that cpu's external cache displaced the line containing
+// addr (capacity/conflict, not coherence); a later re-fetch by cpu is a
+// Replacement miss.
+func (d *Directory) Evict(cpu int, addr uint64) { d.t.Evict(cpu, addr) }
+
+// Holders returns how many CPUs currently hold addr's line; for tests.
+func (d *Directory) Holders(addr uint64) int { return d.t.Holders(addr) }
+
+// Forget drops all protocol state for the line containing addr; used
+// when a page is recolored and its old frame's lines cease to exist.
+// The line's slot is reset to fresh in place.
+func (d *Directory) Forget(addr uint64) { d.t.Forget(addr) }
+
 // at returns the chunk holding slot i and the slot's offset in it.
-func (d *Directory) at(i uint32) (*chunk, uint32) {
+func (d *table[M]) at(i uint32) (*chunk[M], uint32) {
 	return d.chunks[i>>chunkShift], i & chunkMask
 }
 
 // wordWriter returns the writer entry of word w of the slot at offset o
 // of chunk c.
-func (d *Directory) wordWriter(c *chunk, o uint32, w int) *int8 {
+func (d *table[M]) wordWriter(c *chunk[M], o uint32, w int) *int8 {
 	return &c.writers[int(o)*d.words+w]
 }
 
 // slot returns the slot of addr's line, false when its block was
 // never touched.
-func (d *Directory) slot(addr uint64) (uint32, bool) {
+func (d *table[M]) slot(addr uint64) (uint32, bool) {
 	line := addr >> d.lineShift
 	if blk := line >> blockShift; blk < uint64(len(d.blocks)) {
 		if b := d.blocks[blk]; b != 0 {
@@ -177,7 +244,7 @@ func (d *Directory) slot(addr uint64) (uint32, bool) {
 // touch gives addr's untouched block the next block of slots, all
 // fresh, allocating a chunk when that block is a chunk's first, and
 // returns addr's slot.
-func (d *Directory) touch(addr uint64) uint32 {
+func (d *table[M]) touch(addr uint64) uint32 {
 	blk := addr >> d.lineShift >> blockShift
 	if blk >= uint64(len(d.blocks)) {
 		grown := make([]uint32, max(blk+1, 2*uint64(len(d.blocks))))
@@ -189,7 +256,7 @@ func (d *Directory) touch(addr uint64) uint32 {
 	}
 	b := d.nblocks
 	if b%chunkBlocks == 0 {
-		d.chunks = append(d.chunks, &chunk{writers: make([]int8, d.words<<chunkShift)})
+		d.chunks = append(d.chunks, &chunk[M]{writers: make([]int8, d.words<<chunkShift)})
 	}
 	d.nblocks++
 	for i := b << blockShift; i < (b+1)<<blockShift; i++ {
@@ -202,9 +269,9 @@ func (d *Directory) touch(addr uint64) uint32 {
 
 // reset makes slot i fresh: no holder, no invalidated copy, every
 // writer -1.
-func (d *Directory) reset(i uint32) {
+func (d *table[M]) reset(i uint32) {
 	c, o := d.at(i)
-	c.lines[o] = lineState{dirtyOwner: -1}
+	c.lines[o] = lineState[M]{dirtyOwner: -1}
 	w := c.writers[int(o)*d.words : int(o+1)*d.words]
 	for j := range w {
 		w[j] = -1
@@ -213,7 +280,7 @@ func (d *Directory) reset(i uint32) {
 
 // classifyMiss determines the miss class for cpu accessing word w of
 // the line at offset o of chunk c.
-func (d *Directory) classifyMiss(c *chunk, o uint32, cpu int, word int) Class {
+func (d *table[M]) classifyMiss(c *chunk[M], o uint32, cpu int, word int) Class {
 	s := &c.lines[o]
 	if s.held == 0 && s.owners == 0 {
 		return Cold
@@ -236,68 +303,65 @@ func (d *Directory) classifyMiss(c *chunk, o uint32, cpu int, word int) Class {
 }
 
 // wordIndex clamps the accessed word within the line.
-func (d *Directory) wordIndex(addr uint64) int {
+func (d *table[M]) wordIndex(addr uint64) int {
 	return int((addr & d.lineMask) / wordSize) // wordSize is a constant power of two
 }
 
-// Access performs the protocol action for cpu touching addr and returns
-// its outcome. It is AccessInto for callers that want the outcome as a
-// value.
-func (d *Directory) Access(cpu int, addr uint64, write bool) (out Outcome) {
-	d.AccessInto(&out, cpu, addr, write)
-	return out
-}
-
-// AccessInto performs the protocol action for cpu touching addr and
-// writes its outcome to *out, setting every field. Writing in place
-// spares a hot caller the copy of a returned Outcome.
-func (d *Directory) AccessInto(out *Outcome, cpu int, addr uint64, write bool) {
-	i, ok := d.slot(addr)
-	if !ok {
-		i = d.touch(addr) // first touch of addr's block
-	}
-	c, o := d.at(i)
-	s := &c.lines[o]
-	word := d.wordIndex(addr)
-	bit := uint64(1) << uint(cpu)
-
-	out.DirtyRemote, out.Upgrade, out.Invalidated, out.Downgraded = false, false, nil, -1
-	if s.owners&bit != 0 {
-		out.Class = Hit
-		if write && s.owners != bit {
-			// Write hit on a shared line: upgrade + invalidate others.
-			out.Upgrade = true
-			out.Invalidated = d.invalidateOthers(s, bit)
+// directory returns the Directory over d, its access path bound as a
+// closure whose body is the access itself. It must not inline: a
+// closure inlined into New is compiled outside the table's generic code,
+// and there the helpers it calls (slot, at, wordIndex) stay calls.
+//
+//go:noinline
+func (d *table[M]) directory() *Directory {
+	return &Directory{t: d, accessInto: func(out *Outcome, cpu int, addr uint64, write bool) {
+		i, ok := d.slot(addr)
+		if !ok {
+			i = d.touch(addr) // first touch of addr's block
 		}
-	} else {
-		out.Class = d.classifyMiss(c, o, cpu, word)
-		if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
-			out.DirtyRemote = true
+		c, o := d.at(i)
+		s := &c.lines[o]
+		word := d.wordIndex(addr)
+		bit := M(1) << uint(cpu)
+
+		out.DirtyRemote, out.Upgrade, out.Invalidated, out.Downgraded = false, false, nil, -1
+		if s.owners&bit != 0 {
+			out.Class = Hit
+			if write && s.owners != bit {
+				// Write hit on a shared line: upgrade + invalidate others.
+				out.Upgrade = true
+				out.Invalidated = d.invalidateOthers(s, bit)
+			}
+		} else {
+			out.Class = d.classifyMiss(c, o, cpu, word)
+			if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
+				out.DirtyRemote = true
+			}
+			if write {
+				out.Invalidated = d.invalidateOthers(s, bit)
+			} else if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
+				// Read of a dirty remote line: owner downgrades to shared,
+				// memory (and requester) get the data.
+				out.Downgraded = int(s.dirtyOwner)
+				s.dirtyOwner = -1
+			}
+			s.owners |= bit
+			s.held |= bit
+			s.inval &^= bit
 		}
+
 		if write {
-			out.Invalidated = d.invalidateOthers(s, bit)
-		} else if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
-			// Read of a dirty remote line: owner downgrades to shared,
-			// memory (and requester) get the data.
-			out.Downgraded = int(s.dirtyOwner)
-			s.dirtyOwner = -1
+			s.dirtyOwner = int8(cpu)
+			*d.wordWriter(c, o, word) = int8(cpu)
 		}
-		s.owners |= bit
-		s.held |= bit
-		s.inval &^= bit
-	}
-
-	if write {
-		s.dirtyOwner = int8(cpu)
-		*d.wordWriter(c, o, word) = int8(cpu)
-	}
+	}}
 }
 
 // invalidateOthers removes every owner of line s except the CPU with
 // mask bit, marks their copies as lost to another CPU's write, and
 // returns the invalidated CPUs in ascending order in the reused scratch
 // buffer (nil when there are none).
-func (d *Directory) invalidateOthers(s *lineState, bit uint64) []int {
+func (d *table[M]) invalidateOthers(s *lineState[M], bit M) []int {
 	others := s.owners &^ bit
 	if others == 0 {
 		return nil
@@ -305,23 +369,21 @@ func (d *Directory) invalidateOthers(s *lineState, bit uint64) []int {
 	s.owners &= bit
 	s.inval |= others
 	d.invalScratch = d.invalScratch[:0]
-	for m := others; m != 0; m &= m - 1 {
+	for m := uint64(others); m != 0; m &= m - 1 {
 		d.invalScratch = append(d.invalScratch, bits.TrailingZeros64(m))
 	}
 	return d.invalScratch
 }
 
-// Evict records that cpu's external cache displaced the line containing
-// addr (capacity/conflict, not coherence); a later re-fetch by cpu is a
-// Replacement miss.
-func (d *Directory) Evict(cpu int, addr uint64) {
+// Evict is Directory.Evict.
+func (d *table[M]) Evict(cpu int, addr uint64) {
 	i, ok := d.slot(addr)
 	if !ok {
 		return
 	}
 	c, o := d.at(i)
 	s := &c.lines[o]
-	bit := uint64(1) << uint(cpu)
+	bit := M(1) << uint(cpu)
 	if s.owners&bit == 0 {
 		return
 	}
@@ -331,20 +393,18 @@ func (d *Directory) Evict(cpu int, addr uint64) {
 	}
 }
 
-// Holders returns how many CPUs currently hold addr's line; for tests.
-func (d *Directory) Holders(addr uint64) int {
+// Holders is Directory.Holders.
+func (d *table[M]) Holders(addr uint64) int {
 	i, ok := d.slot(addr)
 	if !ok {
 		return 0
 	}
 	c, o := d.at(i)
-	return bits.OnesCount64(c.lines[o].owners)
+	return bits.OnesCount64(uint64(c.lines[o].owners))
 }
 
-// Forget drops all protocol state for the line containing addr; used
-// when a page is recolored and its old frame's lines cease to exist.
-// The line's slot is reset to fresh in place.
-func (d *Directory) Forget(addr uint64) {
+// Forget is Directory.Forget.
+func (d *table[M]) Forget(addr uint64) {
 	if i, ok := d.slot(addr); ok {
 		d.reset(i)
 	}

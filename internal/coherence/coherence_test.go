@@ -203,9 +203,11 @@ func TestForgetReusesSlotFresh(t *testing.T) {
 // TestDirectoryMatchesOracle diffs the block-indexed directory against
 // the per-line oracle under random Access, Evict, Forget and Holders
 // calls over addresses that share, straddle and skip index blocks,
-// including address 0.
+// including address 0. The CPU counts fill each mask width exactly
+// (1, 8, 16, 32, 64) and overflow it by one (9, 17, 33), so every
+// instantiation is diffed with its top bit in use.
 func TestDirectoryMatchesOracle(t *testing.T) {
-	for _, ncpu := range []int{1, 2, 5, 16} {
+	for _, ncpu := range []int{1, 2, 5, 8, 9, 16, 17, 32, 33, 64} {
 		for _, lineSize := range []int{16, 64, 128} {
 			d, ref := New(ncpu, lineSize), newOldDirectory(ncpu, lineSize)
 			rng := rand.New(rand.NewSource(int64(ncpu*1000 + lineSize)))
@@ -218,6 +220,21 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 	}
 }
 
+// maskBits returns the width of d's node masks.
+func maskBits(d *Directory) int {
+	switch d.t.(type) {
+	case *table[uint8]:
+		return 8
+	case *table[uint16]:
+		return 16
+	case *table[uint32]:
+		return 32
+	case *table[uint64]:
+		return 64
+	}
+	panic(fmt.Sprintf("coherence: unknown table %T", d.t))
+}
+
 func TestNewPanicsOnTooManyCPUs(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -225,6 +242,23 @@ func TestNewPanicsOnTooManyCPUs(t *testing.T) {
 		}
 	}()
 	New(65, line)
+}
+
+// TestNewPicksNarrowestWidth: New gives every CPU count from 1 to 64
+// the narrowest mask width that holds it, never a narrower one.
+func TestNewPicksNarrowestWidth(t *testing.T) {
+	for _, c := range []struct{ ncpu, bits int }{
+		{1, 8}, {8, 8}, {9, 16}, {16, 16}, {17, 32}, {32, 32}, {33, 64}, {64, 64},
+	} {
+		if got := maskBits(New(c.ncpu, line)); got != c.bits {
+			t.Errorf("New(%d): %d-bit masks, want %d", c.ncpu, got, c.bits)
+		}
+	}
+	for ncpu := 1; ncpu <= 64; ncpu++ {
+		if b := maskBits(New(ncpu, line)); b < ncpu || (b > 8 && b/2 >= ncpu) {
+			t.Errorf("New(%d): %d-bit masks, not the narrowest that holds %d CPUs", ncpu, b, ncpu)
+		}
+	}
 }
 
 func TestDowngradeReportsDirtyOwner(t *testing.T) {

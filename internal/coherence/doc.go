@@ -22,7 +22,15 @@
 // after the node's own eviction is a replacement. This state lives in
 // fixed chunks of 2048 lines, each allocated when its first line is
 // touched and never copied, so a directory's memory is the lines it
-// touched, rounded up to one chunk. Directory.AccessInto writes the
-// outcome into the caller's Outcome, so the simulator's hot path copies
-// no result; Access returns it as a value.
+// touched, rounded up to one chunk.
+//
+// The bitmasks are the narrowest of 8, 16, 32 and 64 bits that hold the
+// node count, one generic table per width. With the dirty owner and
+// padding a line's state is 4 B on a machine of up to 8 nodes, 8 B up
+// to 16, 16 B up to 32 and 32 B up to 64, plus one writer byte per word:
+// 20 B per 128-B line on the default machines, where 64-bit masks cost
+// 48 B. Directory.AccessInto writes the outcome into the caller's
+// Outcome, so the simulator's hot path copies no result, and costs the
+// caller one call whatever the width; Access returns the outcome as a
+// value.
 package coherence

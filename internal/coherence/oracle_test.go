@@ -30,7 +30,7 @@ type oldDirectory struct {
 	// own eviction or never held). Both slabs grow by append; slots of
 	// forgotten lines are reused from free.
 	index flat.Map
-	lines []lineState
+	lines []lineState[uint64]
 	bytes []int8
 	free  []uint32
 
@@ -76,10 +76,10 @@ func (d *oldDirectory) state(la uint64) uint32 {
 	if n := len(d.free); n > 0 {
 		i = d.free[n-1]
 		d.free = d.free[:n-1]
-		d.lines[i] = lineState{dirtyOwner: -1}
+		d.lines[i] = lineState[uint64]{dirtyOwner: -1}
 	} else {
 		i = uint32(len(d.lines))
-		d.lines = append(d.lines, lineState{dirtyOwner: -1})
+		d.lines = append(d.lines, lineState[uint64]{dirtyOwner: -1})
 		d.bytes = append(d.bytes, make([]int8, d.stride)...)
 	}
 	b := d.bytes[int(i)*d.stride : int(i+1)*d.stride]
@@ -261,7 +261,8 @@ func diffOp(t *testing.T, d *Directory, ref *oldDirectory, rng *rand.Rand, addr 
 // those.
 func TestBlockTableMatchesOracle(t *testing.T) {
 	for _, lineSize := range []int{16, 128} {
-		d, ref := New(4, lineSize), newOldDirectory(4, lineSize)
+		tb, ref := newTable[uint8](4, lineSize), newOldDirectory(4, lineSize)
+		d := tb.directory()
 		rng := rand.New(rand.NewSource(int64(lineSize)))
 		blockBytes := uint64(lineSize) << blockShift
 		touched := map[uint64]bool{}
@@ -278,7 +279,7 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 					set = append(set, uint64(rng.Intn(1<<12)))
 				}
 			case 2:
-				n := uint64(len(d.blocks))
+				n := uint64(len(tb.blocks))
 				set = []uint64{n, 3*n + 7, 1 << 20}
 			}
 			for _, blk := range set {
@@ -296,7 +297,7 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 				addr := blk*blockBytes + uint64(rng.Intn(int(blockBytes)))
 				diffOp(t, d, ref, rng, addr, fmt.Sprintf("line %d round %d step %d", lineSize, round, step))
 			}
-			n := uint64(len(d.blocks))
+			n := uint64(len(tb.blocks))
 			for _, blk := range []uint64{slices.Max(set) + 1, n - 1, n, 3*n + 7} {
 				if touched[blk] {
 					continue
@@ -310,18 +311,18 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 					t.Fatalf("line %d round %d: Holders(%#x) of an untouched block = %d, want %d", lineSize, round, addr, got, want)
 				}
 			}
-			if got := uint64(len(d.blocks)); got != n {
+			if got := uint64(len(tb.blocks)); got != n {
 				t.Fatalf("line %d round %d: calls on untouched blocks grew the table from %d to %d", lineSize, round, n, got)
 			}
-			if got, want := int(d.nblocks), len(touched); got != want {
+			if got, want := int(tb.nblocks), len(touched); got != want {
 				t.Fatalf("line %d round %d: %d slot blocks for %d touched blocks", lineSize, round, got, want)
 			}
-			if got, want := len(d.chunks), (len(touched)+chunkBlocks-1)/chunkBlocks; got != want {
+			if got, want := len(tb.chunks), (len(touched)+chunkBlocks-1)/chunkBlocks; got != want {
 				t.Fatalf("line %d round %d: %d chunks for %d touched blocks, want %d", lineSize, round, got, len(touched), want)
 			}
 		}
-		if len(d.chunks) < 3 {
-			t.Fatalf("line %d: the rounds span %d chunks, want at least 3", lineSize, len(d.chunks))
+		if len(tb.chunks) < 3 {
+			t.Fatalf("line %d: the rounds span %d chunks, want at least 3", lineSize, len(tb.chunks))
 		}
 	}
 }
@@ -334,13 +335,14 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 func TestChunksGrowWithoutCopying(t *testing.T) {
 	const lineSize = 128
 	blockBytes := uint64(lineSize) << blockShift
-	d := New(4, lineSize)
+	tb := newTable[uint8](4, lineSize)
+	d := tb.directory()
 	// The first block touched sits above every other one below, so the
 	// block table, and with it the chunk table, is sized once here.
 	far := 16 * chunkBlocks * blockBytes
 	d.Access(2, far, true)
-	i, _ := d.slot(far)
-	c, o := d.at(i)
+	i, _ := tb.slot(far)
+	c, o := tb.at(i)
 	early := &c.lines[o]
 
 	next := uint64(0) // lowest block never touched
@@ -351,10 +353,10 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	for range 2 * chunkBlocks {
 		touch()
 	}
-	if len(d.chunks) != 3 {
-		t.Fatalf("%d chunks after touching %d blocks, want 3", len(d.chunks), d.nblocks)
+	if len(tb.chunks) != 3 {
+		t.Fatalf("%d chunks after touching %d blocks, want 3", len(tb.chunks), tb.nblocks)
 	}
-	c, o = d.at(i)
+	c, o = tb.at(i)
 	if &c.lines[o] != early {
 		t.Fatal("growing by two chunks moved an early line's state")
 	}
@@ -365,7 +367,7 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	if got := testing.AllocsPerRun(20, touch); got != 0 {
 		t.Errorf("touching a block that fits in the last chunk: %v allocations, want 0", got)
 	}
-	for d.nblocks%chunkBlocks != 0 {
+	for tb.nblocks%chunkBlocks != 0 {
 		touch()
 	}
 	newChunk := func() {
@@ -377,7 +379,7 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	// more: twelve new chunks take the chunk table past 8 entries.
 	for range 6 {
 		if got := testing.AllocsPerRun(1, newChunk); got != 2 {
-			t.Fatalf("filling new chunk %d: %v allocations, want 2", len(d.chunks), got)
+			t.Fatalf("filling new chunk %d: %v allocations, want 2", len(tb.chunks), got)
 		}
 	}
 	if next*blockBytes >= far {
@@ -431,6 +433,17 @@ func FuzzDirectory(f *testing.F) {
 		seq = append(seq, byte(i*7%16), byte(i*11%16), byte(i*13%32), byte(i*97))
 	}
 	f.Add(seq)
+	// One seed per CPU count the seeds above leave out, at each mask
+	// width's edge (1, 9, 17, 32, 33 CPUs): the CPU bytes step by 37,
+	// so every CPU, the top bit of the width included, reads, writes,
+	// evicts and is invalidated.
+	for _, n := range []byte{0, 8, 16, 31, 32} {
+		seq = []byte{n, 4}
+		for i := 0; i < 300; i++ {
+			seq = append(seq, byte(i*7%16), byte(i*37), byte(i*13%32), byte(i%6))
+		}
+		f.Add(seq)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

@@ -11,9 +11,12 @@ import (
 // in ten thousand), so the test takes no timing and cannot fail on host
 // noise. Each budget is about 1.25x the recorded figure:
 //
-//   - swim/cdpc/8 sampled: 1,135,300 bytes (2,198,700 when the
-//     coherence directory still grew its slabs by copying);
-//   - tomcatv/cdpc/16 full: 1,480,800 bytes (2,545,800 before).
+//   - swim/cdpc/8 sampled: 779,900 bytes (1,135,300 while the
+//     directory's masks were 64 bits wide and the shadow's index a
+//     flat.Map; 2,198,700 when the directory still grew its slabs by
+//     copying);
+//   - tomcatv/cdpc/16 full: 1,063,000 bytes, up to 1,068,100 (1,480,800
+//     and 2,545,800 at those two earlier points).
 //
 // Under -race both figures read about 1% higher, inside the budgets.
 // Nothing else allocates while the test runs: no test in the package
@@ -23,8 +26,8 @@ func TestAllocationBudget(t *testing.T) {
 		spec   Spec
 		budget uint64
 	}{
-		{Spec{Workload: "swim", Variant: CDPC, CPUs: 8, Sampled: true}, 1_420_000},
-		{Spec{Workload: "tomcatv", Variant: CDPC, CPUs: 16}, 1_850_000},
+		{Spec{Workload: "swim", Variant: CDPC, CPUs: 8, Sampled: true}, 975_000},
+		{Spec{Workload: "tomcatv", Variant: CDPC, CPUs: 16}, 1_330_000},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

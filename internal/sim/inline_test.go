@@ -14,12 +14,33 @@ import (
 // becomes a call on that path without changing any result, so no golden
 // test notices it.
 var hotInline = map[string][]string{
-	"internal/coherence": {"(*Directory).slot", "(*Directory).at", "(*Directory).wordIndex", "(*Directory).wordWriter"},
+	"internal/coherence": append([]string{"(*Directory).AccessInto", "(*Directory).Evict"},
+		tableHelpers("slot", "at", "wordIndex", "wordWriter", "invalidateOthers")...),
 	"internal/sim": {"(*llcUnit).cacheFor", "(*Machine).llcLineAddr",
 		"(*winnerTree).update", "(*winnerTree).runnerUp", "(*winnerTree).min", "(*winnerTree).key"},
 	"internal/cache": {"(*Cache).lineAddr", "(*Cache).setOf", "(*Cache).set"},
-	"internal/flat":  {"(*Map).Get", "(*LRU).Touch"},
+	"internal/flat":  {"(*Map).Get", "(*LRU).Touch", "(*LRU).find"},
 	"internal/tlb":   {"(*TLB).Fill", "(*TLB).Peek"},
+}
+
+// outOfLine lists, per package, the functions that must stay calls: the
+// coherence table's constructor of its access closure, which inlined
+// into New would compile the closure outside the table's generic code,
+// where the closure's helpers stay calls on every access.
+var outOfLine = map[string][]string{
+	"internal/coherence": tableHelpers("directory"),
+}
+
+// tableHelpers names the coherence table's helpers as the compiler
+// reports them: once per mask width, each width's code compiled apart.
+func tableHelpers(helpers ...string) []string {
+	var names []string
+	for _, width := range []string{"uint8", "uint16", "uint32", "uint64"} {
+		for _, h := range helpers {
+			names = append(names, "(*table[go.shape."+width+"])."+h)
+		}
+	}
+	return names
 }
 
 // inlineVerdict matches the compiler's -m=2 verdict on one function:
@@ -30,12 +51,13 @@ var inlineVerdict = regexp.MustCompile(`^(internal/[a-z]+)/[^:]+:\d+:\d+: (can|c
 
 // TestHotHelpersInline builds the hot-path packages with -gcflags=-m=2
 // and fails, naming each function and the compiler's reason, unless
-// every helper in hotInline is reported as "can inline". The compiler's
-// verdict depends on the source and on the Go toolchain's version, not on
-// host load. Inlining costs change between toolchain releases, so a
-// failure right after a Go upgrade with no source change means the
-// budget needs checking again, not that the code regressed; the failure
-// names the toolchain that gave the verdict.
+// every helper in hotInline is reported as "can inline" and every
+// function in outOfLine is not. The compiler's verdict depends on the
+// source and on the Go toolchain's version, not on host load. Inlining
+// costs change between toolchain releases, so a failure right after a
+// Go upgrade with no source change means the budget needs checking
+// again, not that the code regressed; the failure names the toolchain
+// that gave the verdict.
 func TestHotHelpersInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds five packages with the compiler's inlining report; skipped in -short")
@@ -67,6 +89,16 @@ func TestHotHelpersInline(t *testing.T) {
 				t.Errorf("%s %s: the compiler reported no inlining verdict (renamed or deleted?)", pkg, fn)
 			case !v.can:
 				t.Errorf("%s %s no longer inlines: %s", pkg, fn, v.detail)
+			}
+		}
+	}
+	for pkg, fns := range outOfLine {
+		for _, fn := range fns {
+			switch v, ok := verdicts[pkg+" "+fn]; {
+			case !ok:
+				t.Errorf("%s %s: the compiler reported no inlining verdict (renamed or deleted?)", pkg, fn)
+			case v.can:
+				t.Errorf("%s %s now inlines (%s); it must stay out of line", pkg, fn, v.detail)
 			}
 		}
 	}

@@ -5,10 +5,10 @@
 //  1. readiness via /readyz,
 //  2. one synchronous and one polled asynchronous job,
 //  3. 64 concurrent submissions of mixed repeated/unique specs
-//     against a deliberately small queue — 429s must be observed
-//     (bounded-queue backpressure), every accepted job must reach a
-//     terminal state (zero dropped), and repeated specs must be
-//     served from the memo cache,
+//     against a deliberately small queue while long jobs hold every
+//     worker — 429s must be observed (bounded-queue backpressure),
+//     every accepted job must reach a terminal state (zero dropped),
+//     and repeated specs must be served from the memo cache,
 //  4. /metrics counters must have moved accordingly,
 //  5. SIGTERM must drain gracefully within the deadline (exit 0).
 //
@@ -51,10 +51,16 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
+// The daemon's pool and queue: small, so that 64 concurrent
+// submissions overflow the queue once the workers are held.
+const (
+	workers  = 4
+	queueCap = 8
+)
+
 func run() error {
-	// Small queue and pool so 64 concurrent submissions reliably
-	// saturate admission.
-	cmd := exec.Command(*bin, "-addr", "127.0.0.1:0", "-workers", "4", "-queue", "8", "-quiet")
+	cmd := exec.Command(*bin, "-addr", "127.0.0.1:0", "-workers", fmt.Sprint(workers),
+		"-queue", fmt.Sprint(queueCap), "-quiet")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return err
@@ -299,38 +305,130 @@ func checkAsync(base string) error {
 func poll(url string, timeout time.Duration) (string, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
+		state, err := jobState(url)
 		if err != nil {
 			return "", err
 		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		var st struct {
-			State string `json:"state"`
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
-			return "", fmt.Errorf("poll %s: bad body %q", url, data)
-		}
-		switch st.State {
+		switch state {
 		case "done", "failed", "canceled":
-			return st.State, nil
+			return state, nil
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	return "", fmt.Errorf("poll %s: no terminal state within %s", url, timeout)
 }
 
-// checkBackpressure fires 64 concurrent submissions — half repeats of
-// one fast spec, half unique specs — at a queue of 8. It requires at
-// least one 429, retries every 429 until accepted (so all 64 are
-// eventually admitted), and then requires every accepted job to reach
-// "done": bounded queue, zero dropped accepted jobs.
+// blockerBody is a spec that runs for seconds: tomcatv at the paper's
+// own scale, full fidelity. cpus varies it, so that no two blockers
+// share a memo entry.
+func blockerBody(cpus int) []byte {
+	b, _ := json.Marshal(map[string]any{
+		"workload": "tomcatv", "cpus": cpus, "scale": 1, "fidelity": "full", "variant": "cdpc",
+	})
+	return b
+}
+
+// holdWorkers submits one blocker per worker and waits until every one
+// reports running, so that the queue is the only place left for a new
+// job. It returns the blockers' job URLs.
+func holdWorkers(base string) ([]string, error) {
+	var urls []string
+	for i := 0; i < workers; i++ {
+		resp, data, err := postJSON(base+"/v1/jobs", blockerBody(1<<i))
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			return nil, fmt.Errorf("blocker %d: %d: %s", i, resp.StatusCode, data)
+		}
+		urls = append(urls, base+resp.Header.Get("Location"))
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, url := range urls {
+		for {
+			state, err := jobState(url)
+			if err != nil {
+				return nil, err
+			}
+			if state == "running" {
+				break
+			}
+			if state != "queued" {
+				return nil, fmt.Errorf("blocker %s reached %q before the burst; it must run for seconds", url, state)
+			}
+			if time.Now().After(deadline) {
+				return nil, fmt.Errorf("blocker %s still queued after 30s", url)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	return urls, nil
+}
+
+// jobState returns the state GET reports for a job URL.
+func jobState(url string) (string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return "", err
+	}
+	var st struct {
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return "", fmt.Errorf("poll %s: bad body %q", url, data)
+	}
+	return st.State, nil
+}
+
+// release cancels the blockers with DELETE.
+func release(urls []string) error {
+	for _, url := range urls {
+		req, err := http.NewRequest(http.MethodDelete, url, nil)
+		if err != nil {
+			return err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("DELETE %s: %d", url, resp.StatusCode)
+		}
+	}
+	return nil
+}
+
+// checkBackpressure holds every worker with a long blocker job, then
+// fires 64 concurrent submissions — half repeats of one fast spec,
+// half unique specs — at the queue. With no worker free, the queue
+// fills and the next submission must get a 429, however fast the host.
+// The first 429 releases the blockers. Every 429 is retried until
+// accepted (so all 64 are eventually admitted), and every accepted job
+// must then reach "done": bounded queue, zero dropped accepted jobs.
 func checkBackpressure(base string) error {
 	const n = 64
+	blockers, err := holdWorkers(base)
+	if err != nil {
+		return err
+	}
 	var rejected atomic.Uint64
+	firstReject := make(chan struct{})
+	var once sync.Once
+	burstDone := make(chan struct{})
+	released := make(chan error, 1)
+	go func() {
+		select {
+		case <-firstReject:
+		case <-burstDone:
+		}
+		released <- release(blockers)
+	}()
 	ids := make([]string, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -363,6 +461,7 @@ func checkBackpressure(base string) error {
 					return
 				case http.StatusTooManyRequests:
 					rejected.Add(1)
+					once.Do(func() { close(firstReject) })
 					if resp.Header.Get("Retry-After") == "" {
 						errs[i] = fmt.Errorf("429 without Retry-After")
 						return
@@ -380,13 +479,24 @@ func checkBackpressure(base string) error {
 		}(i)
 	}
 	wg.Wait()
+	close(burstDone)
+	if err := <-released; err != nil {
+		return fmt.Errorf("releasing the blockers: %w", err)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	if rejected.Load() == 0 {
-		return fmt.Errorf("no 429 observed across %d concurrent submissions on a queue of 8; backpressure untested", n)
+		return fmt.Errorf("no 429 observed across %d concurrent submissions on a queue of %d with every worker held; backpressure untested", n, queueCap)
+	}
+	for _, url := range blockers {
+		if state, err := poll(url, 60*time.Second); err != nil {
+			return fmt.Errorf("blocker %s: %w", url, err)
+		} else if state != "canceled" && state != "done" {
+			return fmt.Errorf("blocker %s finished %q, want canceled or done", url, state)
+		}
 	}
 	// Zero dropped: every accepted job reaches a terminal state, and
 	// that state is done.
@@ -399,8 +509,8 @@ func checkBackpressure(base string) error {
 			return fmt.Errorf("accepted job %s finished %q, want done", id, state)
 		}
 	}
-	fmt.Printf("smoke: backpressure ok (%d submissions accepted, %d transient 429s, zero dropped)\n",
-		n, rejected.Load())
+	fmt.Printf("smoke: backpressure ok (%d workers held, %d submissions accepted, %d transient 429s, zero dropped)\n",
+		workers, n, rejected.Load())
 	return nil
 }
 

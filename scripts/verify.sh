@@ -47,13 +47,19 @@ go test -run=FuzzDecodeTrace ./internal/trace
 # sequences against a Go map.
 go test -run=FuzzFlatMap ./internal/flat
 
+# Shadow LRU fuzz seeds: FuzzLRU diffs Touch/Remove/Clear/Len sequences
+# at capacities 1-64, key 0 and colliding keys included, against a
+# container/list LRU.
+go test -run=FuzzLRU ./internal/flat
+
 # TLB fuzz seeds: FuzzTLB diffs Translate/Fill/Peek/Invalidate/Flush
 # sequences against a container/list LRU reference.
 go test -run=FuzzTLB ./internal/tlb
 
 # Coherence directory fuzz seeds: FuzzDirectory diffs Access, AccessInto
 # (one reused Outcome), Evict, Forget and Holders sequences at 1-64 CPUs
-# and 8-256-byte lines against the per-line oracle directory.
+# (every mask width, full and one past) and 8-256-byte lines against the
+# per-line oracle directory.
 go test -run=FuzzDirectory ./internal/coherence
 
 # Machine and topology file fuzz seeds: FuzzReadConfig and
