@@ -83,8 +83,14 @@ func (g CacheGeometry) Validate() error {
 	case g.LineSize&(g.LineSize-1) != 0:
 		return fmt.Errorf("arch: line size %d not a power of two", g.LineSize)
 	}
-	if sets := g.Sets(); sets&(sets-1) != 0 {
+	sets := g.Sets()
+	if sets&(sets-1) != 0 {
 		return fmt.Errorf("arch: set count %d (size %d / line %d / assoc %d) not a power of two", sets, g.Size, g.LineSize, g.Assoc)
+	}
+	// A cache way packs its tag and two state bits in one word, so the
+	// line-offset and set-index bits it drops must number at least two.
+	if g.LineSize*sets < 4 {
+		return fmt.Errorf("arch: line %d x %d sets spans under 4 bytes per way", g.LineSize, sets)
 	}
 	return nil
 }

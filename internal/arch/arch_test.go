@@ -92,6 +92,27 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateWaySpan: a geometry whose line size times set count is
+// under 4 B is rejected, since a cache way's tag could then need more
+// than 62 bits; from 4 B up, 1- and 2-B lines are accepted.
+func TestValidateWaySpan(t *testing.T) {
+	for _, c := range []struct {
+		g  CacheGeometry
+		ok bool
+	}{
+		{CacheGeometry{Size: 4, LineSize: 1, Assoc: 4}, false}, // 1 set
+		{CacheGeometry{Size: 4, LineSize: 1, Assoc: 2}, false}, // 2 sets
+		{CacheGeometry{Size: 4, LineSize: 2, Assoc: 2}, false}, // 1 set
+		{CacheGeometry{Size: 4, LineSize: 1, Assoc: 1}, true},  // 4 sets
+		{CacheGeometry{Size: 4, LineSize: 2, Assoc: 1}, true},  // 2 sets
+		{CacheGeometry{Size: 16, LineSize: 4, Assoc: 4}, true}, // 1 set
+	} {
+		if err := c.g.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate = %v, want accepted %v", c.g, err, c.ok)
+		}
+	}
+}
+
 func TestCyclesFromNS(t *testing.T) {
 	c := Base(1, 1)
 	if got := c.CyclesFromNS(500); got != 200 {

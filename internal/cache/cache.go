@@ -4,13 +4,20 @@ import (
 	"repro/internal/arch"
 )
 
-// way is one line slot; ways within a set are ordered most-recently-used
-// first, so eviction always takes the last element.
-type way struct {
-	lineAddr uint64 // line-aligned address; zero is valid so track presence
-	valid    bool
-	dirty    bool
-}
+// A way is one line slot packed in a word: the line's tag (its line
+// number above the set index bits) shifted left by two, then the dirty
+// bit and the valid bit. The zero word is an empty way. Ways within a
+// set are ordered most-recently-used first, so eviction always takes
+// the last element.
+//
+// The tag drops the address's line-offset and set-index bits, which the
+// set itself implies, so it fits in 62 bits whenever a way spans at
+// least 4 bytes of address (line size × set count), as
+// arch.CacheGeometry.Validate requires.
+const (
+	wayValid = 1
+	wayDirty = 2
+)
 
 // Cache is a set-associative, write-back, write-allocate cache with true
 // LRU replacement. It is indexed by whatever address is passed in —
@@ -21,14 +28,14 @@ type Cache struct {
 	// ways holds every set back to back: set si is
 	// ways[si*assoc : (si+1)*assoc]. The associativity need not be a
 	// power of two, so the set base is a multiply.
-	ways  []way
+	ways  []uint64
 	assoc int
 
 	// Precomputed indexing: arch.Validate guarantees power-of-two line
 	// size and set count, so the per-access address→(line, set) split is
 	// a shift and a mask, never a 64-bit division.
 	lineShift uint
-	lineMask  uint64 // low bits within a line
+	tagShift  uint   // lineShift + log2(set count)
 	setMask   uint64 // set index mask after the line shift
 
 	// prof, when enabled, records per-set miss/eviction/invalidation
@@ -44,33 +51,39 @@ type SetProfile struct {
 	Invalidations []uint64 // lines removed by coherence actions
 }
 
-// New creates an empty cache with the given geometry.
+// New creates an empty cache with the given geometry, which must pass
+// arch.CacheGeometry.Validate.
 func New(g arch.CacheGeometry) *Cache {
 	return &Cache{
 		Geom:      g,
-		ways:      make([]way, g.Sets()*g.Assoc),
+		ways:      make([]uint64, g.Sets()*g.Assoc),
 		assoc:     g.Assoc,
 		lineShift: g.LineShift(),
-		lineMask:  uint64(g.LineSize - 1),
+		tagShift:  g.LineShift() + arch.Log2(g.Sets()),
 		setMask:   uint64(g.Sets() - 1),
 	}
 }
 
-// lineAddr and setOf are the division-free forms of Geom.LineAddr and
-// Geom.SetOf used on every access.
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ c.lineMask }
-func (c *Cache) setOf(addr uint64) uint64    { return (addr >> c.lineShift) & c.setMask }
+// key and setOf split an address, without a division, into the valid
+// way word its line would occupy (dirty bit clear) and its set.
+func (c *Cache) key(addr uint64) uint64   { return addr>>c.tagShift<<2 | wayValid }
+func (c *Cache) setOf(addr uint64) uint64 { return (addr >> c.lineShift) & c.setMask }
+
+// lineAddrOf returns the line address held by way w of set si.
+func (c *Cache) lineAddrOf(w, si uint64) uint64 {
+	return (w>>2<<(c.tagShift-c.lineShift) | si) << c.lineShift
+}
 
 // set returns set si's ways, most recently used first.
-func (c *Cache) set(si uint64) []way {
+func (c *Cache) set(si uint64) []uint64 {
 	base := int(si) * c.assoc
 	return c.ways[base : base+c.assoc : base+c.assoc]
 }
 
-// find returns the index of la's way in set, -1 when absent.
-func find(set []way, la uint64) int {
+// find returns the index of key's way in set, -1 when absent.
+func find(set []uint64, key uint64) int {
 	for i := range set {
-		if set[i].valid && set[i].lineAddr == la {
+		if set[i]&^wayDirty == key {
 			return i
 		}
 	}
@@ -88,18 +101,21 @@ type Result struct {
 // Access looks up addr, allocating on miss, and returns the outcome.
 // write marks the (resulting) line dirty.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	la := c.lineAddr(addr)
+	key := c.key(addr)
 	si := c.setOf(addr)
-	if w := &c.ways[int(si)*c.assoc]; w.valid && w.lineAddr == la {
+	var dirty uint64
+	if write {
+		dirty = wayDirty
+	}
+	if w := &c.ways[int(si)*c.assoc]; *w&^wayDirty == key {
 		// MRU hit: the common case, and LRU order stays as it is.
-		w.dirty = w.dirty || write
+		*w |= dirty
 		return Result{Hit: true}
 	}
 	set := c.set(si)
 	for i := 1; i < len(set); i++ {
-		if set[i].valid && set[i].lineAddr == la {
-			w := set[i]
-			w.dirty = w.dirty || write
+		if set[i]&^wayDirty == key {
+			w := set[i] | dirty
 			copy(set[1:i+1], set[:i]) // move to MRU
 			set[0] = w
 			return Result{Hit: true}
@@ -108,13 +124,13 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// Miss: evict LRU way.
 	last := len(set) - 1
 	res := Result{}
-	if set[last].valid {
+	if v := set[last]; v != 0 {
 		res.Evicted = true
-		res.VictimAddr = set[last].lineAddr
-		res.VictimDirty = set[last].dirty
+		res.VictimAddr = c.lineAddrOf(v, si)
+		res.VictimDirty = v&wayDirty != 0
 	}
 	copy(set[1:], set[:last])
-	set[0] = way{lineAddr: la, valid: true, dirty: write}
+	set[0] = key | dirty
 	if c.prof != nil {
 		c.prof.Misses[si]++
 		if res.Evicted {
@@ -126,7 +142,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 
 // Probe reports whether addr is present without disturbing LRU state.
 func (c *Cache) Probe(addr uint64) bool {
-	return find(c.set(c.setOf(addr)), c.lineAddr(addr)) >= 0
+	return find(c.set(c.setOf(addr)), c.key(addr)) >= 0
 }
 
 // Invalidate removes addr's line if present, returning (present, dirty).
@@ -134,42 +150,45 @@ func (c *Cache) Probe(addr uint64) bool {
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	si := c.setOf(addr)
 	set := c.set(si)
-	i := find(set, c.lineAddr(addr))
+	i := find(set, c.key(addr))
 	if i < 0 {
 		return false, false
 	}
-	dirty = set[i].dirty
+	dirty = set[i]&wayDirty != 0
 	c.remove(si, set, i)
 	return true, dirty
 }
 
 // InvalidateRange removes every line overlapping [addr, addr+size) and
-// reports whether any of them was dirty. Consecutive lines fall in
-// consecutive sets, so the walk steps the set index instead of
+// reports whether any of them was dirty. A range running past the top
+// of the address space ends there. Consecutive lines fall in
+// consecutive sets, so the walk steps the line number instead of
 // re-deriving it from each address.
 func (c *Cache) InvalidateRange(addr, size uint64) (dirty bool) {
 	if size == 0 {
 		return false
 	}
-	la := c.lineAddr(addr)
-	n := (c.lineAddr(addr+size-1)-la)>>c.lineShift + 1
-	si := c.setOf(la)
-	for ; n > 0; n-- {
+	end := addr + size - 1
+	if end < addr {
+		end = ^uint64(0)
+	}
+	line := addr >> c.lineShift
+	for n := end>>c.lineShift - line + 1; n > 0; n-- {
+		si := line & c.setMask
 		set := c.set(si)
-		if i := find(set, la); i >= 0 {
-			dirty = dirty || set[i].dirty
+		if i := find(set, c.key(line<<c.lineShift)); i >= 0 {
+			dirty = dirty || set[i]&wayDirty != 0
 			c.remove(si, set, i)
 		}
-		la += c.lineMask + 1
-		si = (si + 1) & c.setMask
+		line++
 	}
 	return dirty
 }
 
 // remove drops way i of set si, compacting the set in LRU order.
-func (c *Cache) remove(si uint64, set []way, i int) {
+func (c *Cache) remove(si uint64, set []uint64, i int) {
 	copy(set[i:], set[i+1:])
-	set[len(set)-1] = way{}
+	set[len(set)-1] = 0
 	if c.prof != nil {
 		c.prof.Invalidations[si]++
 	}
@@ -179,8 +198,8 @@ func (c *Cache) remove(si uint64, set []way, i int) {
 // or a downgrade to shared state).
 func (c *Cache) Clean(addr uint64) {
 	set := c.set(c.setOf(addr))
-	if i := find(set, c.lineAddr(addr)); i >= 0 {
-		set[i].dirty = false
+	if i := find(set, c.key(addr)); i >= 0 {
+		set[i] &^= wayDirty
 	}
 }
 
@@ -189,8 +208,8 @@ func (c *Cache) Clean(addr uint64) {
 // into the (inclusive) external cache.
 func (c *Cache) MarkDirty(addr uint64) {
 	set := c.set(c.setOf(addr))
-	if i := find(set, c.lineAddr(addr)); i >= 0 {
-		set[i].dirty = true
+	if i := find(set, c.key(addr)); i >= 0 {
+		set[i] |= wayDirty
 	}
 }
 
@@ -220,7 +239,7 @@ func (c *Cache) SetOccupancy() []float64 {
 	for si := range occ {
 		valid := 0
 		for _, w := range c.set(uint64(si)) {
-			if w.valid {
+			if w != 0 {
 				valid++
 			}
 		}
@@ -237,7 +256,7 @@ func (c *Cache) Utilization() float64 {
 	used := 0
 	for si := 0; si < n; si++ {
 		for _, w := range c.set(uint64(si)) {
-			if w.valid {
+			if w != 0 {
 				used++
 				break
 			}

@@ -158,6 +158,14 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
+// dirtyBit is a way word's dirty bit for a line whose dirty flag is d.
+func dirtyBit(d bool) uint64 {
+	if d {
+		return wayDirty
+	}
+	return 0
+}
+
 // compareWithReference checks every set's ways and the derived
 // statistics against the reference.
 func compareWithReference(t *testing.T, c *Cache, ref *refCache, assoc, step int) {
@@ -168,11 +176,11 @@ func compareWithReference(t *testing.T, c *Cache, ref *refCache, assoc, step int
 		ways := c.set(uint64(si))
 		for i, w := range ways {
 			if i < len(want) {
-				if !w.valid || w.lineAddr != want[i].addr || w.dirty != want[i].dirty {
-					t.Fatalf("assoc %d step %d: set %d way %d = %+v, want %+v", assoc, step, si, i, w, want[i])
+				if w != c.key(want[i].addr)|dirtyBit(want[i].dirty) || c.lineAddrOf(w, uint64(si)) != want[i].addr {
+					t.Fatalf("assoc %d step %d: set %d way %d = %#x (line %#x), want %+v", assoc, step, si, i, w, c.lineAddrOf(w, uint64(si)), want[i])
 				}
-			} else if w.valid {
-				t.Fatalf("assoc %d step %d: set %d way %d = %+v, want invalid", assoc, step, si, i, w)
+			} else if w != 0 {
+				t.Fatalf("assoc %d step %d: set %d way %d = %#x, want empty", assoc, step, si, i, w)
 			}
 		}
 		if got := occ[si]; got != float64(len(want))/float64(assoc) {
@@ -292,4 +300,115 @@ func TestInvalidateRangeEdges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCache decodes the input as a line-size byte (1 to 128 bytes), a
+// set-count byte (1 to 64 sets), an associativity byte (1 to 8 ways)
+// and a base byte that places the candidate lines at address 0, just
+// below 2^63 or at the very top of the address space, followed by
+// (op, set, tag, offset) quadruples. It replays Access, Probe,
+// Invalidate, InvalidateRange, Clean, MarkDirty and Flush on a Cache
+// and on the reference and compares each result, every set's ways and
+// the per-set counters after every operation. Geometries that
+// arch.CacheGeometry.Validate rejects are skipped.
+func FuzzCache(f *testing.F) {
+	f.Add([]byte{})
+	// 32-B lines, 8 sets, 2 ways at address 0: fills, hits, evictions.
+	seq := []byte{5, 3, 1, 0}
+	for i := 0; i < 200; i++ {
+		seq = append(seq, byte(i*7%16), byte(i*3), byte(i%5), byte(i*11))
+	}
+	f.Add(seq)
+	// 1-B lines, 4 sets, 3 ways at the top of the address space: tags
+	// wrap past 2^64 to address 0.
+	seq = []byte{0, 2, 2, 3}
+	for i := 0; i < 300; i++ {
+		seq = append(seq, byte(i*5%16), byte(i), byte(i*7%6), byte(i))
+	}
+	f.Add(seq)
+	// 2-B lines, 2 sets, 8 ways just below 2^63, with ranges and flushes.
+	seq = []byte{1, 1, 7, 1}
+	for i := 0; i < 300; i++ {
+		seq = append(seq, byte(i*13%16), byte(i), byte(i%11), byte(i*3))
+	}
+	f.Add(seq)
+	// 128-B lines, 64 sets, 4 ways near 2^64: invalidated ranges run
+	// off the top of the address space.
+	seq = []byte{7, 6, 3, 2}
+	for i := 0; i < 300; i++ {
+		op := byte(i * 3 % 16)
+		if i%9 == 0 {
+			op = 12
+		}
+		seq = append(seq, op, byte(i*29), byte(i%7), byte(i*17))
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		g := arch.CacheGeometry{LineSize: 1 << (data[0] % 8), Assoc: int(data[2]%8) + 1}
+		sets := uint64(1) << (data[1] % 7)
+		g.Size = g.LineSize * int(sets) * g.Assoc
+		if g.Validate() != nil {
+			return
+		}
+		line, span := uint64(g.LineSize), sets*uint64(g.LineSize)
+		base := [...]uint64{0, 1<<63 - 2*span, -(3 * span), -line}[data[3]%4]
+		c, ref := New(g), newRefCache(g)
+		c.EnableSetProfile()
+		for i := 4; i+4 <= len(data); i += 4 {
+			si := uint64(data[i+1]) % sets
+			addr := base + (uint64(data[i+2]%uint8(g.Assoc+2))*sets+si)*line + uint64(data[i+3])%line
+			if set := ref.set[si]; len(set) > 0 && data[i+2] >= 0xf0 {
+				addr = set[int(data[i+2])%len(set)].addr + uint64(data[i+3])%line
+			}
+			switch op := data[i] % 16; {
+			case op < 7:
+				write := op >= 5
+				if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+					t.Fatalf("op %d: Access(%#x, %v) = %+v, want %+v", i, addr, write, got, want)
+				}
+			case op < 8:
+				if got, want := c.Probe(addr), ref.probe(addr); got != want {
+					t.Fatalf("op %d: Probe(%#x) = %v, want %v", i, addr, got, want)
+				}
+			case op < 10:
+				gp, gd := c.Invalidate(addr)
+				wp, wd := ref.invalidate(addr)
+				if gp != wp || gd != wd {
+					t.Fatalf("op %d: Invalidate(%#x) = (%v, %v), want (%v, %v)", i, addr, gp, gd, wp, wd)
+				}
+			case op < 13:
+				size := uint64(data[i+1]) * 3 * span >> 8
+				want := false
+				if size > 0 {
+					end := addr + size - 1
+					if end < addr {
+						end = ^uint64(0)
+					}
+					for l := addr / line; l <= end/line; l++ {
+						_, d := ref.invalidate(l * line)
+						want = want || d
+						if l == end/line {
+							break // the top line: l++ would wrap
+						}
+					}
+				}
+				if got := c.InvalidateRange(addr, size); got != want {
+					t.Fatalf("op %d: InvalidateRange(%#x, %d) = %v, want %v", i, addr, size, got, want)
+				}
+			case op < 14:
+				c.Clean(addr)
+				ref.setDirty(addr, false)
+			case op < 15:
+				c.MarkDirty(addr)
+				ref.setDirty(addr, true)
+			default:
+				c.Flush()
+				ref.flush()
+			}
+			compareWithReference(t, c, ref, g.Assoc, i)
+		}
+	})
 }

@@ -54,7 +54,7 @@ type mask interface {
 }
 
 // lineState tracks one physical cache line. Its per-word writers are
-// bytes in its chunk's writer row (see chunk), so a line costs no
+// entries in its chunk's writer row (see chunk), so a line costs no
 // allocation of its own.
 type lineState[M mask] struct {
 	owners M // bitmask of CPUs holding the line
@@ -105,16 +105,18 @@ const (
 	chunkMask   = 1<<chunkShift - 1
 )
 
-// chunk holds the states and word-writer bytes of 1<<chunkShift
-// consecutive slots. Slot i lives in chunk i>>chunkShift at offset
-// i&chunkMask; the writers of the slot at offset o are writers[o*words :
-// (o+1)*words], one entry per word (the CPU that last wrote the word, -1
-// if never). A chunk is allocated when the first of its blocks is
-// touched and is never copied or freed, so a slot keeps its address for
-// the directory's life.
+// chunk holds the states and word writers of 1<<chunkShift consecutive
+// slots. Slot i lives in chunk i>>chunkShift at offset i&chunkMask. The
+// writer row packs one entry per word, one more than the node that last
+// wrote the word, or 0 if none has, so a new row needs no setting up:
+// entry j of the slot at offset o is entry o*words+j of the row. An
+// entry is a 4-bit nibble on machines of up to 15 nodes and a byte on
+// larger ones (see table.writerShift). A chunk is allocated when the
+// first of its blocks is touched and is never copied or freed, so a
+// slot keeps its address for the directory's life.
 type chunk[M mask] struct {
 	lines   [1 << chunkShift]lineState[M]
-	writers []int8
+	writers []uint8
 }
 
 // Directory tracks all lines. Not safe for concurrent use; the simulator
@@ -139,9 +141,16 @@ type Directory struct {
 
 // table is the directory with M-bit node masks.
 type table[M mask] struct {
-	words     int    // classification words per line, and writer bytes per slot
+	words     int    // classification words per line, and writer entries per slot
 	lineMask  uint64 // line size - 1; line size is a validated power of two
 	lineShift uint   // log2(line size)
+
+	// A writer entry is 1<<writerShift bits wide: 4 bits (writerShift
+	// 2) while the node count is at most 15, so that node+1 fits, and 8
+	// bits (writerShift 3) otherwise. writerMask is all ones at that
+	// width.
+	writerShift uint
+	writerMask  uint8
 
 	// blocks is indexed by physical block number (line address >>
 	// (lineShift+blockShift)) and holds b+1 for the block's slot block
@@ -165,7 +174,8 @@ type table[M mask] struct {
 
 // New creates a directory for ncpu CPUs and the given external-cache line
 // size in bytes. Its masks are the narrowest of 8, 16, 32 and 64 bits
-// that hold ncpu.
+// that hold ncpu, and its word writers are 4 bits wide for up to 15
+// CPUs, 8 bits beyond.
 func New(ncpu, lineSize int) *Directory {
 	switch {
 	case ncpu <= 0 || ncpu > 64:
@@ -182,12 +192,18 @@ func New(ncpu, lineSize int) *Directory {
 }
 
 func newTable[M mask](ncpu, lineSize int) *table[M] {
-	return &table[M]{
+	d := &table[M]{
 		words:        lineSize / wordSize,
 		lineMask:     uint64(lineSize - 1),
 		lineShift:    uint(bits.TrailingZeros(uint(lineSize))),
+		writerShift:  2,
 		invalScratch: make([]int, 0, ncpu),
 	}
+	if ncpu >= 1<<4 {
+		d.writerShift = 3
+	}
+	d.writerMask = uint8(1<<(1<<d.writerShift) - 1)
+	return d
 }
 
 // Access performs the protocol action for cpu touching addr and returns
@@ -223,10 +239,27 @@ func (d *table[M]) at(i uint32) (*chunk[M], uint32) {
 	return d.chunks[i>>chunkShift], i & chunkMask
 }
 
-// wordWriter returns the writer entry of word w of the slot at offset o
-// of chunk c.
-func (d *table[M]) wordWriter(c *chunk[M], o uint32, w int) *int8 {
-	return &c.writers[int(o)*d.words+w]
+// writerBit returns the bit position in c's writer row of the entry of
+// word w of the slot at offset o: its byte is bit>>3, and it starts at
+// bit bit&7 of that byte.
+func (d *table[M]) writerBit(o uint32, w int) int {
+	return (int(o)*d.words + w) << d.writerShift
+}
+
+// writer returns the writer entry of word w of the slot at offset o of
+// chunk c: one more than the node that last wrote the word, 0 if none
+// has.
+func (d *table[M]) writer(c *chunk[M], o uint32, w int) uint8 {
+	bit := d.writerBit(o, w)
+	return c.writers[bit>>3] >> (bit & 7) & d.writerMask
+}
+
+// setWriter stores entry as the writer entry of word w of the slot at
+// offset o of chunk c.
+func (d *table[M]) setWriter(c *chunk[M], o uint32, w int, entry uint8) {
+	bit := d.writerBit(o, w)
+	b := &c.writers[bit>>3]
+	*b = *b&^(d.writerMask<<(bit&7)) | entry<<(bit&7)
 }
 
 // slot returns the slot of addr's line, false when its block was
@@ -256,25 +289,27 @@ func (d *table[M]) touch(addr uint64) uint32 {
 	}
 	b := d.nblocks
 	if b%chunkBlocks == 0 {
-		d.chunks = append(d.chunks, &chunk[M]{writers: make([]int8, d.words<<chunkShift)})
+		d.chunks = append(d.chunks, &chunk[M]{writers: make([]uint8, d.words<<chunkShift<<d.writerShift>>3)})
 	}
 	d.nblocks++
+	// The block's slots were never handed out, so their writer entries
+	// are still 0; only the line states need making fresh.
 	for i := b << blockShift; i < (b+1)<<blockShift; i++ {
-		d.reset(i)
+		c, o := d.at(i)
+		c.lines[o] = lineState[M]{dirtyOwner: -1}
 	}
 	d.blocks[blk] = b + 1
 	i, _ := d.slot(addr)
 	return i
 }
 
-// reset makes slot i fresh: no holder, no invalidated copy, every
-// writer -1.
+// reset makes slot i fresh: no holder, no invalidated copy, no word
+// written.
 func (d *table[M]) reset(i uint32) {
 	c, o := d.at(i)
 	c.lines[o] = lineState[M]{dirtyOwner: -1}
-	w := c.writers[int(o)*d.words : int(o+1)*d.words]
-	for j := range w {
-		w[j] = -1
+	for w := range d.words {
+		d.setWriter(c, o, w, 0)
 	}
 }
 
@@ -288,13 +323,13 @@ func (d *table[M]) classifyMiss(c *chunk[M], o uint32, cpu int, word int) Class 
 	if s.held&(1<<uint(cpu)) == 0 {
 		// This CPU never held the line; another CPU touched it first.
 		// If the word was produced by another CPU this is communication.
-		if w := *d.wordWriter(c, o, word); w >= 0 && int(w) != cpu {
+		if w := d.writer(c, o, word); w != 0 && int(w) != cpu+1 {
 			return TrueShare
 		}
 		return Cold
 	}
 	if s.inval&(1<<uint(cpu)) != 0 {
-		if w := *d.wordWriter(c, o, word); w >= 0 && int(w) != cpu {
+		if w := d.writer(c, o, word); w != 0 && int(w) != cpu+1 {
 			return TrueShare
 		}
 		return FalseShare
@@ -352,7 +387,7 @@ func (d *table[M]) directory() *Directory {
 
 		if write {
 			s.dirtyOwner = int8(cpu)
-			*d.wordWriter(c, o, word) = int8(cpu)
+			d.setWriter(c, o, word, uint8(cpu+1))
 		}
 	}}
 }

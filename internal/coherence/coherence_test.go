@@ -205,10 +205,12 @@ func TestForgetReusesSlotFresh(t *testing.T) {
 // calls over addresses that share, straddle and skip index blocks,
 // including address 0. The CPU counts fill each mask width exactly
 // (1, 8, 16, 32, 64) and overflow it by one (9, 17, 33), so every
-// instantiation is diffed with its top bit in use.
+// instantiation is diffed with its top bit in use; 14, 15 and 16 CPUs
+// straddle the writer width, with 15 the largest that takes nibbles.
+// 8-B lines have one word, so two slots' nibbles share a byte.
 func TestDirectoryMatchesOracle(t *testing.T) {
-	for _, ncpu := range []int{1, 2, 5, 8, 9, 16, 17, 32, 33, 64} {
-		for _, lineSize := range []int{16, 64, 128} {
+	for _, ncpu := range []int{1, 2, 5, 8, 9, 14, 15, 16, 17, 32, 33, 64} {
+		for _, lineSize := range []int{8, 16, 64, 128} {
 			d, ref := New(ncpu, lineSize), newOldDirectory(ncpu, lineSize)
 			rng := rand.New(rand.NewSource(int64(ncpu*1000 + lineSize)))
 			blockBytes := uint64(lineSize) << blockShift
@@ -218,6 +220,21 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// writerBits returns the width of d's word-writer entries.
+func writerBits(d *Directory) int {
+	switch t := d.t.(type) {
+	case *table[uint8]:
+		return 1 << t.writerShift
+	case *table[uint16]:
+		return 1 << t.writerShift
+	case *table[uint32]:
+		return 1 << t.writerShift
+	case *table[uint64]:
+		return 1 << t.writerShift
+	}
+	panic(fmt.Sprintf("coherence: unknown table %T", d.t))
 }
 
 // maskBits returns the width of d's node masks.
@@ -245,7 +262,9 @@ func TestNewPanicsOnTooManyCPUs(t *testing.T) {
 }
 
 // TestNewPicksNarrowestWidth: New gives every CPU count from 1 to 64
-// the narrowest mask width that holds it, never a narrower one.
+// the narrowest mask width that holds it, never a narrower one, and
+// 4-bit word writers up to 15 CPUs, where every CPU number plus one
+// (0 means "never written") fits in a nibble, 8-bit writers from 16.
 func TestNewPicksNarrowestWidth(t *testing.T) {
 	for _, c := range []struct{ ncpu, bits int }{
 		{1, 8}, {8, 8}, {9, 16}, {16, 16}, {17, 32}, {32, 32}, {33, 64}, {64, 64},
@@ -255,8 +274,16 @@ func TestNewPicksNarrowestWidth(t *testing.T) {
 		}
 	}
 	for ncpu := 1; ncpu <= 64; ncpu++ {
-		if b := maskBits(New(ncpu, line)); b < ncpu || (b > 8 && b/2 >= ncpu) {
+		d := New(ncpu, line)
+		if b := maskBits(d); b < ncpu || (b > 8 && b/2 >= ncpu) {
 			t.Errorf("New(%d): %d-bit masks, not the narrowest that holds %d CPUs", ncpu, b, ncpu)
+		}
+		want := 8
+		if ncpu <= 15 {
+			want = 4
+		}
+		if got := writerBits(d); got != want {
+			t.Errorf("New(%d): %d-bit word writers, want %d", ncpu, got, want)
 		}
 	}
 }

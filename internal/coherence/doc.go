@@ -27,9 +27,11 @@
 // The bitmasks are the narrowest of 8, 16, 32 and 64 bits that hold the
 // node count, one generic table per width. With the dirty owner and
 // padding a line's state is 4 B on a machine of up to 8 nodes, 8 B up
-// to 16, 16 B up to 32 and 32 B up to 64, plus one writer byte per word:
-// 20 B per 128-B line on the default machines, where 64-bit masks cost
-// 48 B. Directory.AccessInto writes the outcome into the caller's
+// to 16, 16 B up to 32 and 32 B up to 64. Each word's writer entry
+// holds the writer's node number plus one (0 for none) in a nibble on
+// machines of up to 15 nodes and in a byte beyond: 12 B per 128-B line
+// on the default machines of up to 8 nodes, where byte writers cost
+// 20 B and 64-bit masks 48 B. Directory.AccessInto writes the outcome into the caller's
 // Outcome, so the simulator's hot path copies no result, and costs the
 // caller one call whatever the width; Access returns the outcome as a
 // value.

@@ -327,8 +327,10 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestChunksGrowWithoutCopying: a line's state keeps its address while
-// the directory grows by two chunks, so growth copied nothing. Once the
+// TestChunksGrowWithoutCopying: a line's state keeps its address, and
+// its word's writer entry its value, while the directory grows by two
+// chunks, so growth copied nothing. At 4 nodes a writer entry is a
+// nibble, so a chunk's writer row is half a byte per word. Once the
 // block table spans the blocks touched, a new chunk costs exactly its
 // two allocations, the chunk and its writer row, and touching blocks
 // that fit in the last chunk costs none.
@@ -362,6 +364,14 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	}
 	if early.owners != 1<<2 || early.dirtyOwner != 2 {
 		t.Fatalf("early line state %+v, want owned and dirtied by CPU 2", *early)
+	}
+	if got := tb.writer(c, o, 0); got != 2+1 {
+		t.Fatalf("early line's word 0 writer entry %d, want CPU 2's (3)", got)
+	}
+	for _, ch := range tb.chunks {
+		if got, want := len(ch.writers), lineSize/wordSize<<chunkShift/2; got != want {
+			t.Fatalf("writer row of %d bytes, want %d: one nibble per word", got, want)
+		}
 	}
 
 	if got := testing.AllocsPerRun(20, touch); got != 0 {
@@ -434,11 +444,16 @@ func FuzzDirectory(f *testing.F) {
 	}
 	f.Add(seq)
 	// One seed per CPU count the seeds above leave out, at each mask
-	// width's edge (1, 9, 17, 32, 33 CPUs): the CPU bytes step by 37,
-	// so every CPU, the top bit of the width included, reads, writes,
-	// evicts and is invalidated.
-	for _, n := range []byte{0, 8, 16, 31, 32} {
+	// width's edge (1, 9, 17, 32, 33 CPUs) and at the writer width's
+	// (14 and 15 CPUs take nibbles, 16 bytes), the last three with 8-B
+	// lines, whose one-word slots share writer bytes: the CPU bytes
+	// step by 37, so every CPU, the top bit of the width included,
+	// reads, writes, evicts and is invalidated.
+	for _, n := range []byte{0, 8, 16, 31, 32, 13, 14, 15} {
 		seq = []byte{n, 4}
+		if n >= 13 && n <= 15 {
+			seq[1] = 0
+		}
 		for i := 0; i < 300; i++ {
 			seq = append(seq, byte(i*7%16), byte(i*37), byte(i*13%32), byte(i%6))
 		}

@@ -40,7 +40,7 @@ func NormColor(c, n int) int { return ((c % n) + n) % n }
 // return exactly its frames and an audit can prove no pool counts leak.
 type Allocator struct {
 	numColors int
-	free      [][]uint64 // per color, LIFO of frame numbers
+	pools     []pool // per color
 	totalFree int
 
 	owner  map[uint64]int // allocated frame -> owning process id
@@ -74,33 +74,86 @@ func New(totalFrames, numColors int) *Allocator {
 	return NewWithColorOf(totalFrames, numColors, nil)
 }
 
+// pool is one color's free frames, kept implicitly: the frames
+// released back to the color, and the color's frames never allocated
+// yet, which are the frames of that color from next upward. A pop takes
+// the most recently released frame, else next, so frames come back
+// ascending until the first release, exactly as from a stack of every
+// frame of the color pushed in descending order with released frames
+// pushed on top. A pool costs 40 bytes however many frames it holds.
+type pool struct {
+	released []uint64 // LIFO of released frames
+	next     uint64   // lowest never-allocated frame; meaningful while fresh > 0
+	fresh    int      // never-allocated frames left
+}
+
+// free returns the pool's free-frame count.
+func (p *pool) free() int { return len(p.released) + p.fresh }
+
+// top returns the frame the next pop takes. The pool must be non-empty.
+func (p *pool) top() uint64 {
+	if n := len(p.released); n > 0 {
+		return p.released[n-1]
+	}
+	return p.next
+}
+
 // NewWithColorOf is New with an explicit frame→color function, for
 // machines whose last-level cache selects sets by an address hash
 // (sliced LLCs): the pools are built by colorOf, and ColorOf/Release
 // consult it. colorOf must be a pure function returning values in
 // [0, numColors); nil keeps the modular default.
+//
+// The pools cost O(numColors) memory, not O(totalFrames): under the
+// modular layout each color's frames are an arithmetic progression,
+// and under colorOf one pass here counts each color's frames and finds
+// its lowest, after which a pool's next frame is found by scanning
+// forward for its color.
 func NewWithColorOf(totalFrames, numColors int, colorOf func(frame uint64) int) *Allocator {
 	if totalFrames <= 0 || numColors <= 0 {
 		panic(fmt.Sprintf("memory: bad sizes frames=%d colors=%d", totalFrames, numColors))
 	}
 	a := &Allocator{
 		numColors: numColors,
-		free:      make([][]uint64, numColors),
+		pools:     make([]pool, numColors),
 		totalFree: totalFrames,
 		owner:     map[uint64]int{},
 		allocs:    map[int]uint64{},
 		frees:     map[int]uint64{},
 		colorOf:   colorOf,
 	}
-	per := totalFrames/numColors + 1
-	for c := range a.free {
-		a.free[c] = make([]uint64, 0, per)
+	if colorOf == nil {
+		for c := range min(numColors, totalFrames) {
+			a.pools[c] = pool{next: uint64(c), fresh: (totalFrames - c + numColors - 1) / numColors}
+		}
+		return a
 	}
-	// Push in descending order so pops return ascending frame numbers.
 	for f := totalFrames - 1; f >= 0; f-- {
-		a.free[a.ColorOf(uint64(f))] = append(a.free[a.ColorOf(uint64(f))], uint64(f))
+		p := &a.pools[colorOf(uint64(f))]
+		p.next = uint64(f)
+		p.fresh++
 	}
 	return a
+}
+
+// pop takes the top frame of color c's pool, which must be non-empty,
+// and moves the pool's next frame up to the color's following one.
+func (a *Allocator) pop(c int) uint64 {
+	p := &a.pools[c]
+	frame := p.top()
+	if n := len(p.released); n > 0 {
+		p.released = p.released[:n-1]
+		return frame
+	}
+	if p.fresh--; p.fresh > 0 {
+		if a.colorOf == nil {
+			p.next += uint64(a.numColors)
+		} else {
+			for p.next++; a.colorOf(p.next) != c; p.next++ {
+			}
+		}
+	}
+	return frame
 }
 
 // NumColors returns the color count the allocator was built with.
@@ -111,13 +164,13 @@ func (a *Allocator) FreeFrames() int { return a.totalFree }
 
 // FreeOfColor returns the number of free frames of color c. Like every
 // color-taking entry point it accepts any int and wraps via NormColor.
-func (a *Allocator) FreeOfColor(c int) int { return len(a.free[NormColor(c, a.numColors)]) }
+func (a *Allocator) FreeOfColor(c int) int { return a.pools[NormColor(c, a.numColors)].free() }
 
 // FreeByColor returns the free-frame count of every color pool.
 func (a *Allocator) FreeByColor() []int {
 	out := make([]int, a.numColors)
-	for c := range a.free {
-		out[c] = len(a.free[c])
+	for c := range a.pools {
+		out[c] = a.pools[c].free()
 	}
 	return out
 }
@@ -155,16 +208,16 @@ func (a *Allocator) AllocFor(pid, preferredColor int) (frame uint64, honored boo
 		return 0, false, ErrOutOfMemory
 	}
 	c := NormColor(preferredColor, a.numColors)
-	if pool := a.free[c]; len(pool) > 0 {
+	if a.pools[c].free() > 0 {
 		return a.take(pid, c, true), true, nil
 	}
 	// Pressure fallback: take from the richest pool to keep future
 	// preferences satisfiable. The scan keeps the first maximum, so ties
 	// break toward the lowest color deterministically.
 	best, bestLen := -1, 0
-	for i, pool := range a.free {
-		if len(pool) > bestLen {
-			best, bestLen = i, len(pool)
+	for i := range a.pools {
+		if n := a.pools[i].free(); n > bestLen {
+			best, bestLen = i, n
 		}
 	}
 	return a.take(pid, best, false), false, nil
@@ -176,12 +229,12 @@ func (a *Allocator) AllocFor(pid, preferredColor int) (frame uint64, honored boo
 // with a typed error once the subset runs dry.
 func (a *Allocator) allocWithin(pid, domain, preferredColor int, colors []int) (frame uint64, honored bool, err error) {
 	c := colors[NormColor(preferredColor, len(colors))]
-	if len(a.free[c]) > 0 {
+	if a.pools[c].free() > 0 {
 		return a.take(pid, c, true), true, nil
 	}
 	best, bestLen := -1, 0
 	for _, pc := range colors {
-		if n := len(a.free[pc]); n > bestLen {
+		if n := a.pools[pc].free(); n > bestLen {
 			best, bestLen = pc, n
 		}
 	}
@@ -194,9 +247,7 @@ func (a *Allocator) allocWithin(pid, domain, preferredColor int, colors []int) (
 // take pops the top frame of color c, books ownership and the honored
 // or fallback counter. The caller guarantees the pool is non-empty.
 func (a *Allocator) take(pid, c int, honored bool) uint64 {
-	pool := a.free[c]
-	frame := pool[len(pool)-1]
-	a.free[c] = pool[:len(pool)-1]
+	frame := a.pop(c)
 	a.totalFree--
 	if honored {
 		a.Honored++
@@ -214,8 +265,8 @@ func (a *Allocator) Release(frame uint64) {
 		delete(a.owner, frame)
 		a.frees[pid]++
 	}
-	c := a.ColorOf(frame)
-	a.free[c] = append(a.free[c], frame)
+	p := &a.pools[a.ColorOf(frame)]
+	p.released = append(p.released, frame)
 	a.totalFree++
 }
 
@@ -260,21 +311,22 @@ func (a *Allocator) FirstTouchColor() int { return a.FirstTouchColorFor(0) }
 // For an unpartitioned allocator (or a pid with no domain) it scans all
 // pools and matches FirstTouchColor exactly.
 func (a *Allocator) FirstTouchColorFor(pid int) int {
-	pools := a.free
-	if colors, _, ok := a.domainColors(pid); ok {
-		pools = make([][]uint64, 0, len(colors))
-		for _, c := range colors {
-			pools = append(pools, a.free[c])
-		}
-	}
 	var bestFrame uint64
 	found := false
-	for _, pool := range pools {
-		if len(pool) == 0 {
-			continue
+	consider := func(c int) {
+		if p := &a.pools[c]; p.free() > 0 {
+			if top := p.top(); !found || top < bestFrame {
+				bestFrame, found = top, true
+			}
 		}
-		if top := pool[len(pool)-1]; !found || top < bestFrame {
-			bestFrame, found = top, true
+	}
+	if colors, _, ok := a.domainColors(pid); ok {
+		for _, c := range colors {
+			consider(c)
+		}
+	} else {
+		for c := range a.pools {
+			consider(c)
 		}
 	}
 	if !found {

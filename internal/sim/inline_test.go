@@ -15,10 +15,10 @@ import (
 // test notices it.
 var hotInline = map[string][]string{
 	"internal/coherence": append([]string{"(*Directory).AccessInto", "(*Directory).Evict"},
-		tableHelpers("slot", "at", "wordIndex", "wordWriter", "invalidateOthers")...),
+		tableHelpers("slot", "at", "wordIndex", "writerBit", "writer", "setWriter", "invalidateOthers")...),
 	"internal/sim": {"(*llcUnit).cacheFor", "(*Machine).llcLineAddr",
 		"(*winnerTree).update", "(*winnerTree).runnerUp", "(*winnerTree).min", "(*winnerTree).key"},
-	"internal/cache": {"(*Cache).lineAddr", "(*Cache).setOf", "(*Cache).set"},
+	"internal/cache": {"(*Cache).key", "(*Cache).setOf", "(*Cache).set", "(*Cache).lineAddrOf"},
 	"internal/flat":  {"(*Map).Get", "(*LRU).Touch", "(*LRU).find"},
 	"internal/tlb":   {"(*TLB).Fill", "(*TLB).Peek"},
 }

@@ -52,14 +52,26 @@ go test -run=FuzzFlatMap ./internal/flat
 # container/list LRU.
 go test -run=FuzzLRU ./internal/flat
 
+# Frame allocator fuzz seeds: FuzzAllocator diffs Alloc, AllocFor,
+# Release, ReleaseOwned, AssignDomains and color drains, under the
+# modular layout and two hashed ones, against the explicit free-list
+# allocator, with every pool count and first-touch color after each
+# operation.
+go test -run=FuzzAllocator ./internal/memory
+
+# Cache fuzz seeds: FuzzCache diffs Access, Probe, Invalidate,
+# InvalidateRange, Clean, MarkDirty and Flush at line sizes 1-128 B,
+# addresses near 2^64 included, against the per-set reference cache.
+go test -run=FuzzCache ./internal/cache
+
 # TLB fuzz seeds: FuzzTLB diffs Translate/Fill/Peek/Invalidate/Flush
 # sequences against a container/list LRU reference.
 go test -run=FuzzTLB ./internal/tlb
 
 # Coherence directory fuzz seeds: FuzzDirectory diffs Access, AccessInto
 # (one reused Outcome), Evict, Forget and Holders sequences at 1-64 CPUs
-# (every mask width, full and one past) and 8-256-byte lines against the
-# per-line oracle directory.
+# (every mask width, full and one past, and both writer widths) and
+# 8-256-byte lines against the per-line oracle directory.
 go test -run=FuzzDirectory ./internal/coherence
 
 # Machine and topology file fuzz seeds: FuzzReadConfig and
