@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"repro/internal/flat"
 )
 
 // Class classifies the outcome of a memory access at the external-cache
@@ -53,9 +55,9 @@ type mask interface {
 	~uint8 | ~uint16 | ~uint32 | ~uint64
 }
 
-// lineState tracks one physical cache line. Its per-word writers are
-// entries in its chunk's writer row (see chunk), so a line costs no
-// allocation of its own.
+// lineState tracks one physical cache line, its word writers included
+// while one node alone has written it, so a line costs no allocation of
+// its own.
 type lineState[M mask] struct {
 	owners M // bitmask of CPUs holding the line
 	// inval is the bitmask of CPUs whose last copy of the line was
@@ -72,7 +74,21 @@ type lineState[M mask] struct {
 	// invalidation is treated as Cold for this CPU.
 	held       M
 	dirtyOwner int8 // CPU holding it modified, -1 if none
+	// writer is 0 while no node has written the line, and one more than
+	// the node that has while that node is its sole writer: written then
+	// has bit w set for each word w it wrote. Once a second node writes
+	// the line, or any node a word past the 16 that written covers, the
+	// line is mixed: writer is the mixed mark and the line's word
+	// writers live in a row of the table's spill rows (see
+	// table.spill). Nodes number at most 64, so no sole writer's entry
+	// is the mark.
+	writer  uint8
+	written uint16
 }
+
+// mixed is lineState.writer for a line whose word writers live in a
+// spill row.
+const mixed = 0xff
 
 // Outcome describes what the protocol did for one access.
 type Outcome struct {
@@ -105,19 +121,11 @@ const (
 	chunkMask   = 1<<chunkShift - 1
 )
 
-// chunk holds the states and word writers of 1<<chunkShift consecutive
-// slots. Slot i lives in chunk i>>chunkShift at offset i&chunkMask. The
-// writer row packs one entry per word, one more than the node that last
-// wrote the word, or 0 if none has, so a new row needs no setting up:
-// entry j of the slot at offset o is entry o*words+j of the row. An
-// entry is a 4-bit nibble on machines of up to 15 nodes and a byte on
-// larger ones (see table.writerShift). A chunk is allocated when the
-// first of its blocks is touched and is never copied or freed, so a
-// slot keeps its address for the directory's life.
-type chunk[M mask] struct {
-	lines   [1 << chunkShift]lineState[M]
-	writers []uint8
-}
+// chunk holds the states of 1<<chunkShift consecutive slots. Slot i
+// lives in chunk i>>chunkShift at offset i&chunkMask. A chunk is
+// allocated when the first of its blocks is touched and is never copied
+// or freed, so a slot keeps its address for the directory's life.
+type chunk[M mask] [1 << chunkShift]lineState[M]
 
 // Directory tracks all lines. Not safe for concurrent use; the simulator
 // is single-threaded event-driven.
@@ -141,16 +149,9 @@ type Directory struct {
 
 // table is the directory with M-bit node masks.
 type table[M mask] struct {
-	words     int    // classification words per line, and writer entries per slot
+	words     int    // classification words per line, and entries per spill row
 	lineMask  uint64 // line size - 1; line size is a validated power of two
 	lineShift uint   // log2(line size)
-
-	// A writer entry is 1<<writerShift bits wide: 4 bits (writerShift
-	// 2) while the node count is at most 15, so that node+1 fits, and 8
-	// bits (writerShift 3) otherwise. writerMask is all ones at that
-	// width.
-	writerShift uint
-	writerMask  uint8
 
 	// blocks is indexed by physical block number (line address >>
 	// (lineShift+blockShift)) and holds b+1 for the block's slot block
@@ -168,14 +169,22 @@ type table[M mask] struct {
 	chunks  []*chunk[M]
 	nblocks uint32
 
+	// spill maps the slot of each mixed line to the offset in rows of
+	// its spill row: one byte per word, one more than the node that last
+	// wrote the word, 0 if none has. Rows of forgotten lines are reused
+	// from freeRows. Lines with two writers are rare, so the rows cost
+	// little next to the line states.
+	spill    flat.Map
+	rows     []uint8
+	freeRows []uint32
+
 	// scratch to avoid per-access allocation
 	invalScratch []int
 }
 
 // New creates a directory for ncpu CPUs and the given external-cache line
 // size in bytes. Its masks are the narrowest of 8, 16, 32 and 64 bits
-// that hold ncpu, and its word writers are 4 bits wide for up to 15
-// CPUs, 8 bits beyond.
+// that hold ncpu.
 func New(ncpu, lineSize int) *Directory {
 	switch {
 	case ncpu <= 0 || ncpu > 64:
@@ -192,18 +201,12 @@ func New(ncpu, lineSize int) *Directory {
 }
 
 func newTable[M mask](ncpu, lineSize int) *table[M] {
-	d := &table[M]{
-		words:        lineSize / wordSize,
+	return &table[M]{
+		words:        max(lineSize/wordSize, 1), // a line narrower than a word is one word
 		lineMask:     uint64(lineSize - 1),
 		lineShift:    uint(bits.TrailingZeros(uint(lineSize))),
-		writerShift:  2,
 		invalScratch: make([]int, 0, ncpu),
 	}
-	if ncpu >= 1<<4 {
-		d.writerShift = 3
-	}
-	d.writerMask = uint8(1<<(1<<d.writerShift) - 1)
-	return d
 }
 
 // Access performs the protocol action for cpu touching addr and returns
@@ -234,32 +237,69 @@ func (d *Directory) Holders(addr uint64) int { return d.t.Holders(addr) }
 // The line's slot is reset to fresh in place.
 func (d *Directory) Forget(addr uint64) { d.t.Forget(addr) }
 
-// at returns the chunk holding slot i and the slot's offset in it.
-func (d *table[M]) at(i uint32) (*chunk[M], uint32) {
-	return d.chunks[i>>chunkShift], i & chunkMask
+// line returns the state of slot i.
+func (d *table[M]) line(i uint32) *lineState[M] {
+	return &d.chunks[i>>chunkShift][i&chunkMask]
 }
 
-// writerBit returns the bit position in c's writer row of the entry of
-// word w of the slot at offset o: its byte is bit>>3, and it starts at
-// bit bit&7 of that byte.
-func (d *table[M]) writerBit(o uint32, w int) int {
-	return (int(o)*d.words + w) << d.writerShift
+// wroteOther reports whether a sole writer other than cpu wrote word w
+// of s. It is false for a mixed line, whose written is 0, and for a
+// line no node has written.
+func (s *lineState[M]) wroteOther(cpu, w int) bool {
+	// A sole writer's words all lie below 16, and the shift of a wider
+	// word yields 0.
+	return s.writer != uint8(cpu+1) && s.written>>uint(w)&1 != 0
 }
 
-// writer returns the writer entry of word w of the slot at offset o of
-// chunk c: one more than the node that last wrote the word, 0 if none
-// has.
-func (d *table[M]) writer(c *chunk[M], o uint32, w int) uint8 {
-	bit := d.writerBit(o, w)
-	return c.writers[bit>>3] >> (bit & 7) & d.writerMask
+// writeSole records cpu as the last writer of word w in s itself and
+// reports true when cpu is the line's sole writer or its first, and w
+// is one of the 16 words written covers. Otherwise it changes nothing
+// and reports false: the write goes to the line's spill row.
+func (s *lineState[M]) writeSole(cpu, w int) bool {
+	if e := uint8(cpu + 1); (s.writer == e || s.writer == 0) && w < 16 {
+		s.writer = e
+		s.written |= 1 << uint(w)
+		return true
+	}
+	return false
 }
 
-// setWriter stores entry as the writer entry of word w of the slot at
-// offset o of chunk c.
-func (d *table[M]) setWriter(c *chunk[M], o uint32, w int, entry uint8) {
-	bit := d.writerBit(o, w)
-	b := &c.writers[bit>>3]
-	*b = *b&^(d.writerMask<<(bit&7)) | entry<<(bit&7)
+// writeSpilled records cpu as the last writer of word w of the line in
+// slot i, whose state is s, in the line's spill row, where writeSole
+// cannot: the line is mixed or becomes so now. A line that becomes
+// mixed takes a spill row, a freed one if there is one, and its sole
+// writer's words are copied into it.
+//
+//go:noinline
+func (d *table[M]) writeSpilled(s *lineState[M], i uint32, cpu, w int) {
+	off, ok := d.spill.Get(uint64(i))
+	if !ok {
+		if n := len(d.freeRows); n > 0 {
+			off = uint64(d.freeRows[n-1])
+			d.freeRows = d.freeRows[:n-1]
+			clear(d.rows[off : off+uint64(d.words)])
+		} else {
+			off = uint64(len(d.rows))
+			d.rows = append(d.rows, make([]uint8, d.words)...)
+		}
+		for m := s.written; m != 0; m &= m - 1 {
+			d.rows[off+uint64(bits.TrailingZeros16(m))] = s.writer
+		}
+		d.spill.Put(uint64(i), off)
+		s.writer, s.written = mixed, 0
+	}
+	d.rows[off+uint64(w)] = uint8(cpu + 1)
+}
+
+// spilledWroteOther reports whether a node other than cpu last wrote
+// word w of the mixed line in slot i: the spill row's entry for the
+// word is one more than the node that last wrote it, 0 if none has.
+//
+//go:noinline
+func (d *table[M]) spilledWroteOther(i uint32, cpu, w int) bool {
+	off, _ := d.spill.Get(uint64(i))
+	last := d.rows[off+uint64(w)]
+	return last != 0 && last != uint8(cpu+1)
 }
 
 // slot returns the slot of addr's line, false when its block was
@@ -289,14 +329,11 @@ func (d *table[M]) touch(addr uint64) uint32 {
 	}
 	b := d.nblocks
 	if b%chunkBlocks == 0 {
-		d.chunks = append(d.chunks, &chunk[M]{writers: make([]uint8, d.words<<chunkShift<<d.writerShift>>3)})
+		d.chunks = append(d.chunks, new(chunk[M]))
 	}
 	d.nblocks++
-	// The block's slots were never handed out, so their writer entries
-	// are still 0; only the line states need making fresh.
 	for i := b << blockShift; i < (b+1)<<blockShift; i++ {
-		c, o := d.at(i)
-		c.lines[o] = lineState[M]{dirtyOwner: -1}
+		*d.line(i) = lineState[M]{dirtyOwner: -1}
 	}
 	d.blocks[blk] = b + 1
 	i, _ := d.slot(addr)
@@ -304,37 +341,34 @@ func (d *table[M]) touch(addr uint64) uint32 {
 }
 
 // reset makes slot i fresh: no holder, no invalidated copy, no word
-// written.
+// written. A mixed line's spill row is freed.
 func (d *table[M]) reset(i uint32) {
-	c, o := d.at(i)
-	c.lines[o] = lineState[M]{dirtyOwner: -1}
-	for w := range d.words {
-		d.setWriter(c, o, w, 0)
+	s := d.line(i)
+	if s.writer == mixed {
+		off, _ := d.spill.Get(uint64(i))
+		d.spill.Delete(uint64(i))
+		d.freeRows = append(d.freeRows, uint32(off))
 	}
+	*s = lineState[M]{dirtyOwner: -1}
 }
 
 // classifyMiss determines the miss class for cpu accessing word w of
-// the line at offset o of chunk c.
-func (d *table[M]) classifyMiss(c *chunk[M], o uint32, cpu int, word int) Class {
-	s := &c.lines[o]
-	if s.held == 0 && s.owners == 0 {
+// the line in slot i, whose state is s. A miss by a CPU that never held
+// the line is cold, and one after an invalidation false sharing, unless
+// another CPU last wrote the word: then either is true sharing.
+func (d *table[M]) classifyMiss(s *lineState[M], i uint32, cpu int, word int) Class {
+	bit := M(1) << uint(cpu)
+	switch {
+	case s.held == 0 && s.owners == 0:
+		return Cold
+	case s.held&bit != 0 && s.inval&bit == 0:
+		return Replacement
+	case s.wroteOther(cpu, word) || s.writer == mixed && d.spilledWroteOther(i, cpu, word):
+		return TrueShare
+	case s.held&bit == 0:
 		return Cold
 	}
-	if s.held&(1<<uint(cpu)) == 0 {
-		// This CPU never held the line; another CPU touched it first.
-		// If the word was produced by another CPU this is communication.
-		if w := d.writer(c, o, word); w != 0 && int(w) != cpu+1 {
-			return TrueShare
-		}
-		return Cold
-	}
-	if s.inval&(1<<uint(cpu)) != 0 {
-		if w := d.writer(c, o, word); w != 0 && int(w) != cpu+1 {
-			return TrueShare
-		}
-		return FalseShare
-	}
-	return Replacement
+	return FalseShare
 }
 
 // wordIndex clamps the accessed word within the line.
@@ -345,7 +379,7 @@ func (d *table[M]) wordIndex(addr uint64) int {
 // directory returns the Directory over d, its access path bound as a
 // closure whose body is the access itself. It must not inline: a
 // closure inlined into New is compiled outside the table's generic code,
-// and there the helpers it calls (slot, at, wordIndex) stay calls.
+// and there the helpers it calls (slot, line, wordIndex) stay calls.
 //
 //go:noinline
 func (d *table[M]) directory() *Directory {
@@ -354,8 +388,7 @@ func (d *table[M]) directory() *Directory {
 		if !ok {
 			i = d.touch(addr) // first touch of addr's block
 		}
-		c, o := d.at(i)
-		s := &c.lines[o]
+		s := d.line(i)
 		word := d.wordIndex(addr)
 		bit := M(1) << uint(cpu)
 
@@ -368,7 +401,7 @@ func (d *table[M]) directory() *Directory {
 				out.Invalidated = d.invalidateOthers(s, bit)
 			}
 		} else {
-			out.Class = d.classifyMiss(c, o, cpu, word)
+			out.Class = d.classifyMiss(s, i, cpu, word)
 			if s.dirtyOwner >= 0 && int(s.dirtyOwner) != cpu {
 				out.DirtyRemote = true
 			}
@@ -387,7 +420,9 @@ func (d *table[M]) directory() *Directory {
 
 		if write {
 			s.dirtyOwner = int8(cpu)
-			d.setWriter(c, o, word, uint8(cpu+1))
+			if !s.writeSole(cpu, word) {
+				d.writeSpilled(s, i, cpu, word)
+			}
 		}
 	}}
 }
@@ -416,8 +451,7 @@ func (d *table[M]) Evict(cpu int, addr uint64) {
 	if !ok {
 		return
 	}
-	c, o := d.at(i)
-	s := &c.lines[o]
+	s := d.line(i)
 	bit := M(1) << uint(cpu)
 	if s.owners&bit == 0 {
 		return
@@ -434,8 +468,7 @@ func (d *table[M]) Holders(addr uint64) int {
 	if !ok {
 		return 0
 	}
-	c, o := d.at(i)
-	return bits.OnesCount64(uint64(c.lines[o].owners))
+	return bits.OnesCount64(uint64(d.line(i).owners))
 }
 
 // Forget is Directory.Forget.

@@ -3,7 +3,9 @@ package coherence
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 const line = 128
@@ -205,12 +207,13 @@ func TestForgetReusesSlotFresh(t *testing.T) {
 // calls over addresses that share, straddle and skip index blocks,
 // including address 0. The CPU counts fill each mask width exactly
 // (1, 8, 16, 32, 64) and overflow it by one (9, 17, 33), so every
-// instantiation is diffed with its top bit in use; 14, 15 and 16 CPUs
-// straddle the writer width, with 15 the largest that takes nibbles.
-// 8-B lines have one word, so two slots' nibbles share a byte.
+// instantiation is diffed with its top bit in use. 4-B lines, which a
+// machine file may give the LLC, and 8-B lines have one word; 256-B
+// lines have 32, so a write to one of their upper 16 words spills the
+// line's writers even when one CPU alone writes it.
 func TestDirectoryMatchesOracle(t *testing.T) {
 	for _, ncpu := range []int{1, 2, 5, 8, 9, 14, 15, 16, 17, 32, 33, 64} {
-		for _, lineSize := range []int{8, 16, 64, 128} {
+		for _, lineSize := range []int{4, 8, 16, 64, 128, 256} {
 			d, ref := New(ncpu, lineSize), newOldDirectory(ncpu, lineSize)
 			rng := rand.New(rand.NewSource(int64(ncpu*1000 + lineSize)))
 			blockBytes := uint64(lineSize) << blockShift
@@ -222,19 +225,170 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 	}
 }
 
-// writerBits returns the width of d's word-writer entries.
-func writerBits(d *Directory) int {
+// spillOp is one step of spillScript: kind 'r' or 'w' reads or writes
+// word of line, 'e' evicts the line from cpu and 'f' forgets it. A
+// step with a want then holds the line's writer encoding and the
+// table's spill rows to it.
+type spillOp struct {
+	kind            byte
+	cpu, line, word int
+	want            *spillWant
+}
+
+// spillWant is what a step of spillScript leaves: whether the line is
+// mixed, and how many spill rows are in use.
+type spillWant struct {
+	mixed bool
+	rows  int
+}
+
+// spillScript returns the steps of TestSpilledLinesMatchOracle for ncpu
+// CPUs and lines of the given words, with a, b and c the lowest,
+// highest and middle CPU (some of them the same CPU on small machines).
+// Line 1 is written by a, then by b, which spills it with a's words
+// copied into its row, then by c; readers then miss on words the other
+// CPUs wrote (true sharing) and on their own or unwritten words (false
+// sharing or cold). Line 1 is forgotten, which frees its row, and line 3
+// spills into the freed row, which must read as empty: c's first read
+// of line 3, of word 5, which b wrote in line 1, is no true sharing.
+// On 256-B lines a's write of word 20 of line 2 spills it although a is
+// its only writer.
+func spillScript(ncpu, words int) []spillOp {
+	a, b, c := 0, ncpu-1, (ncpu-1)/2
+	w := func(n int) int { return n % words }
+	line1 := a != b || a != c // line 1 has a second writer
+	line3 := a != b
+	rows := 0
+	if a != b {
+		rows = 1
+	}
+	ops := []spillOp{
+		{kind: 'w', cpu: a, line: 1, word: w(0), want: &spillWant{}},
+		{kind: 'w', cpu: a, line: 1, word: w(3), want: &spillWant{}},
+		{kind: 'r', cpu: b, line: 1, word: w(5)},
+		{kind: 'w', cpu: b, line: 1, word: w(5), want: &spillWant{mixed: a != b, rows: rows}},
+		{kind: 'r', cpu: a, line: 1, word: w(0)},
+		{kind: 'r', cpu: a, line: 1, word: w(5)},
+		{kind: 'w', cpu: c, line: 1, word: w(7), want: &spillWant{mixed: line1, rows: btoi(line1)}},
+		{kind: 'r', cpu: a, line: 1, word: w(5)},
+		{kind: 'r', cpu: b, line: 1, word: w(0)},
+		{kind: 'r', cpu: b, line: 1, word: w(9)},
+		{kind: 'e', cpu: a, line: 1},
+		{kind: 'r', cpu: a, line: 1, word: w(7)},
+		{kind: 'w', cpu: a, line: 1, word: w(3)},
+		{kind: 'r', cpu: c, line: 1, word: w(3)},
+		{kind: 'r', cpu: c, line: 1, word: w(11)},
+		{kind: 'f', line: 1, want: &spillWant{}},
+		{kind: 'r', cpu: b, line: 1, word: w(5)},
+		{kind: 'w', cpu: a, line: 3, word: w(1)},
+		{kind: 'w', cpu: b, line: 3, word: w(2), want: &spillWant{mixed: line3, rows: btoi(line3)}},
+		{kind: 'r', cpu: c, line: 3, word: w(5)},
+		{kind: 'w', cpu: b, line: 3, word: w(1)},
+		{kind: 'r', cpu: c, line: 3, word: w(1)},
+	}
+	if words > 16 {
+		ops = append(ops,
+			spillOp{kind: 'w', cpu: a, line: 2, word: 20, want: &spillWant{mixed: true, rows: btoi(line3) + 1}},
+			spillOp{kind: 'r', cpu: b, line: 2, word: 20},
+			spillOp{kind: 'w', cpu: b, line: 2, word: 1},
+			spillOp{kind: 'r', cpu: a, line: 2, word: 20},
+			spillOp{kind: 'r', cpu: a, line: 2, word: 1},
+			spillOp{kind: 'r', cpu: c, line: 2, word: 21},
+		)
+	}
+	return ops
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// writerState reports whether addr's line in d is mixed, and how many
+// spill rows d's table has in use.
+func writerState(d *Directory, addr uint64) spillWant {
 	switch t := d.t.(type) {
 	case *table[uint8]:
-		return 1 << t.writerShift
+		return tableWriterState(t, addr)
 	case *table[uint16]:
-		return 1 << t.writerShift
+		return tableWriterState(t, addr)
 	case *table[uint32]:
-		return 1 << t.writerShift
+		return tableWriterState(t, addr)
 	case *table[uint64]:
-		return 1 << t.writerShift
+		return tableWriterState(t, addr)
 	}
 	panic(fmt.Sprintf("coherence: unknown table %T", d.t))
+}
+
+func tableWriterState[M mask](t *table[M], addr uint64) spillWant {
+	got := spillWant{rows: len(t.rows)/t.words - len(t.freeRows)}
+	if i, ok := t.slot(addr); ok {
+		got.mixed = t.line(i).writer == mixed
+	}
+	return got
+}
+
+// TestSpilledLinesMatchOracle runs spillScript against the oracle at 1
+// to 64 CPUs and at 64-, 128- and 256-B lines, diffing every outcome,
+// and holds the steps that carry a want to the spill encoding: a line
+// spills on its second writer or on a word past 15, never before, and
+// Forget frees its row for the next line that spills.
+func TestSpilledLinesMatchOracle(t *testing.T) {
+	for _, ncpu := range []int{1, 2, 8, 9, 15, 16, 17, 64} {
+		for _, lineSize := range []int{64, 128, 256} {
+			d, ref := New(ncpu, lineSize), newOldDirectory(ncpu, lineSize)
+			classes := map[Class]bool{}
+			for step, op := range spillScript(ncpu, lineSize/wordSize) {
+				// Lines sit a block apart, so each takes a slot block.
+				addr := uint64(op.line)*uint64(lineSize)<<blockShift + uint64(op.word*wordSize)
+				at := fmt.Sprintf("ncpu %d line %d step %d (%c cpu %d line %d word %d)", ncpu, lineSize, step, op.kind, op.cpu, op.line, op.word)
+				switch op.kind {
+				case 'r', 'w':
+					write := op.kind == 'w'
+					got, want := d.Access(op.cpu, addr, write), ref.Access(op.cpu, addr, write)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Access = %+v, want %+v", at, got, want)
+					}
+					classes[got.Class] = true
+				case 'e':
+					d.Evict(op.cpu, addr)
+					ref.Evict(op.cpu, addr)
+				case 'f':
+					d.Forget(addr)
+					ref.Forget(addr)
+				}
+				if op.want != nil {
+					if got := writerState(d, addr); got != *op.want {
+						t.Fatalf("%s: line mixed %v with %d spill rows in use, want %v with %d", at, got.mixed, got.rows, op.want.mixed, op.want.rows)
+					}
+				}
+			}
+			if ncpu > 2 && (!classes[TrueShare] || !classes[FalseShare]) {
+				t.Fatalf("ncpu %d line %d: the script's outcomes were %v, want true and false sharing among them", ncpu, lineSize, classes)
+			}
+		}
+	}
+}
+
+// TestLineStateBytes: a line's state, its word writers included while
+// it has one writer, takes 8 B on a machine of up to 8 nodes, 10 B up
+// to 16, 16 B up to 32 and 32 B up to 64.
+func TestLineStateBytes(t *testing.T) {
+	for _, c := range []struct {
+		masks     int
+		got, want uintptr
+	}{
+		{8, unsafe.Sizeof(lineState[uint8]{}), 8},
+		{16, unsafe.Sizeof(lineState[uint16]{}), 10},
+		{32, unsafe.Sizeof(lineState[uint32]{}), 16},
+		{64, unsafe.Sizeof(lineState[uint64]{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("%d-bit masks: line state of %d B, want %d", c.masks, c.got, c.want)
+		}
+	}
 }
 
 // maskBits returns the width of d's node masks.
@@ -262,9 +416,7 @@ func TestNewPanicsOnTooManyCPUs(t *testing.T) {
 }
 
 // TestNewPicksNarrowestWidth: New gives every CPU count from 1 to 64
-// the narrowest mask width that holds it, never a narrower one, and
-// 4-bit word writers up to 15 CPUs, where every CPU number plus one
-// (0 means "never written") fits in a nibble, 8-bit writers from 16.
+// the narrowest mask width that holds it, never a narrower one.
 func TestNewPicksNarrowestWidth(t *testing.T) {
 	for _, c := range []struct{ ncpu, bits int }{
 		{1, 8}, {8, 8}, {9, 16}, {16, 16}, {17, 32}, {32, 32}, {33, 64}, {64, 64},
@@ -274,16 +426,8 @@ func TestNewPicksNarrowestWidth(t *testing.T) {
 		}
 	}
 	for ncpu := 1; ncpu <= 64; ncpu++ {
-		d := New(ncpu, line)
-		if b := maskBits(d); b < ncpu || (b > 8 && b/2 >= ncpu) {
+		if b := maskBits(New(ncpu, line)); b < ncpu || (b > 8 && b/2 >= ncpu) {
 			t.Errorf("New(%d): %d-bit masks, not the narrowest that holds %d CPUs", ncpu, b, ncpu)
-		}
-		want := 8
-		if ncpu <= 15 {
-			want = 4
-		}
-		if got := writerBits(d); got != want {
-			t.Errorf("New(%d): %d-bit word writers, want %d", ncpu, got, want)
 		}
 	}
 }

@@ -46,8 +46,8 @@ func newOldDirectory(ncpu, lineSize int) *oldDirectory {
 	}
 	return &oldDirectory{
 		ncpu:         ncpu,
-		words:        lineSize / wordSize,
-		stride:       lineSize/wordSize + ncpu,
+		words:        max(lineSize/wordSize, 1),
+		stride:       max(lineSize/wordSize, 1) + ncpu,
 		lineSize:     uint64(lineSize),
 		lineMask:     uint64(lineSize - 1),
 		invalScratch: make([]int, 0, ncpu),
@@ -327,13 +327,11 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestChunksGrowWithoutCopying: a line's state keeps its address, and
-// its word's writer entry its value, while the directory grows by two
-// chunks, so growth copied nothing. At 4 nodes a writer entry is a
-// nibble, so a chunk's writer row is half a byte per word. Once the
-// block table spans the blocks touched, a new chunk costs exactly its
-// two allocations, the chunk and its writer row, and touching blocks
-// that fit in the last chunk costs none.
+// TestChunksGrowWithoutCopying: a line's state, its word writers
+// included, keeps its address and its value while the directory grows
+// by two chunks, so growth copied nothing. Once the block table spans
+// the blocks touched, a new chunk costs exactly one allocation, and
+// touching blocks that fit in the last chunk costs none.
 func TestChunksGrowWithoutCopying(t *testing.T) {
 	const lineSize = 128
 	blockBytes := uint64(lineSize) << blockShift
@@ -344,8 +342,7 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	far := 16 * chunkBlocks * blockBytes
 	d.Access(2, far, true)
 	i, _ := tb.slot(far)
-	c, o := tb.at(i)
-	early := &c.lines[o]
+	early := tb.line(i)
 
 	next := uint64(0) // lowest block never touched
 	touch := func() {
@@ -358,20 +355,11 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	if len(tb.chunks) != 3 {
 		t.Fatalf("%d chunks after touching %d blocks, want 3", len(tb.chunks), tb.nblocks)
 	}
-	c, o = tb.at(i)
-	if &c.lines[o] != early {
+	if tb.line(i) != early {
 		t.Fatal("growing by two chunks moved an early line's state")
 	}
-	if early.owners != 1<<2 || early.dirtyOwner != 2 {
-		t.Fatalf("early line state %+v, want owned and dirtied by CPU 2", *early)
-	}
-	if got := tb.writer(c, o, 0); got != 2+1 {
-		t.Fatalf("early line's word 0 writer entry %d, want CPU 2's (3)", got)
-	}
-	for _, ch := range tb.chunks {
-		if got, want := len(ch.writers), lineSize/wordSize<<chunkShift/2; got != want {
-			t.Fatalf("writer row of %d bytes, want %d: one nibble per word", got, want)
-		}
+	if early.owners != 1<<2 || early.dirtyOwner != 2 || early.writer != 2+1 || early.written != 1 {
+		t.Fatalf("early line state %+v, want owned and dirtied by CPU 2, its sole writer, of word 0", *early)
 	}
 
 	if got := testing.AllocsPerRun(20, touch); got != 0 {
@@ -388,8 +376,8 @@ func TestChunksGrowWithoutCopying(t *testing.T) {
 	// One run per count, so that no average hides a chunk that cost
 	// more: twelve new chunks take the chunk table past 8 entries.
 	for range 6 {
-		if got := testing.AllocsPerRun(1, newChunk); got != 2 {
-			t.Fatalf("filling new chunk %d: %v allocations, want 2", len(tb.chunks), got)
+		if got := testing.AllocsPerRun(1, newChunk); got != 1 {
+			t.Fatalf("filling new chunk %d: %v allocations, want 1", len(tb.chunks), got)
 		}
 	}
 	if next*blockBytes >= far {
@@ -444,11 +432,10 @@ func FuzzDirectory(f *testing.F) {
 	}
 	f.Add(seq)
 	// One seed per CPU count the seeds above leave out, at each mask
-	// width's edge (1, 9, 17, 32, 33 CPUs) and at the writer width's
-	// (14 and 15 CPUs take nibbles, 16 bytes), the last three with 8-B
-	// lines, whose one-word slots share writer bytes: the CPU bytes
-	// step by 37, so every CPU, the top bit of the width included,
-	// reads, writes, evicts and is invalidated.
+	// width's edge (1, 9, 17, 32, 33 CPUs) and at 14, 15 and 16 CPUs,
+	// the last three with 8-B lines, whose slots have one word each: the
+	// CPU bytes step by 37, so every CPU, the top bit of the width
+	// included, reads, writes, evicts and is invalidated.
 	for _, n := range []byte{0, 8, 16, 31, 32, 13, 14, 15} {
 		seq = []byte{n, 4}
 		if n >= 13 && n <= 15 {
@@ -458,6 +445,21 @@ func FuzzDirectory(f *testing.F) {
 			seq = append(seq, byte(i*7%16), byte(i*37), byte(i*13%32), byte(i%6))
 		}
 		f.Add(seq)
+	}
+	// spillScript at 1, 8, 9, 15, 16, 17 and 64 CPUs on 128- and 256-B
+	// lines: a line written by two CPUs, then a third, true and false
+	// sharing on the spilled line, a Forget that frees its row, a second
+	// line spilling into the freed row, and on 256-B lines an upper word
+	// that spills a line with one writer.
+	for _, n := range []int{1, 8, 9, 15, 16, 17, 64} {
+		for _, sizeIdx := range []byte{4, 5} {
+			seq = []byte{byte(n - 1), sizeIdx}
+			for _, op := range spillScript(n, lineSizes[sizeIdx]/wordSize) {
+				code := map[byte]byte{'r': 0, 'w': 6, 'e': 10, 'f': 12}[op.kind]
+				seq = append(seq, code, byte(op.cpu), byte(op.word), byte(op.line))
+			}
+			f.Add(seq)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // refLRU is the reference LRU: a container/list in recency order, front
@@ -53,18 +54,18 @@ func (r *refLRU) keys() []uint64 {
 
 // lruKeys walks l's recency list from head to tail, checking each back
 // link against the walk, and returns its keys, most recent first.
-func lruKeys(t *testing.T, l *LRU) []uint64 {
+func lruKeys[K lruKey, L lruLink](t *testing.T, l *LRU[K, L]) []uint64 {
 	t.Helper()
 	var ks []uint64
-	prev := int32(-1)
-	for i := l.head; i >= 0; i = l.slots[i].next {
+	prev := none[L]()
+	for i := l.head; i != none[L](); i = l.slots[i].next {
 		if l.slots[i].prev != prev {
 			t.Fatalf("slot %d links back to %d, want %d", i, l.slots[i].prev, prev)
 		}
 		if len(ks) > cap(l.slots) {
 			t.Fatalf("recency list longer than the capacity %d: a cycle", cap(l.slots))
 		}
-		ks = append(ks, l.slots[i].key)
+		ks = append(ks, uint64(l.slots[i].key))
 		prev = i
 	}
 	if l.tail != prev {
@@ -73,10 +74,11 @@ func lruKeys(t *testing.T, l *LRU) []uint64 {
 	return ks
 }
 
-// lruKey decodes a key byte under a stride byte: small keys, key 0
+// lruKeyOf decodes a key byte under a stride byte: small keys, key 0
 // among them, strided line and page addresses, and keys that differ
-// only in their top byte, which the index hashes onto few slots.
-func lruKey(stride, b byte) uint64 {
+// only in their top byte, which the index hashes onto few slots. top is
+// the key width in bits.
+func lruKeyOf(stride, b byte, top int) uint64 {
 	switch stride % 4 {
 	case 0:
 		return uint64(b % 16)
@@ -85,14 +87,14 @@ func lruKey(stride, b byte) uint64 {
 	case 2:
 		return uint64(b) << 12
 	default:
-		return uint64(b) << 56
+		return uint64(b) << (top - 8)
 	}
 }
 
 // FuzzLRU decodes the input as a capacity byte (1 to 64 keys) followed
 // by (op, stride, key) triples, replays Touch, Remove, Clear and Len on
-// an LRU and on the reference, and after every operation compares the
-// hit result, the evicted key and the whole recency order.
+// a WideLRU, a NarrowLRU and the reference, and after every operation
+// compares the hit result, the evicted key and the whole recency order.
 func FuzzLRU(f *testing.F) {
 	f.Add([]byte{})
 	// Capacity 1: key 0 touched, displaced by key 0's neighbour, removed
@@ -124,49 +126,57 @@ func FuzzLRU(f *testing.F) {
 		if len(data) < 1 {
 			return
 		}
-		capacity := int(data[0]%64) + 1
-		l, ref := NewLRU(capacity), &refLRU{capacity: capacity, order: list.New()}
-		for i := 1; i+3 <= len(data); i += 3 {
-			k := lruKey(data[i+1], data[i+2])
-			switch op := data[i] % 16; {
-			case op < 10:
-				want, evicted, evict := ref.touch(k)
-				if got := l.Touch(k); got != want {
-					t.Fatalf("op %d: Touch(%#x) = %v, want %v", i, k, got, want)
-				}
-				if evict && slices.Contains(lruKeys(t, l), evicted) {
-					t.Fatalf("op %d: Touch(%#x) kept %#x, which the reference evicted", i, k, evicted)
-				}
-			case op < 14:
-				l.Remove(k)
-				ref.remove(k)
-			case op < 15:
-				if got, want := l.Len(), ref.order.Len(); got != want {
-					t.Fatalf("op %d: Len = %d, want %d", i, got, want)
-				}
-			default:
-				l.Clear()
-				ref.order.Init()
-			}
-			got, want := lruKeys(t, l), ref.keys()
-			if !slices.Equal(got, want) {
-				t.Fatalf("op %d: recency order %#x, want %#x", i, got, want)
-			}
-			if l.Len() != len(want) {
-				t.Fatalf("op %d: Len = %d, want %d", i, l.Len(), len(want))
-			}
-			checkIndex(t, l)
-		}
+		diffLRU(t, NewLRU[uint64, int32](int(data[0]%64)+1), data)
+		diffLRU(t, NewLRU[uint32, uint16](int(data[0]%64)+1), data)
 	})
+}
+
+// diffLRU replays FuzzLRU's input data on l, whose capacity is data's
+// first byte, and on the reference.
+func diffLRU[K lruKey, L lruLink](t *testing.T, l *LRU[K, L], data []byte) {
+	t.Helper()
+	top := int(unsafe.Sizeof(K(0))) * 8
+	ref := &refLRU{capacity: cap(l.slots), order: list.New()}
+	for i := 1; i+3 <= len(data); i += 3 {
+		k := lruKeyOf(data[i+1], data[i+2], top)
+		switch op := data[i] % 16; {
+		case op < 10:
+			want, evicted, evict := ref.touch(k)
+			if got := l.Touch(K(k)); got != want {
+				t.Fatalf("%d-bit keys, op %d: Touch(%#x) = %v, want %v", top, i, k, got, want)
+			}
+			if evict && slices.Contains(lruKeys(t, l), evicted) {
+				t.Fatalf("%d-bit keys, op %d: Touch(%#x) kept %#x, which the reference evicted", top, i, k, evicted)
+			}
+		case op < 14:
+			l.Remove(K(k))
+			ref.remove(k)
+		case op < 15:
+			if got, want := l.Len(), ref.order.Len(); got != want {
+				t.Fatalf("%d-bit keys, op %d: Len = %d, want %d", top, i, got, want)
+			}
+		default:
+			l.Clear()
+			ref.order.Init()
+		}
+		got, want := lruKeys(t, l), ref.keys()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d-bit keys, op %d: recency order %#x, want %#x", top, i, got, want)
+		}
+		if l.Len() != len(want) {
+			t.Fatalf("%d-bit keys, op %d: Len = %d, want %d", top, i, l.Len(), len(want))
+		}
+		checkIndex(t, l)
+	}
 }
 
 // checkIndex holds l's index to its recency list: every resident key's
 // probe finds its own slot, the index has one entry per resident key,
 // and every entry is reachable from its key's home without crossing an
 // empty entry (the invariant backward-shift erasure maintains).
-func checkIndex(t *testing.T, l *LRU) {
+func checkIndex[K lruKey, L lruLink](t *testing.T, l *LRU[K, L]) {
 	t.Helper()
-	for i := l.head; i >= 0; i = l.slots[i].next {
+	for i := l.head; i != none[L](); i = l.slots[i].next {
 		if _, j := l.find(l.slots[i].key); j != i+1 {
 			t.Fatalf("index maps key %#x to slot %d; it lives in slot %d", l.slots[i].key, j-1, i)
 		}
@@ -187,4 +197,48 @@ func checkIndex(t *testing.T, l *LRU) {
 	if live != l.n {
 		t.Fatalf("%d live index entries, %d resident keys", live, l.n)
 	}
+}
+
+// TestNarrowLRUAtItsLimit fills a NarrowLRU of MaxNarrowLRU keys, twice
+// over so that every slot is evicted and reused, removes keys from the
+// top of the slot range and refills them: slot numbers up to
+// MaxNarrowLRU-1 and index entries up to MaxNarrowLRU must never be
+// taken for the no-slot link. A NarrowLRU one key larger is refused.
+func TestNarrowLRUAtItsLimit(t *testing.T) {
+	const n = MaxNarrowLRU
+	l := NewLRU[uint32, uint16](n)
+	for k := range uint32(2 * n) {
+		if l.Touch(k * 3) {
+			t.Fatalf("first touch of key %d hit", k*3)
+		}
+	}
+	if l.Len() != n || l.slots[l.head].key != (2*n-1)*3 || l.slots[l.tail].key != n*3 {
+		t.Fatalf("after %d keys: Len %d, head key %d, tail key %d", 2*n, l.Len(), l.slots[l.head].key, l.slots[l.tail].key)
+	}
+	for k := uint32(2*n - 10); k < 2*n; k++ {
+		l.Remove(k * 3)
+	}
+	for k := uint32(n); k < n+10; k++ {
+		if !l.Touch(k * 3) {
+			t.Fatalf("resident key %d missed", k*3)
+		}
+	}
+	for k := uint32(2*n - 10); k < 2*n; k++ {
+		if l.Touch(k * 3) {
+			t.Fatalf("removed key %d hit", k*3)
+		}
+	}
+	if l.Len() != n {
+		t.Fatalf("Len %d, want %d", l.Len(), n)
+	}
+	checkIndex(t, l)
+	if got := len(lruKeys(t, l)); got != n {
+		t.Fatalf("recency list of %d keys, want %d", got, n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("NewLRU[uint32, uint16](%d) did not panic", n+1)
+		}
+	}()
+	NewLRU[uint32, uint16](n + 1)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -14,30 +15,48 @@ import (
 // becomes a call on that path without changing any result, so no golden
 // test notices it.
 var hotInline = map[string][]string{
-	"internal/coherence": append([]string{"(*Directory).AccessInto", "(*Directory).Evict"},
-		tableHelpers("slot", "at", "wordIndex", "writerBit", "writer", "setWriter", "invalidateOthers")...),
+	"internal/coherence": append(append([]string{"(*Directory).AccessInto", "(*Directory).Evict"},
+		tableHelpers("(*table[%s])", "slot", "line", "wordIndex", "invalidateOthers")...),
+		tableHelpers("(*lineState[%s])", "wroteOther", "writeSole")...),
 	"internal/sim": {"(*llcUnit).cacheFor", "(*Machine).llcLineAddr",
 		"(*winnerTree).update", "(*winnerTree).runnerUp", "(*winnerTree).min", "(*winnerTree).key"},
-	"internal/cache": {"(*Cache).key", "(*Cache).setOf", "(*Cache).set", "(*Cache).lineAddrOf"},
-	"internal/flat":  {"(*Map).Get", "(*LRU).Touch", "(*LRU).find"},
-	"internal/tlb":   {"(*TLB).Fill", "(*TLB).Peek"},
+	"internal/cache": {"(*Cache).key", "(*Cache).setOf", "(*Cache).set", "(*Cache).lineAddrOf", "(*Shadow).Access"},
+	"internal/flat": append([]string{"(*Map).Get"},
+		lruHelpers("Touch", "home", "find", "unlink", "pushFront", "erase")...),
+	"internal/tlb": {"(*TLB).Fill", "(*TLB).Peek"},
 }
 
 // outOfLine lists, per package, the functions that must stay calls: the
-// coherence table's constructor of its access closure, which inlined
-// into New would compile the closure outside the table's generic code,
-// where the closure's helpers stay calls on every access.
+// coherence table's and the LRU's constructors of their access
+// closures, which inlined into New or NewLRU would compile the closure
+// outside the generic code, where the closure's helpers stay calls on
+// every access, and the directory's spill path, which the access path
+// enters only for a line with two writers or a word past 15.
 var outOfLine = map[string][]string{
-	"internal/coherence": tableHelpers("directory"),
+	"internal/coherence": tableHelpers("(*table[%s])", "directory", "writeSpilled", "spilledWroteOther"),
+	"internal/flat":      lruHelpers("toucher"),
 }
 
-// tableHelpers names the coherence table's helpers as the compiler
+// tableHelpers names the coherence table's or line state's helpers, its
+// receiver a format with the mask width's shape for %s, as the compiler
 // reports them: once per mask width, each width's code compiled apart.
-func tableHelpers(helpers ...string) []string {
+func tableHelpers(receiver string, helpers ...string) []string {
 	var names []string
 	for _, width := range []string{"uint8", "uint16", "uint32", "uint64"} {
 		for _, h := range helpers {
-			names = append(names, "(*table[go.shape."+width+"])."+h)
+			names = append(names, fmt.Sprintf(receiver, "go.shape."+width)+"."+h)
+		}
+	}
+	return names
+}
+
+// lruHelpers names the flat LRU's helpers as the compiler reports them:
+// once per form, wide and narrow, each form's code compiled apart.
+func lruHelpers(helpers ...string) []string {
+	var names []string
+	for _, form := range []string{"go.shape.uint64,go.shape.int32", "go.shape.uint32,go.shape.uint16"} {
+		for _, h := range helpers {
+			names = append(names, "(*LRU["+form+"])."+h)
 		}
 	}
 	return names

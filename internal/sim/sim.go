@@ -271,7 +271,10 @@ func New(opts Options) (*Machine, error) {
 		for s := 0; s < llcLevel.Slices; s++ {
 			unit.slices = append(unit.slices, cache.New(llcLevel.Geom))
 		}
-		unit.shadow = cache.NewShadow(llcLevel.Slices*llcLevel.Geom.Lines(), llcLevel.Geom.LineSize)
+		// Physical addresses lie below the machine's frames, so the
+		// shadow takes its narrow form wherever the LLC holds at most
+		// flat.MaxNarrowLRU lines.
+		unit.shadow = cache.NewShadowFor(llcLevel.Slices*llcLevel.Geom.Lines(), llcLevel.Geom.LineSize, uint64(frames*cfg.PageSize-1))
 		for p := u * llcLevel.CPUsPerCache; p < (u+1)*llcLevel.CPUsPerCache; p++ {
 			unit.cpus = append(unit.cpus, p)
 		}

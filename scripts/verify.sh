@@ -1,11 +1,17 @@
 #!/bin/sh
-# CI gate: vet + the cdpcvet invariant lint, docs, build, the full
+# CI gate: gofmt + vet + the cdpcvet invariant lint, docs, build, the full
 # test suite, the race detector over the whole module, the benchmark
 # module's fingerprint tests, audited experiment runs, and the cdpcd
 # end-to-end smoke. Everything must pass before a change lands.
 set -eux
 
+# Formatting: every Go file, the benchmark module's included, must be
+# gofmt-clean.
+test -z "$(gofmt -l .)"
+
 go vet ./...
+# The benchmark module (perfbench/, its own go.mod) is outside ./...
+(cd perfbench && go vet .)
 
 # cdpcvet: the repo's own static analyzers (determinism, statsconserve,
 # guardedby, errcode, pow2geom, and the interprocedural quartet:
@@ -48,7 +54,8 @@ go test -run=FuzzDecodeTrace ./internal/trace
 go test -run=FuzzFlatMap ./internal/flat
 
 # Shadow LRU fuzz seeds: FuzzLRU diffs Touch/Remove/Clear/Len sequences
-# at capacities 1-64, key 0 and colliding keys included, against a
+# at capacities 1-64, key 0 and colliding keys included, on both LRU
+# forms (64-bit keys, and 32-bit keys with 16-bit links) against a
 # container/list LRU.
 go test -run=FuzzLRU ./internal/flat
 
@@ -70,8 +77,9 @@ go test -run=FuzzTLB ./internal/tlb
 
 # Coherence directory fuzz seeds: FuzzDirectory diffs Access, AccessInto
 # (one reused Outcome), Evict, Forget and Holders sequences at 1-64 CPUs
-# (every mask width, full and one past, and both writer widths) and
-# 8-256-byte lines against the per-line oracle directory.
+# (every mask width, full and one past) and 8-256-byte lines, lines
+# whose writers spill to a side row included, against the per-line
+# oracle directory.
 go test -run=FuzzDirectory ./internal/coherence
 
 # Machine and topology file fuzz seeds: FuzzReadConfig and
