@@ -130,6 +130,20 @@ func (m *Map) Delete(k uint64) bool {
 	return true
 }
 
+// Keys returns every key, in no particular order.
+func (m *Map) Keys() []uint64 {
+	keys := make([]uint64, 0, m.Len())
+	if m.hasZero {
+		keys = append(keys, 0)
+	}
+	for _, s := range m.slots {
+		if s.key != 0 {
+			keys = append(keys, s.key)
+		}
+	}
+	return keys
+}
+
 // Clear removes every entry, keeping the table's storage.
 func (m *Map) Clear() {
 	clear(m.slots)

@@ -19,6 +19,15 @@ func check(t *testing.T, m *Map, ref map[uint64]uint64) {
 			t.Fatalf("Get(%#x) = %d, %v; want %d, true", k, got, ok, want)
 		}
 	}
+	keys := m.Keys()
+	if len(keys) != len(ref) {
+		t.Fatalf("Keys has %d keys, want %d", len(keys), len(ref))
+	}
+	for _, k := range keys {
+		if _, ok := ref[k]; !ok {
+			t.Fatalf("Keys returned %#x, which is not in the map", k)
+		}
+	}
 	live := 0
 	for i, s := range m.slots {
 		if s.key == 0 {

@@ -11,15 +11,17 @@ import (
 // in ten thousand), so the test takes no timing and cannot fail on host
 // noise. Each budget is about 1.25x the recorded figure:
 //
-//   - swim/cdpc/8 sampled: 501,688 bytes (587,576 while every
-//     directory line kept a row of word writers and the shadow's slots
-//     were 16 B; 779,900 while every color's free frames sat in an
-//     explicit list, a cache way took 16 B and a word writer a byte;
+//   - swim/cdpc/8 sampled: 491,328 bytes (501,688 while the frame
+//     allocator booked every frame's owning pid in a map; 587,576
+//     while every directory line kept a row of word writers and the
+//     shadow's slots were 16 B; 779,900 while every color's free
+//     frames sat in an explicit list, a cache way took 16 B and a word
+//     writer a byte;
 //     1,135,300 while the directory's masks were 64 bits wide and the
 //     shadow's index a flat.Map; 2,198,700 when the directory still
 //     grew its slabs by copying);
-//   - tomcatv/cdpc/16 full: 666,648 bytes (887,096, 1,063,000,
-//     1,480,800 and 2,545,800 at those four earlier points).
+//   - tomcatv/cdpc/16 full: 647,328 bytes (666,648, 887,096,
+//     1,063,000, 1,480,800 and 2,545,800 at those five earlier points).
 //
 // Under -race the figures read up to 4% higher, inside the budgets.
 // Nothing else allocates while the test runs: no test in the package
@@ -29,8 +31,8 @@ func TestAllocationBudget(t *testing.T) {
 		spec   Spec
 		budget uint64
 	}{
-		{Spec{Workload: "swim", Variant: CDPC, CPUs: 8, Sampled: true}, 627_000},
-		{Spec{Workload: "tomcatv", Variant: CDPC, CPUs: 16}, 833_000},
+		{Spec{Workload: "swim", Variant: CDPC, CPUs: 8, Sampled: true}, 614_000},
+		{Spec{Workload: "tomcatv", Variant: CDPC, CPUs: 16}, 809_000},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

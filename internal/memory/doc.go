@@ -5,6 +5,13 @@
 // system ... may not be able to honor the hints if the machine is under
 // memory pressure" (§5, step 3).
 //
+// The allocator knows colors, not processes. A caller passes the color
+// subset it may take from (nil for every color); Partition carves the
+// colors into the exclusive subsets of isolation domains. Which frames
+// a process holds, and which subset it passes, are its address space's
+// record (package vm), so the allocator keeps no per-frame or per-pid
+// state.
+//
 // A pool holds its color's free frames implicitly, as the frames
 // released back to it plus a cursor over the color's never-allocated
 // frames, so it costs 40 bytes plus 8 per released frame however large

@@ -3,18 +3,18 @@ package memory
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrOutOfMemory is returned when no free frame exists in any pool.
 var ErrOutOfMemory = errors.New("memory: out of physical frames")
 
 // PartitionExhaustedError reports that a process's isolation domain ran
-// out of frames inside its exclusive color subset. A partitioned
-// allocator never borrows a foreign-partition frame, so the failure is
-// scoped to the domain even when other pools still hold frames. It
-// unwraps to ErrOutOfMemory so existing errors.Is checks (and cdpcd's
-// 422 mapping) treat it as the out-of-memory family.
+// out of frames inside its exclusive color subset. An allocation from a
+// subset never borrows a frame of another color, so the failure is
+// scoped to the domain even when other pools still hold frames; the
+// process's address space, which knows its pid and domain, builds it.
+// It unwraps to ErrOutOfMemory so existing errors.Is checks (and
+// cdpcd's 422 mapping) treat it as the out-of-memory family.
 type PartitionExhaustedError struct {
 	Pid    int   // process whose allocation failed
 	Domain int   // its isolation domain
@@ -35,30 +35,19 @@ func (e *PartitionExhaustedError) Unwrap() error { return ErrOutOfMemory }
 // it so that a negative preferred color means the same pool everywhere.
 func NormColor(c, n int) int { return ((c % n) + n) % n }
 
-// Allocator hands out physical frames grouped by page color. Frames are
-// owned by the process they were allocated for, so process exit can
-// return exactly its frames and an audit can prove no pool counts leak.
+// Allocator hands out physical frames grouped by page color. It knows
+// colors, not processes: which frames a process holds is its address
+// space's record, and which colors it may take is the subset it passes
+// to Alloc.
 type Allocator struct {
 	numColors int
 	pools     []pool // per color
 	totalFree int
 
-	owner  map[uint64]int // allocated frame -> owning process id
-	allocs map[int]uint64 // pid -> frames granted
-	frees  map[int]uint64 // pid -> frames returned
-
 	// Honored counts allocations that got the preferred color; Fallback
 	// counts those that did not (pressure or exhausted pool).
 	Honored  uint64
 	Fallback uint64
-
-	// Partitioned mode: each isolation domain owns an exclusive,
-	// contiguous color subset and allocations for its pids are clamped
-	// to that subset. Empty maps mean unpartitioned (the default), in
-	// which case every path below behaves exactly as before.
-	domainOf    map[int]int   // pid -> isolation domain
-	partition   map[int][]int // domain -> exclusive colors, ascending
-	colorDomain []int         // color -> owning domain
 
 	// colorOf is the frame→color function. Nil means the modular layout
 	// of contiguous physical memory under a conventional physically
@@ -117,9 +106,6 @@ func NewWithColorOf(totalFrames, numColors int, colorOf func(frame uint64) int) 
 		numColors: numColors,
 		pools:     make([]pool, numColors),
 		totalFree: totalFrames,
-		owner:     map[uint64]int{},
-		allocs:    map[int]uint64{},
-		frees:     map[int]uint64{},
 		colorOf:   colorOf,
 	}
 	if colorOf == nil {
@@ -183,70 +169,54 @@ func (a *Allocator) ColorOf(frame uint64) int {
 	return int(frame % uint64(a.numColors))
 }
 
-// Alloc returns a free frame, preferring the given color. honored reports
-// whether the preference was satisfied. The frame is owned by process 0
-// (the single-process legacy owner).
-func (a *Allocator) Alloc(preferredColor int) (frame uint64, honored bool, err error) {
-	return a.AllocFor(0, preferredColor)
-}
-
-// AllocFor returns a free frame for the given process, preferring the
-// given color. honored reports whether the preference was satisfied.
-//
-// In partitioned mode a pid with an isolation domain is clamped to the
-// domain's exclusive color subset: the preference is folded into the
-// subset (so policy preferences and CDPC hints land on a partition
-// color instead of the global color space), the pressure fallback scans
-// only partition pools, and exhaustion yields a typed
-// PartitionExhaustedError — the allocator never borrows a frame from a
-// foreign partition.
-func (a *Allocator) AllocFor(pid, preferredColor int) (frame uint64, honored bool, err error) {
-	if colors, domain, ok := a.domainColors(pid); ok {
-		return a.allocWithin(pid, domain, preferredColor, colors)
-	}
-	if a.totalFree == 0 {
-		return 0, false, ErrOutOfMemory
-	}
-	c := NormColor(preferredColor, a.numColors)
-	if a.pools[c].free() > 0 {
-		return a.take(pid, c, true), true, nil
-	}
-	// Pressure fallback: take from the richest pool to keep future
-	// preferences satisfiable. The scan keeps the first maximum, so ties
-	// break toward the lowest color deterministically.
-	best, bestLen := -1, 0
-	for i := range a.pools {
-		if n := a.pools[i].free(); n > bestLen {
-			best, bestLen = i, n
-		}
-	}
-	return a.take(pid, best, false), false, nil
-}
-
-// allocWithin is the partition-clamped allocation path: fold the
-// preference into the subset, fall back richest-within-partition (first
-// maximum, so ties break toward the lowest partition color), and fail
-// with a typed error once the subset runs dry.
-func (a *Allocator) allocWithin(pid, domain, preferredColor int, colors []int) (frame uint64, honored bool, err error) {
-	c := colors[NormColor(preferredColor, len(colors))]
-	if a.pools[c].free() > 0 {
-		return a.take(pid, c, true), true, nil
+// Alloc returns a free frame from the given colors, preferring one.
+// colors is the caller's color subset, ascending; nil means every
+// color. The preference is folded into the subset (so policy
+// preferences and CDPC hints land on a subset color instead of the
+// global color space), and when its pool is empty the frame comes from
+// the richest pool of the subset, the first maximum, so ties break
+// toward the lowest color. honored reports whether the preference was
+// satisfied. Once every pool of the subset is empty Alloc fails with
+// ErrOutOfMemory: it never takes a frame from outside the subset.
+func (a *Allocator) Alloc(preferredColor int, colors []int) (frame uint64, honored bool, err error) {
+	n := a.subsetLen(colors)
+	if c := subsetColor(colors, NormColor(preferredColor, n)); a.pools[c].free() > 0 {
+		return a.take(c, true), true, nil
 	}
 	best, bestLen := -1, 0
-	for _, pc := range colors {
-		if n := a.pools[pc].free(); n > bestLen {
-			best, bestLen = pc, n
+	for i := range n {
+		c := subsetColor(colors, i)
+		if free := a.pools[c].free(); free > bestLen {
+			best, bestLen = c, free
 		}
 	}
 	if best < 0 {
-		return 0, false, &PartitionExhaustedError{Pid: pid, Domain: domain, Colors: colors}
+		return 0, false, ErrOutOfMemory
 	}
-	return a.take(pid, best, false), false, nil
+	return a.take(best, false), false, nil
 }
 
-// take pops the top frame of color c, books ownership and the honored
-// or fallback counter. The caller guarantees the pool is non-empty.
-func (a *Allocator) take(pid, c int, honored bool) uint64 {
+// subsetLen returns the size of a color subset, nil meaning every
+// color.
+func (a *Allocator) subsetLen(colors []int) int {
+	if colors == nil {
+		return a.numColors
+	}
+	return len(colors)
+}
+
+// subsetColor returns the i'th color of a color subset, nil meaning
+// every color.
+func subsetColor(colors []int, i int) int {
+	if colors == nil {
+		return i
+	}
+	return colors[i]
+}
+
+// take pops the top frame of color c and books the honored or fallback
+// counter. The caller guarantees the pool is non-empty.
+func (a *Allocator) take(c int, honored bool) uint64 {
 	frame := a.pop(c)
 	a.totalFree--
 	if honored {
@@ -254,79 +224,31 @@ func (a *Allocator) take(pid, c int, honored bool) uint64 {
 	} else {
 		a.Fallback++
 	}
-	a.owner[frame] = pid
-	a.allocs[pid]++
 	return frame
 }
 
-// Release returns a frame to its color pool and clears its ownership.
+// Release returns a frame to its color pool.
 func (a *Allocator) Release(frame uint64) {
-	if pid, ok := a.owner[frame]; ok {
-		delete(a.owner, frame)
-		a.frees[pid]++
-	}
 	p := &a.pools[a.ColorOf(frame)]
 	p.released = append(p.released, frame)
 	a.totalFree++
 }
 
-// OwnedFrames returns the frames currently owned by pid, ascending.
-func (a *Allocator) OwnedFrames(pid int) []uint64 {
-	var out []uint64
-	for f, p := range a.owner {
-		if p == pid {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// AllocCount returns the number of frames ever granted to pid.
-func (a *Allocator) AllocCount(pid int) uint64 { return a.allocs[pid] }
-
-// FreeCount returns the number of pid-owned frames returned so far.
-func (a *Allocator) FreeCount(pid int) uint64 { return a.frees[pid] }
-
-// ReleaseOwned returns every frame owned by pid to the pools and reports
-// how many were released. Frames are pushed in descending order so later
-// pops hand them back ascending, keeping reuse deterministic.
-func (a *Allocator) ReleaseOwned(pid int) int {
-	frames := a.OwnedFrames(pid)
-	for i := len(frames) - 1; i >= 0; i-- {
-		a.Release(frames[i])
-	}
-	return len(frames)
-}
-
 // FirstTouchColor returns the color of the frame a sequential free-list
-// allocator would hand out next: the lowest-numbered free frame across
-// all pools. With no free frames it returns 0 (the following allocation
+// allocator restricted to the given colors (nil meaning every color)
+// would hand out next: the lowest-numbered free frame across their
+// pools, so a first-touch policy predicts a color its own allocation can
+// honor. With no free frames it returns 0 (the following allocation
 // fails anyway).
-func (a *Allocator) FirstTouchColor() int { return a.FirstTouchColorFor(0) }
-
-// FirstTouchColorFor is FirstTouchColor scoped to pid's color partition:
-// in partitioned mode it scans only the pools the pid's domain owns, so
-// a first-touch policy predicts a color its own allocation can honor.
-// For an unpartitioned allocator (or a pid with no domain) it scans all
-// pools and matches FirstTouchColor exactly.
-func (a *Allocator) FirstTouchColorFor(pid int) int {
+func (a *Allocator) FirstTouchColor(colors []int) int {
+	n := a.subsetLen(colors)
 	var bestFrame uint64
 	found := false
-	consider := func(c int) {
-		if p := &a.pools[c]; p.free() > 0 {
+	for i := range n {
+		if p := &a.pools[subsetColor(colors, i)]; p.free() > 0 {
 			if top := p.top(); !found || top < bestFrame {
 				bestFrame, found = top, true
 			}
-		}
-	}
-	if colors, _, ok := a.domainColors(pid); ok {
-		for _, c := range colors {
-			consider(c)
-		}
-	} else {
-		for c := range a.pools {
-			consider(c)
 		}
 	}
 	if !found {
@@ -335,101 +257,31 @@ func (a *Allocator) FirstTouchColorFor(pid int) int {
 	return a.ColorOf(bestFrame)
 }
 
-// OwnerOf reports the process currently owning an allocated frame.
-func (a *Allocator) OwnerOf(frame uint64) (pid int, ok bool) {
-	pid, ok = a.owner[frame]
-	return pid, ok
-}
-
-// AssignDomains switches the allocator into partitioned mode. pids maps
-// each process id to its isolation domain; processes sharing a domain
-// id share a partition. The distinct domains, taken in ascending order,
-// receive contiguous color blocks whose sizes differ by at most one
-// (lower domains absorb the remainder), so the assignment is a pure
-// function of the resolved co-runner mix. It fails when more domains
-// than colors are requested, and must be called before any partitioned
-// allocation (existing pid-0 allocations, e.g. an ExhaustColors drain,
-// are unaffected).
-func (a *Allocator) AssignDomains(pids map[int]int) error {
-	if len(pids) == 0 {
-		return fmt.Errorf("memory: AssignDomains needs at least one pid")
+// Partition carves numColors colors into the exclusive color subsets
+// of `domains` isolation domains: contiguous ascending blocks, in
+// domain order, whose sizes differ by at most one (lower domains
+// absorb the remainder), so the assignment is a pure function of the
+// domain count. It fails when there are no domains or more domains than
+// colors.
+func Partition(numColors, domains int) ([][]int, error) {
+	if domains < 1 {
+		return nil, fmt.Errorf("memory: a partition needs at least one isolation domain")
 	}
-	if a.colorDomain != nil {
-		return fmt.Errorf("memory: domains already assigned")
+	if domains > numColors {
+		return nil, fmt.Errorf("memory: %d isolation domains exceed %d colors", domains, numColors)
 	}
-	domainSet := map[int]bool{}
-	for _, d := range pids {
-		domainSet[d] = true
-	}
-	domains := make([]int, 0, len(domainSet))
-	for d := range domainSet {
-		domains = append(domains, d)
-	}
-	sort.Ints(domains)
-	if len(domains) > a.numColors {
-		return fmt.Errorf("memory: %d isolation domains exceed %d colors", len(domains), a.numColors)
-	}
-	a.domainOf = make(map[int]int, len(pids))
-	for pid, d := range pids {
-		a.domainOf[pid] = d
-	}
-	a.partition = make(map[int][]int, len(domains))
-	a.colorDomain = make([]int, a.numColors)
-	per, extra := a.numColors/len(domains), a.numColors%len(domains)
+	blocks := make([][]int, domains)
+	per, extra := numColors/domains, numColors%domains
 	next := 0
-	for i, d := range domains {
+	for d := range blocks {
 		n := per
-		if i < extra {
+		if d < extra {
 			n++
 		}
-		colors := make([]int, 0, n)
-		for j := 0; j < n; j++ {
-			colors = append(colors, next)
-			a.colorDomain[next] = d
+		for range n {
+			blocks[d] = append(blocks[d], next)
 			next++
 		}
-		a.partition[d] = colors
 	}
-	return nil
-}
-
-// Partitioned reports whether AssignDomains has split the color space.
-func (a *Allocator) Partitioned() bool { return a.colorDomain != nil }
-
-// DomainOf returns pid's isolation domain, or 0 when the allocator is
-// unpartitioned or the pid was never assigned one.
-func (a *Allocator) DomainOf(pid int) int { return a.domainOf[pid] }
-
-// ColorDomain returns the domain owning a color (0 when unpartitioned).
-func (a *Allocator) ColorDomain(color int) int {
-	if a.colorDomain == nil {
-		return 0
-	}
-	return a.colorDomain[NormColor(color, a.numColors)]
-}
-
-// PartitionOf returns a copy of the exclusive color subset pid's domain
-// owns, or nil when the pid is unconstrained.
-func (a *Allocator) PartitionOf(pid int) []int {
-	colors, _, ok := a.domainColors(pid)
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(colors))
-	copy(out, colors)
-	return out
-}
-
-// domainColors resolves the color subset constraining pid's allocations.
-// ok is false when the allocator is unpartitioned or the pid has no
-// domain (such a pid keeps the legacy global behavior).
-func (a *Allocator) domainColors(pid int) (colors []int, domain int, ok bool) {
-	if a.domainOf == nil {
-		return nil, 0, false
-	}
-	domain, ok = a.domainOf[pid]
-	if !ok {
-		return nil, 0, false
-	}
-	return a.partition[domain], domain, true
+	return blocks, nil
 }

@@ -1,14 +1,15 @@
 package memory
 
 import (
-	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestPreferredColorHonored(t *testing.T) {
 	a := New(64, 8)
-	f, honored, err := a.Alloc(3)
+	f, honored, err := a.Alloc(3, nil)
 	if err != nil || !honored {
 		t.Fatalf("Alloc = (%d,%v,%v)", f, honored, err)
 	}
@@ -22,9 +23,9 @@ func TestPreferredColorHonored(t *testing.T) {
 
 func TestFallbackOnExhaustedColor(t *testing.T) {
 	a := New(16, 8) // 2 frames per color
-	a.Alloc(0)
-	a.Alloc(0)
-	f, honored, err := a.Alloc(0)
+	a.Alloc(0, nil)
+	a.Alloc(0, nil)
+	f, honored, err := a.Alloc(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +43,20 @@ func TestFallbackOnExhaustedColor(t *testing.T) {
 func TestOutOfMemory(t *testing.T) {
 	a := New(4, 2)
 	for i := 0; i < 4; i++ {
-		if _, _, err := a.Alloc(0); err != nil {
+		if _, _, err := a.Alloc(0, nil); err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
-	if _, _, err := a.Alloc(0); err != ErrOutOfMemory {
+	if _, _, err := a.Alloc(0, nil); err != ErrOutOfMemory {
 		t.Errorf("err = %v, want ErrOutOfMemory", err)
 	}
 }
 
 func TestReleaseRecycles(t *testing.T) {
 	a := New(8, 8) // one frame per color
-	f, _, _ := a.Alloc(5)
+	f, _, _ := a.Alloc(5, nil)
 	a.Release(f)
-	f2, honored, err := a.Alloc(5)
+	f2, honored, err := a.Alloc(5, nil)
 	if err != nil || !honored || f2 != f {
 		t.Errorf("recycled alloc = (%d,%v,%v), want (%d,true,nil)", f2, honored, err, f)
 	}
@@ -63,11 +64,11 @@ func TestReleaseRecycles(t *testing.T) {
 
 func TestNegativeAndLargeColorWrap(t *testing.T) {
 	a := New(64, 8)
-	f, honored, _ := a.Alloc(11) // 11 % 8 = 3
+	f, honored, _ := a.Alloc(11, nil) // 11 % 8 = 3
 	if !honored || a.ColorOf(f) != 3 {
 		t.Errorf("wrapped color = %d honored=%v, want 3,true", a.ColorOf(f), honored)
 	}
-	f2, honored2, _ := a.Alloc(-1) // wraps to 7
+	f2, honored2, _ := a.Alloc(-1, nil) // wraps to 7
 	if !honored2 || a.ColorOf(f2) != 7 {
 		t.Errorf("negative color = %d honored=%v, want 7,true", a.ColorOf(f2), honored2)
 	}
@@ -78,7 +79,7 @@ func TestFramesAreUniqueProperty(t *testing.T) {
 		a := New(128, 16)
 		seen := map[uint64]bool{}
 		for _, p := range prefs {
-			fr, _, err := a.Alloc(int(p))
+			fr, _, err := a.Alloc(int(p), nil)
 			if err != nil {
 				return a.FreeFrames() == 0
 			}
@@ -109,88 +110,13 @@ func TestFreeFramesAccounting(t *testing.T) {
 	if a.FreeFrames() != 32 {
 		t.Fatalf("FreeFrames = %d, want 32", a.FreeFrames())
 	}
-	f, _, _ := a.Alloc(1)
+	f, _, _ := a.Alloc(1, nil)
 	if a.FreeFrames() != 31 {
 		t.Errorf("FreeFrames after alloc = %d, want 31", a.FreeFrames())
 	}
 	a.Release(f)
 	if a.FreeFrames() != 32 {
 		t.Errorf("FreeFrames after release = %d, want 32", a.FreeFrames())
-	}
-}
-
-// Satellite: per-process ownership conservation. For every process,
-// alloc - free == owned must hold at all times, including across
-// recolor-style churn (alloc new + release old) and full process exit.
-func TestOwnershipConservation(t *testing.T) {
-	a := New(128, 8)
-	conserve := func(pid int) {
-		t.Helper()
-		owned := uint64(len(a.OwnedFrames(pid)))
-		if a.AllocCount(pid)-a.FreeCount(pid) != owned {
-			t.Fatalf("pid %d: allocs %d - frees %d != owned %d",
-				pid, a.AllocCount(pid), a.FreeCount(pid), owned)
-		}
-	}
-	var held [][]uint64 // per pid
-	for pid := 1; pid <= 3; pid++ {
-		var frames []uint64
-		for i := 0; i < 10+pid; i++ {
-			f, _, err := a.AllocFor(pid, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames = append(frames, f)
-		}
-		held = append(held, frames)
-		conserve(pid)
-	}
-	// Recolor churn on pid 2: replace each frame with a fresh one.
-	for i, f := range held[1] {
-		nf, _, err := a.AllocFor(2, int(f)+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Release(f)
-		held[1][i] = nf
-		conserve(2)
-	}
-	// Cross-process isolation: releasing pid 2's frames must not move
-	// pid 1's or pid 3's accounting.
-	before1, before3 := len(a.OwnedFrames(1)), len(a.OwnedFrames(3))
-	if n := a.ReleaseOwned(2); n != len(held[1]) {
-		t.Fatalf("ReleaseOwned(2) = %d, want %d", n, len(held[1]))
-	}
-	conserve(1)
-	conserve(2)
-	conserve(3)
-	if len(a.OwnedFrames(2)) != 0 {
-		t.Errorf("pid 2 still owns %v after exit", a.OwnedFrames(2))
-	}
-	if len(a.OwnedFrames(1)) != before1 || len(a.OwnedFrames(3)) != before3 {
-		t.Error("ReleaseOwned(2) disturbed another process's frames")
-	}
-	total := 0
-	for pid := 0; pid <= 3; pid++ {
-		total += len(a.OwnedFrames(pid))
-	}
-	if a.FreeFrames()+total != 128 {
-		t.Errorf("pool leak: free %d + owned %d != 128", a.FreeFrames(), total)
-	}
-}
-
-func TestOwnedFramesSortedAscending(t *testing.T) {
-	a := New(64, 8)
-	for i := 0; i < 9; i++ {
-		if _, _, err := a.AllocFor(7, 8-i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frames := a.OwnedFrames(7)
-	for i := 1; i < len(frames); i++ {
-		if frames[i-1] >= frames[i] {
-			t.Fatalf("OwnedFrames not strictly ascending: %v", frames)
-		}
 	}
 }
 
@@ -211,7 +137,7 @@ func TestFallbackDeterministicProperty(t *testing.T) {
 					expect, expectLen = c, n
 				}
 			}
-			fr, honored, err := a.Alloc(int(p))
+			fr, honored, err := a.Alloc(int(p), nil)
 			if err != nil {
 				return a.FreeFrames() == 0 && a.Honored+a.Fallback == total
 			}
@@ -242,7 +168,7 @@ func TestFallbackReplayIdentical(t *testing.T) {
 		a := New(64, 8)
 		var got []uint64
 		for i := 0; i < 64; i++ {
-			fr, _, err := a.Alloc(i % 3) // starves colors 3..7 into fallback
+			fr, _, err := a.Alloc(i%3, nil) // starves colors 3..7 into fallback
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,10 +189,10 @@ func TestFirstTouchColorTracksLowestFrame(t *testing.T) {
 	// Lowest free frame is 0 -> color 0; allocate it and the next
 	// lowest (1 -> color 1) becomes the first-touch frame.
 	for want := 0; want < 8; want++ {
-		if got := a.FirstTouchColor(); got != want%4 {
+		if got := a.FirstTouchColor(nil); got != want%4 {
 			t.Fatalf("FirstTouchColor = %d, want %d", got, want%4)
 		}
-		fr, honored, err := a.Alloc(a.FirstTouchColor())
+		fr, honored, err := a.Alloc(a.FirstTouchColor(nil), nil)
 		if err != nil || !honored {
 			t.Fatal(err)
 		}
@@ -276,38 +202,8 @@ func TestFirstTouchColorTracksLowestFrame(t *testing.T) {
 	}
 }
 
-// Satellite regression: a plain Release(frame) must clear the per-pid
-// ownership record, not just refill the pool — a stale OwnedFrames
-// entry would double-release on process exit.
-func TestReleaseClearsOwnership(t *testing.T) {
-	a := New(16, 4)
-	f, _, err := a.AllocFor(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pid, ok := a.OwnerOf(f); !ok || pid != 3 {
-		t.Fatalf("OwnerOf(%d) = (%d,%v), want (3,true)", f, pid, ok)
-	}
-	a.Release(f)
-	if pid, ok := a.OwnerOf(f); ok {
-		t.Errorf("frame %d still owned by %d after Release", f, pid)
-	}
-	if got := a.OwnedFrames(3); len(got) != 0 {
-		t.Errorf("OwnedFrames(3) = %v after Release, want empty", got)
-	}
-	if a.FreeCount(3) != 1 {
-		t.Errorf("FreeCount(3) = %d, want 1", a.FreeCount(3))
-	}
-	if n := a.ReleaseOwned(3); n != 0 {
-		t.Errorf("ReleaseOwned(3) released %d stale frames", n)
-	}
-	if a.FreeFrames() != 16 {
-		t.Errorf("FreeFrames = %d, want 16 (double release?)", a.FreeFrames())
-	}
-}
-
 // Satellite property: NormColor is the one sanctioned normalization and
-// AllocFor, ColorOf and FreeOfColor must agree with it for any color,
+// Alloc, ColorOf and FreeOfColor must agree with it for any color,
 // negatives included.
 func TestNormColorConsistencyProperty(t *testing.T) {
 	f := func(c int16) bool {
@@ -318,7 +214,7 @@ func TestNormColorConsistencyProperty(t *testing.T) {
 		}
 		a := New(64, n)
 		before := a.FreeOfColor(int(c))
-		fr, honored, err := a.Alloc(int(c))
+		fr, honored, err := a.Alloc(int(c), nil)
 		if err != nil || !honored {
 			return false
 		}
@@ -332,148 +228,92 @@ func TestNormColorConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestAssignDomainsDeterministicBlocks(t *testing.T) {
-	a := New(128, 8)
+func TestPartitionDeterministicBlocks(t *testing.T) {
 	// Three domains over 8 colors: blocks 3/3/2, lower domains get the
 	// extra color, contiguous and ascending.
-	if err := a.AssignDomains(map[int]int{1: 1, 2: 2, 3: 3, 4: 1}); err != nil {
+	got, err := Partition(8, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Partitioned() {
-		t.Fatal("allocator not partitioned after AssignDomains")
+	if want := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Partition(8, 3) = %v, want %v", got, want)
 	}
-	want := map[int][]int{1: {0, 1, 2}, 2: {3, 4, 5}, 3: {6, 7}}
-	for pid, dom := range map[int]int{1: 1, 4: 1, 2: 2, 3: 3} {
-		if a.DomainOf(pid) != dom {
-			t.Errorf("DomainOf(%d) = %d, want %d", pid, a.DomainOf(pid), dom)
-		}
-		got := a.PartitionOf(pid)
-		w := want[dom]
-		if len(got) != len(w) {
-			t.Fatalf("PartitionOf(%d) = %v, want %v", pid, got, w)
-		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("PartitionOf(%d) = %v, want %v", pid, got, w)
-			}
-		}
-	}
-	for c := 0; c < 8; c++ {
-		wantDom := 1
-		switch {
-		case c >= 6:
-			wantDom = 3
-		case c >= 3:
-			wantDom = 2
-		}
-		if a.ColorDomain(c) != wantDom {
-			t.Errorf("ColorDomain(%d) = %d, want %d", c, a.ColorDomain(c), wantDom)
-		}
-	}
-	if err := a.AssignDomains(map[int]int{1: 1}); err == nil {
-		t.Error("second AssignDomains succeeded")
+	if got, _ := Partition(8, 1); !reflect.DeepEqual(got, [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}) {
+		t.Errorf("Partition(8, 1) = %v, want every color", got)
 	}
 }
 
-func TestAssignDomainsTooManyDomains(t *testing.T) {
-	a := New(16, 2)
-	err := a.AssignDomains(map[int]int{1: 1, 2: 2, 3: 3})
-	if err == nil {
-		t.Fatal("3 domains over 2 colors accepted")
+func TestPartitionTooManyDomains(t *testing.T) {
+	if _, err := Partition(2, 3); err == nil || err.Error() != "memory: 3 isolation domains exceed 2 colors" {
+		t.Errorf("3 domains over 2 colors: err = %v", err)
+	}
+	if _, err := Partition(2, 0); err == nil {
+		t.Error("a partition of no domains accepted")
 	}
 }
 
-// In partitioned mode every allocation — preferred, folded hint, or
-// pressure fallback — must land inside the owner's color subset.
+// Every allocation from a color subset — preferred, folded hint, or
+// pressure fallback — must land inside the subset, and a subset that
+// runs dry fails with ErrOutOfMemory rather than borrow a frame of
+// another color while other pools still hold frames.
 func TestPartitionClampNeverEscapes(t *testing.T) {
 	a := New(128, 8)
-	if err := a.AssignDomains(map[int]int{1: 1, 2: 2}); err != nil {
+	parts, err := Partition(8, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	inPartition := func(pid int, c int) bool {
-		for _, pc := range a.PartitionOf(pid) {
-			if pc == c {
-				return true
-			}
-		}
-		return false
-	}
-	// Global-space preferences (the PR 5 pathology: both processes ask
-	// for the same colors) fold into disjoint subsets.
-	for i := 0; i < 32; i++ {
-		for pid := 1; pid <= 2; pid++ {
-			f, _, err := a.AllocFor(pid, i) // also drives fallback once pools dry up
+	// Global-space preferences (two processes asking for the same
+	// colors) fold into disjoint subsets.
+	for i := 0; i < 64; i++ {
+		for _, colors := range parts {
+			f, _, err := a.Alloc(i, colors) // also drives fallback once pools dry up
 			if err != nil {
-				t.Fatalf("pid %d pref %d: %v", pid, i, err)
+				t.Fatalf("subset %v pref %d: %v", colors, i, err)
 			}
-			if !inPartition(pid, a.ColorOf(f)) {
-				t.Fatalf("pid %d got color %d outside partition %v", pid, a.ColorOf(f), a.PartitionOf(pid))
+			if !slices.Contains(colors, a.ColorOf(f)) {
+				t.Fatalf("subset %v got color %d", colors, a.ColorOf(f))
 			}
 		}
 	}
-	// Identical preferences from the two pids now map to different
+	// Identical preferences from the two subsets map to different
 	// colors — the collision fix in one assertion.
-	f1, _, _ := a.AllocFor(1, 0)
-	f2, _, _ := a.AllocFor(2, 0)
+	a = New(128, 8)
+	f1, _, _ := a.Alloc(0, parts[0])
+	f2, _, _ := a.Alloc(0, parts[1])
 	if a.ColorOf(f1) == a.ColorOf(f2) {
-		t.Errorf("same preference, same color (%d) across domains", a.ColorOf(f1))
+		t.Errorf("same preference, same color (%d) across subsets", a.ColorOf(f1))
 	}
-}
-
-// Satellite: a domain whose subset runs dry gets the typed partition
-// error (ErrOutOfMemory family) and never borrows a foreign frame, even
-// while the other partition still has plenty.
-func TestPartitionExhaustionTyped(t *testing.T) {
-	a := New(16, 4) // 4 frames per color; domain 1 gets colors {0,1} = 8 frames
-	if err := a.AssignDomains(map[int]int{1: 1, 2: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, _, err := a.AllocFor(1, i); err != nil {
+	// Subset 0 ({0,1,2,3}, 16 frames each) runs dry while subset 1's
+	// 64 frames stay free.
+	for i := 0; i < 63; i++ {
+		if _, _, err := a.Alloc(i, parts[0]); err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 	}
-	_, _, err := a.AllocFor(1, 0)
-	if err == nil {
-		t.Fatal("9th allocation in an 8-frame partition succeeded")
+	if _, _, err := a.Alloc(0, parts[0]); err != ErrOutOfMemory {
+		t.Fatalf("alloc from a drained subset: err = %v, want ErrOutOfMemory", err)
 	}
-	var pe *PartitionExhaustedError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T %v, want *PartitionExhaustedError", err, err)
-	}
-	if pe.Pid != 1 || pe.Domain != 1 {
-		t.Errorf("error pid/domain = %d/%d, want 1/1", pe.Pid, pe.Domain)
-	}
-	if !errors.Is(err, ErrOutOfMemory) {
-		t.Error("PartitionExhaustedError does not unwrap to ErrOutOfMemory")
-	}
-	// Domain 2's frames are untouched: it can still allocate all 8.
-	for i := 0; i < 8; i++ {
-		if _, _, err := a.AllocFor(2, i); err != nil {
-			t.Fatalf("domain 2 alloc %d: %v", i, err)
-		}
+	if got := a.FreeFrames(); got != 63 {
+		t.Errorf("FreeFrames = %d after the subset ran dry, want 63 (a frame escaped the subset)", got)
 	}
 }
 
-// FirstTouchColorFor must predict a color the pid's own allocation can
-// honor: partition-local in partitioned mode, identical to
-// FirstTouchColor otherwise.
+// FirstTouchColor must predict a color the subset's own allocation can
+// honor: subset-local with a subset, the global free-list head with nil.
 func TestFirstTouchColorForPartitionLocal(t *testing.T) {
 	a := New(32, 4)
-	if got, want := a.FirstTouchColorFor(9), a.FirstTouchColor(); got != want {
-		t.Fatalf("unpartitioned FirstTouchColorFor = %d, want %d", got, want)
+	if got := a.FirstTouchColor(nil); got != 0 {
+		t.Fatalf("global first-touch color = %d, want 0", got)
 	}
-	if err := a.AssignDomains(map[int]int{1: 1, 2: 2}); err != nil {
-		t.Fatal(err)
+	colors := []int{2, 3}
+	// The lowest free frame of colors {2,3} is frame 2.
+	if got := a.FirstTouchColor(colors); got != 2 {
+		t.Errorf("subset first-touch color = %d, want 2", got)
 	}
-	// Domain 2 owns colors {2,3}; its lowest free frame is frame 2.
-	if got := a.FirstTouchColorFor(2); got != 2 {
-		t.Errorf("domain 2 first-touch color = %d, want 2", got)
-	}
-	// Allocating domain 2's predicted color must honor it every time.
+	// Allocating the predicted color must honor it every time.
 	for i := 0; i < 16; i++ {
-		c := a.FirstTouchColorFor(2)
-		f, honored, err := a.AllocFor(2, c)
+		c := a.FirstTouchColor(colors)
+		f, honored, err := a.Alloc(c, colors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +333,7 @@ func TestNewWithColorOf(t *testing.T) {
 			t.Fatalf("color %d: %d free frames, want 16", c, got)
 		}
 	}
-	f, honored, err := a.Alloc(2)
+	f, honored, err := a.Alloc(2, nil)
 	if err != nil || !honored {
 		t.Fatalf("Alloc(2) = %v honored=%v", err, honored)
 	}

@@ -13,7 +13,10 @@ import (
 // an explicit per-color stack: all frames of a color pushed in
 // descending order at construction, released frames pushed on top, and
 // every allocation a pop. It stays as the oracle the implicit pools are
-// diffed against; do not optimize it.
+// diffed against; do not optimize it. It also keeps, as the allocator
+// once did, each frame's owning pid and each pid's isolation domain, so
+// the fuzz can play the processes that now hold this state in their
+// address spaces: a pid's color subset and the frames it holds.
 type refAllocator struct {
 	numColors int
 	free      [][]uint64 // per color, LIFO of frame numbers
@@ -46,9 +49,17 @@ func newRefAllocator(totalFrames, numColors int, colorOf func(frame uint64) int)
 	return r
 }
 
-func (r *refAllocator) allocFor(pid, preferredColor int) (uint64, bool, error) {
+// colorsOf returns the color subset pid allocates from: its domain's
+// partition, or nil (every color) when it has no domain.
+func (r *refAllocator) colorsOf(pid int) []int {
 	if d, ok := r.domainOf[pid]; ok {
-		colors := r.partition[d]
+		return r.partition[d]
+	}
+	return nil
+}
+
+func (r *refAllocator) allocFor(pid, preferredColor int) (uint64, bool, error) {
+	if colors := r.colorsOf(pid); colors != nil {
 		c := colors[NormColor(preferredColor, len(colors))]
 		if len(r.free[c]) > 0 {
 			return r.take(pid, c, true), true, nil
@@ -60,7 +71,7 @@ func (r *refAllocator) allocFor(pid, preferredColor int) (uint64, bool, error) {
 			}
 		}
 		if best < 0 {
-			return 0, false, &PartitionExhaustedError{Pid: pid, Domain: d, Colors: colors}
+			return 0, false, ErrOutOfMemory
 		}
 		return r.take(pid, best, false), false, nil
 	}
@@ -125,9 +136,9 @@ func (r *refAllocator) releaseOwned(pid int) int {
 // firstTouchColorFor scans the tops of the pools pid may allocate from.
 func (r *refAllocator) firstTouchColorFor(pid int) int {
 	pools := r.free
-	if d, ok := r.domainOf[pid]; ok {
+	if colors := r.colorsOf(pid); colors != nil {
 		pools = nil
-		for _, c := range r.partition[d] {
+		for _, c := range colors {
 			pools = append(pools, r.free[c])
 		}
 	}
@@ -147,13 +158,11 @@ func (r *refAllocator) firstTouchColorFor(pid int) int {
 	return r.colorOf(bestFrame)
 }
 
-func (r *refAllocator) assignDomains(pids map[int]int) error {
-	if len(pids) == 0 {
-		return fmt.Errorf("memory: AssignDomains needs at least one pid")
-	}
-	if r.domainOf != nil {
-		return fmt.Errorf("memory: domains already assigned")
-	}
+// assignDomains gives each pid its domain and the distinct domains,
+// ascending, contiguous color blocks whose sizes differ by at most one
+// (lower domains absorb the remainder). It returns the domains in
+// block order.
+func (r *refAllocator) assignDomains(pids map[int]int) ([]int, error) {
 	var domains []int
 	for _, d := range pids {
 		if !slices.Contains(domains, d) {
@@ -162,7 +171,7 @@ func (r *refAllocator) assignDomains(pids map[int]int) error {
 	}
 	sort.Ints(domains)
 	if len(domains) > r.numColors {
-		return fmt.Errorf("memory: %d isolation domains exceed %d colors", len(domains), r.numColors)
+		return domains, fmt.Errorf("memory: %d isolation domains exceed %d colors", len(domains), r.numColors)
 	}
 	r.domainOf = map[int]int{}
 	for pid, d := range pids {
@@ -180,7 +189,7 @@ func (r *refAllocator) assignDomains(pids map[int]int) error {
 			next++
 		}
 	}
-	return nil
+	return domains, nil
 }
 
 // fuzzLayouts are the frame→color functions FuzzAllocator draws from:
@@ -198,12 +207,18 @@ var fuzzLayouts = []func(colors int) func(uint64) int{
 
 // FuzzAllocator decodes the input as a frame-count byte (1 to 256
 // frames), a color-count byte (1 to 16 colors) and a layout byte,
-// followed by (op, pid, arg) triples, and diffs Alloc, AllocFor,
-// Release, ReleaseOwned, AssignDomains and a drain of one color (as
-// sim's ExhaustColors does) against the explicit-stack reference: each
-// call's frame, honored flag and error, then, after every operation,
-// every color's free count, FreeByColor, FreeFrames, the honored and
-// fallback counters and FirstTouchColorFor of every pid.
+// followed by (op, pid, arg) triples, and diffs the allocator against
+// the explicit-stack reference. The pids are the reference's; the
+// allocator sees only each pid's color subset. The operations are an
+// Alloc from a pid's subset (pid 0's, as sim's single process does, or
+// any pid's), a Release of a frame a pid holds (or any frame), the
+// release of everything a pid holds, highest frame first (process
+// exit), domains assigned to the pids (Partition's blocks diffed
+// against the reference's), and a drain of one color from pid 0's
+// subset (as sim's ExhaustColors does). Each call's frame, honored flag
+// and error are compared, then, after every operation, every color's
+// free count, FreeByColor, FreeFrames, the honored and fallback
+// counters and FirstTouchColor of every pid's subset.
 func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{})
 	// Modular layout, 64 frames over 8 colors: fill one color past
@@ -257,15 +272,13 @@ func FuzzAllocator(f *testing.F) {
 			color := int(int8(arg))
 			var call string
 			switch op := data[i] % 16; {
-			case op < 7:
-				call = fmt.Sprintf("AllocFor(%d, %d)", pid, color)
-				gf, gh, gerr := a.AllocFor(pid, color)
-				wf, wh, werr := ref.allocFor(pid, color)
-				diffAlloc(t, i, call, gf, gh, gerr, wf, wh, werr)
 			case op < 8:
-				call = fmt.Sprintf("Alloc(%d)", color)
-				gf, gh, gerr := a.Alloc(color)
-				wf, wh, werr := ref.allocFor(0, color)
+				if op == 7 {
+					pid = 0
+				}
+				call = fmt.Sprintf("Alloc(%d, %v) for pid %d", color, ref.colorsOf(pid), pid)
+				gf, gh, gerr := a.Alloc(color, ref.colorsOf(pid))
+				wf, wh, werr := ref.allocFor(pid, color)
 				diffAlloc(t, i, call, gf, gh, gerr, wf, wh, werr)
 			case op < 11:
 				// A frame some pid owns, or, when arg's top bit is set, any
@@ -278,13 +291,18 @@ func FuzzAllocator(f *testing.F) {
 				a.Release(frame)
 				ref.release(frame)
 			case op < 12:
-				call = fmt.Sprintf("ReleaseOwned(%d)", pid)
-				if got, want := a.ReleaseOwned(pid), ref.releaseOwned(pid); got != want {
-					t.Fatalf("op %d: %s = %d, want %d", i, call, got, want)
+				call = fmt.Sprintf("release all of pid %d", pid)
+				held := ref.owned(pid)
+				for j := len(held) - 1; j >= 0; j-- {
+					a.Release(held[j])
 				}
+				ref.releaseOwned(pid)
 			case op < 13:
 				// Pids 0-3 (pid 0 only when arg's bit 7 is set) get the
-				// domains in arg's 2-bit fields.
+				// domains in arg's 2-bit fields, once.
+				if ref.domainOf != nil {
+					continue
+				}
 				pids := map[int]int{}
 				for p := 1; p < 4; p++ {
 					pids[p] = int(arg >> (2 * (p - 1)) & 3)
@@ -292,17 +310,23 @@ func FuzzAllocator(f *testing.F) {
 				if arg&0x80 != 0 {
 					pids[0] = int(arg >> 6 & 1)
 				}
-				call = fmt.Sprintf("AssignDomains(%v)", pids)
-				gerr, werr := a.AssignDomains(pids), ref.assignDomains(pids)
+				call = fmt.Sprintf("assign domains %v", pids)
+				domains, werr := ref.assignDomains(pids)
+				blocks, gerr := Partition(colors, len(domains))
 				if !reflect.DeepEqual(gerr, werr) {
-					t.Fatalf("op %d: %s = %v, want %v", i, call, gerr, werr)
+					t.Fatalf("op %d: %s: Partition(%d, %d) err = %v, want %v", i, call, colors, len(domains), gerr, werr)
+				}
+				for b, d := range domains {
+					if werr == nil && !slices.Equal(blocks[b], ref.partition[d]) {
+						t.Fatalf("op %d: %s: Partition(%d, %d) = %v, want domain %d to get %v", i, call, colors, len(domains), blocks, d, ref.partition[d])
+					}
 				}
 			default:
 				// As many allocations as the color has free frames: they
 				// drain it unless pid 0's partition folds the color away.
 				call = fmt.Sprintf("drain color %d", color)
 				for n := ref.freeOfColor(color); n > 0; n-- {
-					gf, gh, gerr := a.Alloc(color)
+					gf, gh, gerr := a.Alloc(color, ref.colorsOf(0))
 					wf, wh, werr := ref.allocFor(0, color)
 					diffAlloc(t, i, call, gf, gh, gerr, wf, wh, werr)
 				}
@@ -339,8 +363,8 @@ func diffPools(t *testing.T, i int, call string, a *Allocator, ref *refAllocator
 			a.FreeFrames(), a.Honored, a.Fallback, ref.totalFree, ref.honored, ref.fallback)
 	}
 	for pid := 0; pid < 5; pid++ {
-		if got, w := a.FirstTouchColorFor(pid), ref.firstTouchColorFor(pid); got != w {
-			t.Fatalf("after op %d %s: FirstTouchColorFor(%d) = %d, want %d", i, call, pid, got, w)
+		if got, w := a.FirstTouchColor(ref.colorsOf(pid)), ref.firstTouchColorFor(pid); got != w {
+			t.Fatalf("after op %d %s: FirstTouchColor(%v) for pid %d = %d, want %d", i, call, ref.colorsOf(pid), pid, got, w)
 		}
 	}
 }

@@ -57,8 +57,7 @@ func TestResolveDomainsGrouping(t *testing.T) {
 	// after pid 2's implicit domain.
 	procs := []ProcessOptions{{Domain: 7}, {}, {Domain: 7}, {Domain: 3}}
 	got := resolveDomains(procs)
-	want := map[int]int{1: 1, 2: 2, 3: 1, 4: 3}
-	if !reflect.DeepEqual(got, want) {
+	if want := []int{1, 2, 1, 3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("resolveDomains = %v, want %v", got, want)
 	}
 }
@@ -105,5 +104,38 @@ func TestAuditCatchesCrossDomainLeak(t *testing.T) {
 	over.PerCPU[0].CrossDomainConflicts = over.PerCPU[0].L2Misses + 1
 	if !hasCheck(&over, "cross-domain-isolation") {
 		t.Error("audit missed a cross-domain count exceeding the CPU's data misses")
+	}
+}
+
+// TestCrossDomainAfterExit pins the cross-domain count across a
+// co-runner's exit. A short process (8 pages per array) and a long one
+// (16 pages per array, conflicting in the same colors) are time-sliced.
+// An exited process owns no frames, so the survivor's evictions of its
+// leftover LLC lines count 0, and a frame the survivor faults back in
+// is the survivor's own. In the first mix the short process finishes in
+// its first window, so every eviction the survivor makes comes after
+// the exit and the whole run counts 0; in the second it runs two
+// windows, and only the evictions made while both were live count.
+func TestCrossDomainAfterExit(t *testing.T) {
+	for _, tc := range []struct {
+		shortChunks int
+		switches    uint64
+		want        [3]uint64 // short process, long process, total
+	}{
+		{1, 4, [3]uint64{0, 0, 0}},
+		{2, 12, [3]uint64{129, 129, 258}},
+	} {
+		procs := []ProcessOptions{
+			{Source: ProgramSource(makeChunkedProgram(8, 16, 8, tc.shortChunks))},
+			{Source: ProgramSource(makeChunkedProgram(16, 16, 8, 6))},
+		}
+		mr := multiRun(t, Options{Config: smallConfig(4)}, procs, SchedOptions{Policy: SchedTimeSlice, Quantum: 20_000})
+		if sw := mr.Total.Total(func(s *CPUStats) uint64 { return s.ContextSwitches }); sw != tc.switches {
+			t.Fatalf("short process of %d chunks: %d context switches, want %d", tc.shortChunks, sw, tc.switches)
+		}
+		got := [3]uint64{crossDomainTotal(mr.PerProcess[0]), crossDomainTotal(mr.PerProcess[1]), crossDomainTotal(mr.Total)}
+		if got != tc.want {
+			t.Errorf("short process of %d chunks: cross-domain conflicts (short, long, total) = %v, want %v", tc.shortChunks, got, tc.want)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bus"
+	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -87,6 +89,9 @@ type Process struct {
 	Name string
 
 	as *vm.AddressSpace
+	// colors is the process's color partition under isolation domains,
+	// nil when unpartitioned.
+	colors []int
 
 	// cpus is the CPU gang the process runs on: a partition block under
 	// SchedPartition, every CPU under SchedTimeSlice.
@@ -172,8 +177,12 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 	if m.opts.Hints != nil || m.opts.TouchOrder != nil {
 		return nil, fmt.Errorf("sim: machine-level hints/touch-order apply to the single-process path; use ProcessOptions")
 	}
+	var domains []int
+	var partitions [][]int
 	if m.opts.Isolate {
-		if err := m.alloc.AssignDomains(resolveDomains(procs)); err != nil {
+		domains = resolveDomains(procs)
+		var err error
+		if partitions, err = memory.Partition(m.colors, slices.Max(domains)); err != nil {
 			return nil, err
 		}
 	}
@@ -185,19 +194,25 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 		if policy == nil {
 			policy = vm.PageColoring{Colors: m.colors}
 		}
-		bindPolicy(policy, m.alloc, pid)
+		var colors []int
 		as := vm.NewAddressSpaceProc(pid, m.cfg.PageSize, m.alloc, policy)
+		if domains != nil {
+			colors = partitions[domains[i]-1]
+			as.Confine(domains[i], colors)
+		}
+		bindPolicy(policy, m.alloc, colors)
 		if m.obs != nil {
 			as.OnFault = m.obsFaultHook()
 		}
 		if po.Hints != nil {
 			as.Advise(po.Hints)
 		}
-		table[i] = &Process{Pid: pid, Name: po.Source.Name(), as: as, work: po.Source.InitRegions()}
+		table[i] = &Process{Pid: pid, Name: po.Source.Name(), as: as, colors: colors, work: po.Source.InitRegions()}
 		for _, ph := range po.Source.Phases() {
 			table[i].work = append(table[i].work, ph.Regions...)
 		}
 	}
+	m.procs = table
 	var err error
 	switch sched.Policy {
 	case SchedPartition:
@@ -215,32 +230,28 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 	return mr, nil
 }
 
-// resolveDomains maps each table pid to its isolation domain: explicit
-// equal Domain labels group, Domain 0 means a domain of one's own, and
-// the distinct labels are renumbered 1..D by first appearance in pid
-// order — a pure function of the resolved co-runner mix, so the color
-// blocks AssignDomains hands out are reproducible from the spec alone.
-func resolveDomains(procs []ProcessOptions) map[int]int {
-	pids := make(map[int]int, len(procs))
+// resolveDomains returns each process's isolation domain, in table
+// order: explicit equal Domain labels group, Domain 0 means a domain of
+// one's own, and the distinct labels are renumbered 1..D by first
+// appearance in pid order — a pure function of the resolved co-runner
+// mix, so the color blocks memory.Partition hands out are reproducible
+// from the spec alone.
+func resolveDomains(procs []ProcessOptions) []int {
+	domains := make([]int, 0, len(procs))
 	labels := map[int]int{} // user label -> renumbered domain
-	next := 1
-	for i, po := range procs {
-		d := 0
-		if po.Domain > 0 {
-			if got, ok := labels[po.Domain]; ok {
-				d = got
-			} else {
-				d = next
+	n := 0
+	for _, po := range procs {
+		d, ok := labels[po.Domain]
+		if !ok {
+			n++
+			d = n
+			if po.Domain > 0 {
 				labels[po.Domain] = d
-				next++
 			}
-		} else {
-			d = next
-			next++
 		}
-		pids[i+1] = d
+		domains = append(domains, d)
 	}
-	return pids
+	return domains
 }
 
 // runNext runs the process's next region on its gang and marks the
@@ -305,7 +316,7 @@ func (m *Machine) runTimeSliced(table []*Process, quantum uint64) error {
 			current = p.Pid
 			if p.done {
 				remaining--
-				m.alloc.ReleaseOwned(p.Pid)
+				p.as.ReleaseFrames()
 			}
 		}
 	}
@@ -355,7 +366,7 @@ func (m *Machine) runPartitioned(table []*Process) error {
 			for i := range pick.cpus {
 				pick.bank = append(pick.bank, pick.cpus[i].stats)
 			}
-			m.alloc.ReleaseOwned(pick.Pid)
+			pick.as.ReleaseFrames()
 		}
 	}
 }
@@ -376,7 +387,7 @@ func (m *Machine) collectMulti(table []*Process, sched SchedOptions) *MultiResul
 			PageFaults:   p.as.Faults,
 			HintedFaults: p.as.HintedFaults,
 			HonoredHints: p.as.HonoredHints,
-			Isolated:     m.alloc.Partitioned(),
+			Isolated:     m.opts.Isolate,
 		}
 		mr.PerProcess = append(mr.PerProcess, res)
 		names = append(names, p.Name)
@@ -390,7 +401,7 @@ func (m *Machine) collectMulti(table []*Process, sched SchedOptions) *MultiResul
 		Fidelity:   FidelityFull,
 		WallCycles: m.wallClock(),
 		PerCPU:     make([]CPUStats, len(m.cpus)),
-		Isolated:   m.alloc.Partitioned(),
+		Isolated:   m.opts.Isolate,
 	}
 	if mr.Sched == "partition" {
 		// Each CPU ran exactly one process; pad early finishers with

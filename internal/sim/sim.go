@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/bus"
@@ -148,6 +149,8 @@ type Machine struct {
 	// miss path. Set only for multiprocess or isolated runs so the
 	// single-process hot path pays nothing.
 	crossCheck bool
+	// procs is the multiprocess run's process table, in pid order.
+	procs []*Process
 
 	// regions counts parallel regions executed, seeding the per-region
 	// dispatch-order variation.
@@ -246,7 +249,7 @@ func New(opts Options) (*Machine, error) {
 	if policy == nil {
 		policy = vm.PageColoring{Colors: cfg.Colors()}
 	}
-	bindPolicy(policy, alloc, 0)
+	bindPolicy(policy, alloc, nil)
 	m := &Machine{
 		cfg:       cfg,
 		as:        vm.NewAddressSpace(cfg.PageSize, alloc, policy),
@@ -294,7 +297,7 @@ func New(opts Options) (*Machine, error) {
 	}
 	for _, color := range opts.ExhaustColors {
 		for alloc.FreeOfColor(color) > 0 {
-			if _, _, err := alloc.Alloc(color); err != nil {
+			if _, _, err := alloc.Alloc(color, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -337,13 +340,12 @@ func (m *Machine) enableSetProfiles() {
 // bindPolicy resolves allocator-dependent policies: a first-touch
 // policy is constructed by the harness before the machine (and so
 // before any allocator) exists, and is pointed at the machine's shared
-// frame allocator and the owning process here (the pid scopes its
-// free-list prediction to the process's color partition under
-// isolation domains).
-func bindPolicy(p vm.Policy, alloc *memory.Allocator, pid int) {
+// frame allocator and the owning process's color partition here (nil
+// when unpartitioned), which scopes its free-list prediction.
+func bindPolicy(p vm.Policy, alloc *memory.Allocator, colors []int) {
 	if ft, ok := p.(*vm.FirstTouch); ok && ft.Alloc == nil {
 		ft.Alloc = alloc
-		ft.Pid = pid
+		ft.Colors = colors
 	}
 }
 
@@ -375,18 +377,27 @@ func (m *Machine) llcLineAddr(paddr uint64) uint64 {
 
 // crossDomainVictim reports whether evicting the line at victim (a
 // physical address) on behalf of pid crossed an isolation boundary. In
-// partitioned mode the test is by color ownership — the victim frame's
-// color belongs to another domain's exclusive subset — which is immune
-// to frame-ownership staleness and provably never true (disjoint color
+// partitioned mode the test is by color: the victim frame's color lies
+// outside the evicting process's partition, which is immune to
+// frame-ownership staleness and provably never true (disjoint color
 // subsets map to disjoint external-cache sets). Unpartitioned, each
 // process is its own implicit domain and the test is by the victim
-// frame's current owner: the PR 5 collision pathology made measurable.
+// frame's current owner, a live co-runner whose address space maps it:
+// the co-runner collision pathology made measurable. An exited
+// process's frames went back to the pools, so its leftover lines have
+// no owner.
 func (m *Machine) crossDomainVictim(pid int, victim uint64) bool {
-	if m.alloc.Partitioned() {
-		return m.alloc.ColorDomain(m.frameColor(victim)) != m.alloc.DomainOf(pid)
+	if m.opts.Isolate {
+		return !slices.Contains(m.procs[pid-1].colors, m.frameColor(victim))
 	}
-	owner, ok := m.alloc.OwnerOf(victim >> m.pageShift)
-	return ok && owner != pid
+	for _, q := range m.procs {
+		if q.Pid != pid && !q.done {
+			if _, ok := q.as.ReverseVAddr(victim); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Run executes prog's steady state on the machine's own address space

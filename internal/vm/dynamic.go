@@ -161,7 +161,7 @@ func (as *AddressSpace) Recolor(vpn uint64, color int) error {
 	if !ok {
 		return fmt.Errorf("vm: recolor of unmapped vpn %d", vpn)
 	}
-	newFrame, _, err := as.alloc.AllocFor(as.pid, color)
+	newFrame, _, err := as.allocate(color)
 	if err != nil {
 		return fmt.Errorf("vm: recolor vpn %d: %w", vpn, err)
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flat"
 	"repro/internal/memory"
@@ -39,20 +40,19 @@ func (p PageColoring) PreferredColor(vpn uint64, _ int) int {
 // which color a sequential free list would serve next, so the
 // preference is always satisfiable and placement is entirely driven by
 // allocation order and memory pressure, including frames freed by
-// other processes. Pid scopes the prediction to the owning process's
-// color partition under isolation domains; pid 0 (the single-process
-// legacy owner) on an unpartitioned allocator degenerates to the global
-// free-list head.
+// other processes. Colors scopes the prediction to the owning process's
+// color partition under isolation domains; nil, the unpartitioned
+// case, predicts the global free-list head.
 type FirstTouch struct {
-	Alloc *memory.Allocator
-	Pid   int
+	Alloc  *memory.Allocator
+	Colors []int
 }
 
 // Name implements Policy.
 func (FirstTouch) Name() string { return "first-touch" }
 
 // PreferredColor implements Policy.
-func (p FirstTouch) PreferredColor(uint64, int) int { return p.Alloc.FirstTouchColorFor(p.Pid) }
+func (p FirstTouch) PreferredColor(uint64, int) int { return p.Alloc.FirstTouchColor(p.Colors) }
 
 // BinHopping cycles through colors in the order page faults occur,
 // exploiting temporal locality (Digital UNIX). The single shared counter
@@ -77,9 +77,13 @@ func (b *BinHopping) PreferredColor(uint64, int) int {
 // AddressSpace is one application's virtual address space: a page table
 // filled lazily by page faults, a mapping policy, and an optional hint
 // table installed through the Advise call (the paper's single-system-call
-// interface, §5.3).
+// interface, §5.3). Its reverse map is the record of which frames the
+// process holds, and under isolation domains it carries the process's
+// color partition, the only colors its faults may take.
 type AddressSpace struct {
-	pid       int // owning process id (0 for single-process machines)
+	pid       int   // owning process id (0 for single-process machines)
+	domain    int   // isolation domain; 0 when unconfined
+	colors    []int // color partition the frames come from; nil means every color
 	pageSize  uint64
 	pageShift uint   // log2(pageSize); page size is a validated power of two
 	pageMask  uint64 // pageSize - 1
@@ -111,9 +115,7 @@ func NewAddressSpace(pageSize int, alloc *memory.Allocator, policy Policy) *Addr
 }
 
 // NewAddressSpaceProc creates an empty address space owned by process
-// pid. Every frame the space faults in is charged to pid in the
-// allocator's ownership accounting, so process exit can return exactly
-// the frames the process held.
+// pid, which its fault observer and its partition errors report.
 func NewAddressSpaceProc(pid, pageSize int, alloc *memory.Allocator, policy Policy) *AddressSpace {
 	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
 		panic(fmt.Sprintf("vm: bad page size %d", pageSize))
@@ -131,6 +133,35 @@ func NewAddressSpaceProc(pid, pageSize int, alloc *memory.Allocator, policy Poli
 		policy:    policy,
 		hints:     make(map[uint64]int),
 		occ:       make([]int, alloc.NumColors()),
+	}
+}
+
+// Confine restricts the space's future faults to colors, the exclusive
+// color partition of isolation domain `domain`: preferences and hints
+// fold into it, and once its pools run dry a fault fails with a
+// *memory.PartitionExhaustedError.
+func (as *AddressSpace) Confine(domain int, colors []int) {
+	as.domain, as.colors = domain, colors
+}
+
+// allocate takes a frame from the space's partition, preferring color.
+func (as *AddressSpace) allocate(color int) (frame uint64, honored bool, err error) {
+	frame, honored, err = as.alloc.Alloc(color, as.colors)
+	if err != nil && as.colors != nil {
+		err = &memory.PartitionExhaustedError{Pid: as.pid, Domain: as.domain, Colors: as.colors}
+	}
+	return frame, honored, err
+}
+
+// ReleaseFrames returns every frame the space maps to the allocator,
+// highest first, so later allocations hand them back ascending. It is
+// the process-exit path: the page table and reverse map are left as
+// they are, and the space must take no further faults.
+func (as *AddressSpace) ReleaseFrames() {
+	frames := as.frames.Keys()
+	slices.Sort(frames)
+	for i := len(frames) - 1; i >= 0; i-- {
+		as.alloc.Release(frames[i])
 	}
 }
 
@@ -196,7 +227,7 @@ func (as *AddressSpace) fault(vpn uint64, cpu int) (uint64, error) {
 	} else {
 		preferred = as.policy.PreferredColor(vpn, cpu)
 	}
-	frame, honored, err := as.alloc.AllocFor(as.pid, preferred)
+	frame, honored, err := as.allocate(preferred)
 	if err != nil {
 		return 0, fmt.Errorf("vm: fault on vpn %d: %w", vpn, err)
 	}
@@ -237,7 +268,8 @@ func (as *AddressSpace) TranslateNoFault(vaddr uint64) (paddr uint64, ok bool) {
 }
 
 // ReverseVAddr maps a physical address back to the virtual address of
-// the same byte; ok is false for frames this address space does not own.
+// the same byte; ok is false for frames this address space does not map
+// (a space keeps its mappings after ReleaseFrames).
 // The simulator uses it to mirror external-cache invalidations into the
 // virtually indexed on-chip caches.
 func (as *AddressSpace) ReverseVAddr(paddr uint64) (vaddr uint64, ok bool) {

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,5 +186,141 @@ func TestPolicyNames(t *testing.T) {
 	}
 	if (&BinHopping{}).Name() != "bin-hopping" {
 		t.Error("BinHopping name")
+	}
+}
+
+// Per-process conservation: several address spaces share one allocator,
+// and each one's mapped pages are exactly the frames it holds, across
+// recolor churn (alloc new + release old) and a process exit. Releasing
+// one space's frames returns exactly those frames, leaves the others'
+// mappings alone and never releases a frame twice.
+func TestOwnershipConservation(t *testing.T) {
+	alloc := memory.New(128, 8)
+	var spaces []*AddressSpace
+	for pid := 1; pid <= 3; pid++ {
+		as := NewAddressSpaceProc(pid, pageSize, alloc, PageColoring{Colors: 8})
+		for vpn := uint64(0); vpn < uint64(10+pid); vpn++ {
+			if _, err := as.Touch(vpn, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spaces = append(spaces, as)
+	}
+	held := func() int {
+		n := 0
+		for _, as := range spaces {
+			n += as.MappedPages()
+		}
+		return n
+	}
+	if alloc.FreeFrames()+held() != 128 {
+		t.Fatalf("free %d + mapped %d != 128", alloc.FreeFrames(), held())
+	}
+	// Recolor churn on pid 2: move each page to the next color.
+	for vpn := uint64(0); vpn < 12; vpn++ {
+		c, _ := spaces[1].ColorOf(vpn)
+		if err := spaces[1].Recolor(vpn, c+1); err != nil {
+			t.Fatal(err)
+		}
+		if alloc.FreeFrames()+held() != 128 {
+			t.Fatalf("recolor of vpn %d: free %d + mapped %d != 128", vpn, alloc.FreeFrames(), held())
+		}
+	}
+	free := alloc.FreeFrames()
+	spaces[1].ReleaseFrames()
+	if got := alloc.FreeFrames(); got != free+12 {
+		t.Fatalf("FreeFrames after exit = %d, want %d (a frame released twice or not at all)", got, free+12)
+	}
+	// The other spaces still translate to the frames they held.
+	for _, as := range []*AddressSpace{spaces[0], spaces[2]} {
+		for vpn := uint64(0); vpn < uint64(as.MappedPages()); vpn++ {
+			pa, _ := as.TranslateNoFault(vpn * pageSize)
+			if back, ok := as.ReverseVAddr(pa); !ok || back != vpn*pageSize {
+				t.Fatalf("pid %d vpn %d: reverse map lost its frame", as.pid, vpn)
+			}
+		}
+	}
+	if alloc.FreeFrames()+spaces[0].MappedPages()+spaces[2].MappedPages() != 128 {
+		t.Errorf("pool leak: free %d + mapped %d != 128", alloc.FreeFrames(), spaces[0].MappedPages()+spaces[2].MappedPages())
+	}
+}
+
+// A process's frames are released highest first, so the next process
+// faults them back lowest first: reuse is deterministic and ascending.
+func TestReleaseFramesReuseAscending(t *testing.T) {
+	alloc := memory.New(64, 8)
+	first := NewAddressSpaceProc(1, pageSize, alloc, PageColoring{Colors: 8})
+	var frames []uint64
+	for vpn := uint64(0); vpn < 9; vpn++ {
+		// Color 8-vpn: the frames come out in no address order.
+		first.Advise(map[uint64]int{vpn: 8 - int(vpn)})
+		pa, _, err := first.Translate(vpn*pageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, pa/pageSize)
+	}
+	first.ReleaseFrames()
+	slices.Sort(frames)
+	next := NewAddressSpaceProc(2, pageSize, alloc, PageColoring{Colors: 8})
+	var got []uint64
+	for vpn := uint64(0); vpn < 9; vpn++ {
+		c := alloc.ColorOf(frames[vpn])
+		next.Advise(map[uint64]int{vpn: c})
+		pa, _, err := next.Translate(vpn*pageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pa/pageSize)
+	}
+	if !slices.Equal(got, frames) {
+		t.Errorf("frames faulted back after release = %v, want the released frames ascending %v", got, frames)
+	}
+}
+
+// A confined space that runs out of its partition gets the typed
+// partition error (ErrOutOfMemory family), naming its pid, domain and
+// colors, and never borrows a foreign frame, even while the other
+// partition still has plenty.
+func TestPartitionExhaustionTyped(t *testing.T) {
+	alloc := memory.New(16, 4) // 4 frames per color
+	parts, err := memory.Partition(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := NewAddressSpaceProc(1, pageSize, alloc, PageColoring{Colors: 4})
+	one.Confine(1, parts[0]) // colors {0,1}: 8 frames
+	two := NewAddressSpaceProc(2, pageSize, alloc, PageColoring{Colors: 4})
+	two.Confine(2, parts[1])
+	for vpn := uint64(0); vpn < 8; vpn++ {
+		if _, err := one.Touch(vpn, 0); err != nil {
+			t.Fatalf("fault %d: %v", vpn, err)
+		}
+		if c, _ := one.ColorOf(vpn); c > 1 {
+			t.Fatalf("vpn %d got color %d outside partition {0,1}", vpn, c)
+		}
+	}
+	_, err = one.Touch(8, 0)
+	if err == nil {
+		t.Fatal("9th fault in an 8-frame partition succeeded")
+	}
+	var pe *memory.PartitionExhaustedError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %T %v, want *memory.PartitionExhaustedError", err, err)
+	}
+	if pe.Pid != 1 || pe.Domain != 1 {
+		t.Errorf("error pid/domain = %d/%d, want 1/1", pe.Pid, pe.Domain)
+	}
+	if want := "vm: fault on vpn 8: memory: isolation domain 1 (pid 1) exhausted its color partition [0 1]"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+	if !errors.Is(err, memory.ErrOutOfMemory) {
+		t.Error("PartitionExhaustedError does not unwrap to ErrOutOfMemory")
+	}
+	// Domain 2's frames are untouched: it can still fault in all 8.
+	for vpn := uint64(0); vpn < 8; vpn++ {
+		if _, err := two.Touch(vpn, 0); err != nil {
+			t.Fatalf("domain 2 fault %d: %v", vpn, err)
+		}
 	}
 }

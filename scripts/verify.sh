@@ -59,10 +59,12 @@ go test -run=FuzzFlatMap ./internal/flat
 # container/list LRU.
 go test -run=FuzzLRU ./internal/flat
 
-# Frame allocator fuzz seeds: FuzzAllocator diffs Alloc, AllocFor,
-# Release, ReleaseOwned, AssignDomains and color drains, under the
-# modular layout and two hashed ones, against the explicit free-list
-# allocator, with every pool count and first-touch color after each
+# Frame allocator fuzz seeds: FuzzAllocator diffs Alloc from each
+# pid's color subset, Release, a pid's release of everything it holds
+# (highest frame first), Partition's domain blocks and color drains,
+# under the modular layout and two hashed ones, against the explicit
+# free-list allocator that keeps the pids' frames and domains, with
+# every pool count and every subset's first-touch color after each
 # operation.
 go test -run=FuzzAllocator ./internal/memory
 
@@ -157,9 +159,12 @@ awk -v full="$full_mcpi" -v samp="$samp_mcpi" 'BEGIN {
 # Audited smoke runs: conservation invariants (cycles, miss classes,
 # bus occupancy) checked on every simulation; violations exit non-zero.
 # fig6 covers the paper's headline sweep, ext-pressure the raw-simulator
-# path that bypasses the scheduler.
+# path that bypasses the scheduler, ext-multiprog the co-scheduled path:
+# frames released at a process's exit, isolation domains and first-touch
+# co-runs.
 go run ./cmd/experiments -id fig6 -quick -audit > /dev/null
 go run ./cmd/experiments -id ext-pressure -quick -audit > /dev/null
+go run ./cmd/experiments -id ext-multiprog -quick -audit > /dev/null
 
 # cdpcd end-to-end: start the daemon on an ephemeral port, run sync and
 # async jobs, saturate the bounded queue with 64 concurrent mixed
