@@ -14,8 +14,9 @@ import (
 
 // TestGoldenEnginePaths extends TestGoldenDefaultTopology's byte-identical
 // guard to every execution path other than the 4-CPU solo full-fidelity
-// run: dynamic recoloring, a 16-CPU solo run, phase-sampled runs, the three multiprocess shapes (time-sliced,
-// partitioned, color-isolated), an external trace replay, and the raw
+// run: dynamic recoloring, a 16-CPU solo run, the touch-order variants
+// and bin hopping, phase-sampled runs, the three multiprocess shapes
+// (time-sliced, partitioned, color-isolated), an external trace replay, and the raw
 // per-occurrence samples of the phase-validation pass. Each entry uses
 // the same fingerprint format; a multiprocess run records every process
 // and the machine total.
@@ -46,7 +47,10 @@ func TestGoldenEnginePaths(t *testing.T) {
 	// is the widest interleave the event loop sees in the experiments.
 	// clustered-l3 is the only topology with intermediate levels and an
 	// LLC unit shared by several CPUs, sliced-llc4 the only sliced LLC,
-	// and Prefetch the only path through the pending-prefetch map.
+	// and Prefetch the only path through the pending-prefetch map. The
+	// two touch-order variants are the only runs that fault a page list
+	// serially on the master before execution (§5.3's Digital UNIX
+	// emulation), over bin hopping, which runs alone as well.
 	solos := []struct {
 		name string
 		spec Spec
@@ -56,6 +60,9 @@ func TestGoldenEnginePaths(t *testing.T) {
 		{"tomcatv/cdpc/clustered-l3/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Variant: CDPC, Topology: "clustered-l3"}},
 		{"swim/page-coloring/sliced-llc4/4cpu", Spec{Workload: "swim", CPUs: 4, Scale: 32, Variant: PageColoring, Topology: "sliced-llc4"}},
 		{"tomcatv/cdpc/prefetch/4cpu", Spec{Workload: "tomcatv", CPUs: 4, Scale: 32, Variant: CDPC, Prefetch: true}},
+		{"tomcatv/cdpc-touch/alpha/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Machine: AlphaMachine, Variant: CDPCTouch}},
+		{"tomcatv/coloring-touch/alpha/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Machine: AlphaMachine, Variant: ColoringTouch}},
+		{"tomcatv/bin-hopping/8cpu", Spec{Workload: "tomcatv", CPUs: 8, Scale: 32, Variant: BinHopping}},
 	}
 	for _, so := range solos {
 		res, err := Run(so.spec)

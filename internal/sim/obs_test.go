@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ir"
@@ -159,5 +160,45 @@ func TestAuditDetectsCounterDrift(t *testing.T) {
 	drift.Bus.DataCycles += drift.WallCycles + 1
 	if vs := drift.Audit(); !find(vs, "bus-occupancy") {
 		t.Errorf("bus over-occupancy not caught: %v", vs)
+	}
+}
+
+// pidsSeen returns the sorted set of PIDs carried by a collector's
+// events and page records.
+func pidsSeen(ring *obs.Ring, col *obs.Collector) (events, pages []int) {
+	for _, ev := range ring.Events() {
+		if !slices.Contains(events, ev.PID) {
+			events = append(events, ev.PID)
+		}
+	}
+	for _, p := range col.TopPages(col.Pages()) {
+		if !slices.Contains(pages, p.PID) {
+			pages = append(pages, p.PID)
+		}
+	}
+	slices.Sort(events)
+	slices.Sort(pages)
+	return events, pages
+}
+
+// TestObservedPIDs checks the process ids observation carries: a solo
+// run is pid 0 in every event and page record, and a 2-process mix's
+// records carry pids 1 and 2, both present.
+func TestObservedPIDs(t *testing.T) {
+	cfg := smallConfig(4)
+	ring := obs.NewRing(1 << 16)
+	col := obs.NewCollector(obs.Options{Tracer: ring})
+	mustRun(t, makeProgram(8, 32, 1), Options{Config: cfg, Obs: col})
+	events, pages := pidsSeen(ring, col)
+	if !slices.Equal(events, []int{0}) || !slices.Equal(pages, []int{0}) {
+		t.Errorf("solo run: event pids %v, page pids %v; want [0] and [0]", events, pages)
+	}
+
+	ring = obs.NewRing(1 << 16)
+	col = obs.NewCollector(obs.Options{Tracer: ring})
+	multiRun(t, Options{Config: cfg, Obs: col}, twoProcs(true), SchedOptions{Policy: SchedTimeSlice, Quantum: 50_000})
+	events, pages = pidsSeen(ring, col)
+	if !slices.Equal(events, []int{1, 2}) || !slices.Equal(pages, []int{1, 2}) {
+		t.Errorf("2-process mix: event pids %v, page pids %v; want [1 2] and [1 2]", events, pages)
 	}
 }
