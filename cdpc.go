@@ -124,27 +124,27 @@ type CPUStats = sim.CPUStats
 
 // Simulate runs a compiled program on the machine.
 func Simulate(p *Program, m MachineConfig, opts SimOptions) (*Result, error) {
-	simOpts := sim.Options{Config: m}
+	po := sim.ProcessOptions{Source: sim.ProgramSource(p)}
 	colors := m.Colors()
 	switch opts.Policy {
 	case PolicyBinHopping:
-		simOpts.Policy = &vm.BinHopping{Colors: colors}
+		po.Policy = &vm.BinHopping{Colors: colors}
 	default:
-		simOpts.Policy = vm.PageColoring{Colors: colors}
+		po.Policy = vm.PageColoring{Colors: colors}
 	}
 	if opts.Hints != nil {
 		if opts.TouchOrder {
-			simOpts.Policy = &vm.BinHopping{Colors: colors}
-			simOpts.TouchOrder = opts.Hints.Order
+			po.Policy = &vm.BinHopping{Colors: colors}
+			po.TouchOrder = opts.Hints.Order
 		} else {
-			simOpts.Hints = opts.Hints.Colors
+			po.Hints = opts.Hints.Colors
 		}
 	}
-	m2, err := sim.New(simOpts)
+	m2, err := sim.New(sim.Options{Config: m})
 	if err != nil {
 		return nil, err
 	}
-	return m2.Run(p)
+	return m2.Run(po)
 }
 
 // Spec and Run are the one-call experiment path (delegating to the

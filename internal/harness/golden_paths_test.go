@@ -113,11 +113,11 @@ func TestGoldenEnginePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.New(sim.Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}})
+	m, err := sim.New(sim.Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := m.SamplePhases(prog, 3)
+	samples, err := m.SamplePhases(sim.ProcessOptions{Source: sim.ProgramSource(prog), Policy: vm.PageColoring{Colors: cfg.Colors()}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -601,8 +601,8 @@ func runSolo(ctx context.Context, s Spec, prepare prepareFunc) (*sim.Result, err
 	return runPrepared(ctx, prog, sum, cfg, s)
 }
 
-// simOptions returns the simulator options a spec runs under on machine
-// cfg, before the variant's knobs are installed.
+// simOptions returns the machine options a spec runs under on machine
+// cfg; the variant's placement goes into the process (variantOptions).
 func (s Spec) simOptions(ctx context.Context, cfg arch.Config) sim.Options {
 	opts := sim.Options{Config: cfg, DisableClassification: s.DisableClassification, Obs: s.Obs}
 	if ctx.Done() != nil {
@@ -617,26 +617,25 @@ func (s Spec) simOptions(ctx context.Context, cfg arch.Config) sim.Options {
 // variant resolves to its placement policy directly, and the CDPC
 // variant substitutes the online access-pattern summarizer
 // (trace.PreferredColors) for the compiler's per-page color summary —
-// CDPC without the compiler. The hints ride on the trace source.
+// CDPC without the compiler.
 func runTrace(ctx context.Context, s Spec) (*sim.Result, error) {
 	cfg := s.Config()
-	k, err := variantOptions(s, cfg, nil, func() (*core.Hints, error) {
+	po, err := variantOptions(s, cfg, nil, func() (*core.Hints, error) {
 		return &core.Hints{Colors: trace.PreferredColors(s.Trace.File, cfg.PageSize, cfg.Colors(), 0)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	opts := s.simOptions(ctx, cfg)
-	opts.Policy, opts.Recolor = k.Policy, k.Recolor
-	m, err := sim.New(opts)
+	po.Source = sim.NewTraceSource(s.Trace.Name, s.Trace.File)
+	m, err := sim.New(s.simOptions(ctx, cfg))
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.RunSource(sim.NewTraceSource(s.Trace.Name, s.Trace.File, k.Hints))
+	res, err := m.Run(po)
 	if err != nil {
 		return nil, err
 	}
-	res.Policy = string(s.Variant)
+	res.Policy = s.label()
 	return res, nil
 }
 
@@ -661,71 +660,67 @@ func RunProgramCtx(ctx context.Context, prog *ir.Program, s Spec) (*sim.Result, 
 	return runPrepared(ctx, prog, sum, cfg, s)
 }
 
-// variantKnobs is the variant-specific slice of the simulator options:
-// the placement policy plus the per-process hint/touch/recolor inputs.
-type variantKnobs struct {
-	Policy     vm.Policy
-	Hints      map[uint64]int
-	TouchOrder []uint64
-	Recolor    *vm.RecolorPolicy
-}
-
-// variantOptions is the one variant→policy table, shared by solo
-// programs (knobs installed machine-wide), co-scheduled processes
-// (policy and hints per process) and trace replays. hints supplies the
-// CDPC page colors and touch order — the compiler summary's for a
-// program (programKnobs), the online summarizer's for a trace — and is
-// called only by the variants that consume them. prog is nil for
-// traces, whose variants (canTraceVariant) never need it.
-func variantOptions(s Spec, cfg arch.Config, prog *ir.Program, hints func() (*core.Hints, error)) (variantKnobs, error) {
-	var k variantKnobs
+// variantOptions is the one variant→placement table, shared by solo
+// programs, co-scheduled processes and trace replays: it returns the
+// process's placement, its Source left for the caller to fill in. hints
+// supplies the CDPC page colors and touch order — the compiler
+// summary's for a program (programOptions), the online summarizer's
+// for a trace — and is called only by the variants that consume them.
+// prog is nil for traces, whose variants (canTraceVariant) never need
+// it.
+func variantOptions(s Spec, cfg arch.Config, prog *ir.Program, hints func() (*core.Hints, error)) (sim.ProcessOptions, error) {
+	var po sim.ProcessOptions
 	colors := cfg.Colors()
 
 	var h *core.Hints
 	if s.Variant == CDPC || s.Variant == CDPCTouch {
 		var err error
 		if h, err = hints(); err != nil {
-			return k, err
+			return po, err
 		}
 	}
 
 	switch s.Variant {
 	case PageColoring:
-		k.Policy = vm.PageColoring{Colors: colors}
+		po.Policy = vm.PageColoring{Colors: colors}
 	case BinHopping, BinHoppingUnaligned:
-		k.Policy = &vm.BinHopping{Colors: colors}
+		po.Policy = &vm.BinHopping{Colors: colors}
 	case CDPC:
-		k.Policy = vm.PageColoring{Colors: colors} // fallback for unhinted pages
-		k.Hints = h.Colors
+		po.Policy = vm.PageColoring{Colors: colors} // fallback for unhinted pages
+		po.Hints = h.Colors
 	case CDPCTouch:
-		k.Policy = &vm.BinHopping{Colors: colors}
-		k.TouchOrder = h.Order
+		po.Policy = &vm.BinHopping{Colors: colors}
+		po.TouchOrder = h.Order
 	case ColoringTouch:
-		k.Policy = &vm.BinHopping{Colors: colors}
-		k.TouchOrder = ascendingDataPages(prog, cfg.PageSize)
+		po.Policy = &vm.BinHopping{Colors: colors}
+		po.TouchOrder = ascendingDataPages(prog, cfg.PageSize)
 	case DynamicRecoloring:
-		k.Policy = vm.PageColoring{Colors: colors}
+		po.Policy = vm.PageColoring{Colors: colors}
 		policy := vm.DefaultRecolorPolicy()
-		k.Recolor = &policy
+		po.Recolor = &policy
 	case PaddedColoring:
-		k.Policy = vm.PageColoring{Colors: colors}
+		po.Policy = vm.PageColoring{Colors: colors}
 	case PaddedBinHopping:
-		k.Policy = &vm.BinHopping{Colors: colors}
+		po.Policy = &vm.BinHopping{Colors: colors}
 	case FirstTouch:
-		// The allocator does not exist yet; sim.New binds it.
-		k.Policy = &vm.FirstTouch{}
+		// The allocator does not exist yet; the simulator binds it when
+		// it builds the process.
+		po.Policy = &vm.FirstTouch{}
 	default:
-		return k, fmt.Errorf("harness: unknown variant %q", s.Variant)
+		return po, fmt.Errorf("harness: unknown variant %q", s.Variant)
 	}
-	return k, nil
+	return po, nil
 }
 
-// programKnobs is variantOptions for a compiled program, its CDPC hints
-// computed from the compiler's summary.
-func programKnobs(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (variantKnobs, error) {
-	return variantOptions(s, cfg, prog, func() (*core.Hints, error) {
+// programOptions is the process that runs a compiled program under the
+// spec's variant, its CDPC hints computed from the compiler's summary,
+// in the spec's isolation domain (always 0 for a solo spec).
+func programOptions(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (sim.ProcessOptions, error) {
+	po, err := variantOptions(s, cfg, prog, func() (*core.Hints, error) {
 		return compilerHints(prog, sum, cfg, s)
 	})
+	po.Source, po.Domain = sim.ProgramSource(prog), s.Domain
+	return po, err
 }
 
 // compilerHints runs the CDPC algorithm over a prepared program.
@@ -737,34 +732,38 @@ func compilerHints(prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s S
 	}, s.CDPCOptions)
 }
 
-// runPrepared maps the variant to simulator options and runs a prepared
-// program alone on the machine, phase-sampled when the spec asks.
+// runPrepared runs a prepared program alone on the machine under the
+// spec's variant, phase-sampled when the spec asks.
 func runPrepared(ctx context.Context, prog *ir.Program, sum *compiler.Summary, cfg arch.Config, s Spec) (*sim.Result, error) {
-	opts := s.simOptions(ctx, cfg)
-	k, err := programKnobs(prog, sum, cfg, s)
+	po, err := programOptions(prog, sum, cfg, s)
 	if err != nil {
 		return nil, err
 	}
-	opts.Policy, opts.Hints, opts.TouchOrder, opts.Recolor = k.Policy, k.Hints, k.TouchOrder, k.Recolor
-
-	m, err := sim.New(opts)
+	m, err := sim.New(s.simOptions(ctx, cfg))
 	if err != nil {
 		return nil, err
 	}
 	var res *sim.Result
 	if s.Sampled {
-		res, err = m.RunSampled(prog, samplingClusters(prog))
+		res, err = m.RunSampled(po, samplingClusters(prog))
 	} else {
-		res, err = m.Run(prog)
+		res, err = m.Run(po)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Policy = string(s.Variant)
-	if s.Prefetch {
-		res.Policy += "+pf"
-	}
+	res.Policy = s.label()
 	return res, nil
+}
+
+// label is the policy name a spec's Result carries: the variant's name,
+// which the address space's PolicyName would collapse (CDPC into its
+// fallback policy), marked "+pf" under compiler prefetching.
+func (s Spec) label() string {
+	if s.Prefetch {
+		return string(s.Variant) + "+pf"
+	}
+	return string(s.Variant)
 }
 
 // runMix runs a spec with co-runners as one multiprogrammed machine.
@@ -776,11 +775,9 @@ func runMix(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult,
 		if err != nil {
 			return nil, err
 		}
-		k, err := programKnobs(prog, sum, cfg, ps)
-		if err != nil {
+		if procs[i], err = programOptions(prog, sum, cfg, ps); err != nil {
 			return nil, err
 		}
-		procs[i] = sim.ProcessOptions{Source: sim.ProgramSource(prog), Policy: k.Policy, Hints: k.Hints, Domain: ps.Domain}
 	}
 	opts := s.simOptions(ctx, s.Config())
 	opts.Isolate = s.Isolate
@@ -796,14 +793,9 @@ func runMix(ctx context.Context, s Spec, prepare prepareFunc) (*sim.MultiResult,
 	if err != nil {
 		return nil, err
 	}
-	// Label results with the variant names, as the single-process path
-	// does (PolicyName would collapse CDPC into its fallback policy).
 	variants := make([]string, len(list))
 	for i, ps := range list {
-		variants[i] = string(ps.Variant)
-		if ps.Prefetch {
-			variants[i] += "+pf"
-		}
+		variants[i] = ps.label()
 		mr.PerProcess[i].Policy = variants[i]
 	}
 	mr.Total.Policy = strings.Join(variants, "+")

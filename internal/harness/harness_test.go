@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -314,7 +312,7 @@ func TestPressureDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hints, err := core.ComputeHints(prog, sum, core.Params{NumCPUs: cfg.NumCPUs, NumColors: cfg.Colors(), PageSize: cfg.PageSize})
+	po, err := programOptions(prog, sum, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +320,11 @@ func TestPressureDegradesGracefully(t *testing.T) {
 	for i := range exhausted {
 		exhausted[i] = i
 	}
-	m, err := sim.New(sim.Options{
-		Config:        cfg,
-		Policy:        vm.PageColoring{Colors: cfg.Colors()},
-		Hints:         hints.Colors,
-		ExhaustColors: exhausted,
-	})
+	m, err := sim.New(sim.Options{Config: cfg, ExhaustColors: exhausted})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(prog)
+	res, err := m.Run(po)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // ExtPhases validates the representative-execution-window method of
@@ -32,11 +31,12 @@ func ExtPhases(o ExpOptions) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		m, err := sim.New(sim.Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}})
+		m, err := sim.New(sim.Options{Config: cfg})
 		if err != nil {
 			return "", err
 		}
-		samples, err := m.SamplePhases(prog, repeats)
+		// The process takes the default placement, page coloring.
+		samples, err := m.SamplePhases(sim.ProcessOptions{Source: sim.ProgramSource(prog)}, repeats)
 		if err != nil {
 			return "", err
 		}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/vm"
 )
 
 // ExtPressure studies graceful degradation under memory pressure (§5
@@ -28,7 +26,8 @@ func ExtPressure(o ExpOptions) (string, error) {
 	fmt.Fprintf(&b, "%-18s %12s %10s %12s\n", "exhausted colors", "wall(Mcyc)", "honored%", "vs coloring")
 
 	// Only the baseline is a standard Spec; the pressured runs below need
-	// raw simulator access (ExhaustColors) and stay serial.
+	// raw simulator access (ExhaustColors) and stay serial. Their process
+	// is the CDPC variant's, from the one variant table.
 	baseline, err := o.run(Spec{Workload: name, Scale: o.Scale, CPUs: cpus, Variant: PageColoring})
 	if err != nil {
 		return "", err
@@ -42,9 +41,7 @@ func ExtPressure(o ExpOptions) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		hints, err := core.ComputeHints(prog, sum, core.Params{
-			NumCPUs: cfg.NumCPUs, NumColors: cfg.Colors(), PageSize: cfg.PageSize,
-		})
+		po, err := programOptions(prog, sum, cfg, spec)
 		if err != nil {
 			return "", err
 		}
@@ -52,16 +49,11 @@ func ExtPressure(o ExpOptions) (string, error) {
 		for c := 0; c < n && c < cfg.Colors(); c++ {
 			exhausted = append(exhausted, c)
 		}
-		m, err := sim.New(sim.Options{
-			Config:        cfg,
-			Policy:        vm.PageColoring{Colors: cfg.Colors()},
-			Hints:         hints.Colors,
-			ExhaustColors: exhausted,
-		})
+		m, err := sim.New(sim.Options{Config: cfg, ExhaustColors: exhausted})
 		if err != nil {
 			return "", err
 		}
-		res, err := m.Run(prog)
+		res, err := m.Run(po)
 		if err != nil {
 			return "", err
 		}

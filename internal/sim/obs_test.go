@@ -15,10 +15,7 @@ import (
 // owner's cached copy must be marked clean, or its eventual eviction
 // charges the bus for a writeback whose data already went to memory.
 func TestRemoteSupplyCleansOwner(t *testing.T) {
-	m, err := New(Options{Config: smallConfig(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newSolo(t, Options{Config: smallConfig(2)}, ProcessOptions{})
 	paddr := uint64(0x4000)
 	m.cpus[1].llc.slices[0].Access(paddr, true) // CPU1 holds the line dirty
 	m.dir.Access(1, paddr, true)
@@ -64,17 +61,11 @@ func TestHotCodePageRecolors(t *testing.T) {
 	ring := obs.NewRing(256)
 	col := obs.NewCollector(obs.Options{Tracer: ring})
 	policy := vm.RecolorPolicy{MissThreshold: 16, MaxRecolorings: 2}
-	m, err := New(Options{
-		Config:     cfg,
-		Policy:     vm.PageColoring{Colors: cfg.Colors()},
-		Recolor:    &policy,
-		Obs:        col,
-		SkipWarmup: true,
-	})
+	m, err := New(Options{Config: cfg, Obs: col, SkipWarmup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(prog)
+	res, err := m.Run(ProcessOptions{Source: ProgramSource(prog), Policy: vm.PageColoring{Colors: cfg.Colors()}, Recolor: &policy})
 	if err != nil {
 		t.Fatal(err)
 	}

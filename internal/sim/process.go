@@ -62,17 +62,32 @@ type SchedOptions struct {
 	Quantum uint64
 }
 
-// ProcessOptions describes one workload entering the process table.
+// ProcessOptions describes one process a run entry builds: its workload
+// and its page placement. It is the only place a policy, hints, a touch
+// order or a recoloring policy is set.
 type ProcessOptions struct {
-	// Source supplies the process's regions: its init regions, then each
-	// steady-state phase's regions once.
+	// Source supplies the process's regions: its init regions, then its
+	// steady-state phases.
 	Source Source
 	// Policy is the process's page-placement policy; nil defaults to
-	// page coloring at the machine's color count.
+	// page coloring at the machine's color count (IRIX's policy, the
+	// paper's base configuration).
 	Policy vm.Policy
 	// Hints, if non-nil, is installed through the process's address
-	// space before execution (the CDPC path).
+	// space before execution: the CDPC path, with the compiler's
+	// summary for a program or the online summarizer's for a trace.
 	Hints map[uint64]int
+	// TouchOrder, if non-nil, faults these pages in order on CPU 0 before
+	// execution — the paper's Digital UNIX emulation of page coloring and
+	// CDPC on top of bin hopping (§5.3). The serialized fault time is
+	// charged to the master's kernel bucket. Solo runs only.
+	TouchOrder []uint64
+	// Recolor, if non-nil, enables the dynamic page recoloring policy the
+	// paper contrasts CDPC against (§2.1/§2.2): conflicting pages are
+	// detected by miss counters and moved to colder colors at run time,
+	// paying copy, TLB-shootdown and invalidation costs. Full-fidelity
+	// solo runs only.
+	Recolor *vm.RecolorPolicy
 	// Domain groups processes into isolation domains when
 	// Options.Isolate is on: processes with the same Domain > 0 share a
 	// color partition, Domain 0 means "own domain". Ignored (and must be
@@ -83,7 +98,8 @@ type ProcessOptions struct {
 // Process is one entry of the machine's process table: its own address
 // space and placement policy, its own parallel-region counter, and its
 // own per-CPU stats bank. All processes draw frames from the machine's
-// single shared allocator.
+// single shared allocator. A solo run's one process is pid 0; a mix's
+// are pids 1..n.
 type Process struct {
 	Pid  int
 	Name string
@@ -107,8 +123,8 @@ type Process struct {
 	// time-slice windows, or the partition's finish clock.
 	ran uint64
 
-	// work is the region sequence (init, then each phase once) and next
-	// the index of the region to run next.
+	// work is a mix process's region sequence (init, then each phase
+	// once) and next the index of the region to run next.
 	work []Region
 	next int
 	done bool
@@ -144,12 +160,53 @@ func (mr *MultiResult) Audit() []obs.Violation {
 	return vs
 }
 
+// newProcess builds process pid from po: its address space under po's
+// policy (page coloring when nil), confined to colors (domain's
+// partition; nil when unpartitioned), a first-touch policy bound to the
+// machine's allocator and that partition, the observability fault hook,
+// po's hints installed, and the dynamic recolorer when po asks for one.
+func (m *Machine) newProcess(pid int, po ProcessOptions, domain int, colors []int) *Process {
+	policy := po.Policy
+	if policy == nil {
+		policy = vm.PageColoring{Colors: m.colors}
+	}
+	as := vm.NewAddressSpaceProc(pid, m.cfg.PageSize, m.alloc, policy)
+	if colors != nil {
+		as.Confine(domain, colors)
+	}
+	if ft, ok := policy.(*vm.FirstTouch); ok && ft.Alloc == nil {
+		// A first-touch policy is built before the machine (and so
+		// before any allocator) exists; its free-list prediction is
+		// scoped to the process's partition.
+		ft.Alloc = m.alloc
+		ft.Colors = colors
+	}
+	if m.obs != nil {
+		as.OnFault = func(pid int, vpn uint64, cpu, color int, hinted, honored bool) {
+			var cycle uint64
+			if cpu >= 0 && cpu < len(m.cpus) {
+				cycle = m.cpus[cpu].clock
+			}
+			m.obs.RecordFaultPID(pid, cpu, cycle, vpn, color, hinted, honored)
+		}
+	}
+	if po.Hints != nil {
+		as.Advise(po.Hints)
+	}
+	if po.Recolor != nil {
+		m.recolorer = newRecolorAdapter(as, m.cfg.NumCPUs, *po.Recolor, m.cfg.PageSize)
+	}
+	return &Process{Pid: pid, Name: po.Source.Name(), as: as, colors: colors}
+}
+
 // RunProcesses executes the given processes under the space-sharing
 // scheduler on a fresh machine. Every executed cycle is measured —
 // there is no warm-up discard, and each phase runs once, unweighted —
 // because co-runners share the timeline and a per-process measured
-// window cannot be cut out of it. A lone workload runs through
-// RunSource or RunSampled instead.
+// window cannot be cut out of it. A lone workload runs through Run or
+// RunSampled instead. Touch orders and dynamic recoloring act on the
+// whole machine (a serialized fault pass on CPU 0, shootdowns on every
+// CPU), so a process carrying either is rejected.
 func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*MultiResult, error) {
 	if len(procs) == 0 {
 		return nil, fmt.Errorf("sim: no processes to run")
@@ -170,12 +227,12 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 		if po.Domain < 0 {
 			return nil, fmt.Errorf("sim: negative isolation domain %d", po.Domain)
 		}
-	}
-	if m.opts.Recolor != nil {
-		return nil, fmt.Errorf("sim: dynamic recoloring is not supported in multiprocess runs")
-	}
-	if m.opts.Hints != nil || m.opts.TouchOrder != nil {
-		return nil, fmt.Errorf("sim: machine-level hints/touch-order apply to the single-process path; use ProcessOptions")
+		if po.Recolor != nil {
+			return nil, fmt.Errorf("sim: dynamic recoloring is not supported in multiprocess runs")
+		}
+		if po.TouchOrder != nil {
+			return nil, fmt.Errorf("sim: touch-order faulting is not supported in multiprocess runs")
+		}
 	}
 	var domains []int
 	var partitions [][]int
@@ -189,28 +246,18 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 	m.crossCheck = len(procs) > 1 || m.opts.Isolate
 	table := make([]*Process, len(procs))
 	for i, po := range procs {
-		pid := i + 1
-		policy := po.Policy
-		if policy == nil {
-			policy = vm.PageColoring{Colors: m.colors}
-		}
+		var domain int
 		var colors []int
-		as := vm.NewAddressSpaceProc(pid, m.cfg.PageSize, m.alloc, policy)
 		if domains != nil {
-			colors = partitions[domains[i]-1]
-			as.Confine(domains[i], colors)
+			domain = domains[i]
+			colors = partitions[domain-1]
 		}
-		bindPolicy(policy, m.alloc, colors)
-		if m.obs != nil {
-			as.OnFault = m.obsFaultHook()
-		}
-		if po.Hints != nil {
-			as.Advise(po.Hints)
-		}
-		table[i] = &Process{Pid: pid, Name: po.Source.Name(), as: as, colors: colors, work: po.Source.InitRegions()}
+		p := m.newProcess(i+1, po, domain, colors)
+		p.work = po.Source.InitRegions()
 		for _, ph := range po.Source.Phases() {
-			table[i].work = append(table[i].work, ph.Regions...)
+			p.work = append(p.work, ph.Regions...)
 		}
+		table[i] = p
 	}
 	m.procs = table
 	var err error
@@ -225,7 +272,7 @@ func (m *Machine) RunProcesses(procs []ProcessOptions, sched SchedOptions) (*Mul
 	}
 	mr := m.collectMulti(table, sched)
 	if m.obs != nil {
-		m.finalizeObsMulti(table)
+		m.finalizeObs()
 	}
 	return mr, nil
 }
@@ -376,19 +423,7 @@ func (m *Machine) collectMulti(table []*Process, sched SchedOptions) *MultiResul
 	mr := &MultiResult{Sched: sched.Policy.String()}
 	var names, policies []string
 	for _, p := range table {
-		res := &Result{
-			Workload:     p.Name,
-			Machine:      m.cfg.Name,
-			Policy:       p.as.PolicyName(),
-			NumCPUs:      len(p.cpus),
-			Fidelity:     FidelityFull,
-			WallCycles:   p.ran,
-			PerCPU:       append([]CPUStats(nil), p.bank...),
-			PageFaults:   p.as.Faults,
-			HintedFaults: p.as.HintedFaults,
-			HonoredHints: p.as.HonoredHints,
-			Isolated:     m.opts.Isolate,
-		}
+		res := m.processResult(p, FidelityFull, &Result{WallCycles: p.ran, PerCPU: append([]CPUStats(nil), p.bank...)})
 		mr.PerProcess = append(mr.PerProcess, res)
 		names = append(names, p.Name)
 		policies = append(policies, p.as.PolicyName())
@@ -442,20 +477,19 @@ func (m *Machine) collectMulti(table []*Process, sched SchedOptions) *MultiResul
 	return mr
 }
 
-// finalizeObsMulti snapshots the set profiles and the combined VM and
-// allocator color state over every process at the end of a
-// multiprocess run.
-func (m *Machine) finalizeObsMulti(table []*Process) {
-	m.recordSetProfiles()
-	mapped := make([]int, m.colors)
-	var faults, hinted, honored uint64
-	for _, p := range table {
-		for c, n := range p.as.ColorOccupancy() {
-			mapped[c] += n
-		}
-		faults += p.as.Faults
-		hinted += p.as.HintedFaults
-		honored += p.as.HonoredHints
-	}
-	m.obs.RecordAllocation(mapped, m.alloc.FreeByColor(), faults, hinted, honored)
+// processResult completes p's Result around its measured counters d:
+// the process's identity, its gang width and its address space's fault
+// counters, final once the process has run. Solo and mix runs build
+// every per-process Result here.
+func (m *Machine) processResult(p *Process, fidelity string, d *Result) *Result {
+	d.Workload = p.Name
+	d.Machine = m.cfg.Name
+	d.Policy = p.as.PolicyName()
+	d.NumCPUs = len(p.cpus)
+	d.Fidelity = fidelity
+	d.PageFaults = p.as.Faults
+	d.HintedFaults = p.as.HintedFaults
+	d.HonoredHints = p.as.HonoredHints
+	d.Isolated = p.colors != nil
+	return d
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -174,20 +175,33 @@ func TestPartitionRejectsIndivisibleCPUs(t *testing.T) {
 	}
 }
 
+// TestMultiprocessRejectsRecoloring: dynamic recoloring and a touch
+// order act on the whole machine, so a mix rejects a process carrying
+// either.
 func TestMultiprocessRejectsRecoloring(t *testing.T) {
-	procs := twoProcs(false)
-	for _, po := range procs {
-		if err := compilerLayout(progOf(po), smallConfig(4)); err != nil {
+	rp := vm.DefaultRecolorPolicy()
+	for _, tc := range []struct {
+		name string
+		set  func(*ProcessOptions)
+		want string
+	}{
+		{"recoloring", func(po *ProcessOptions) { po.Recolor = &rp }, "dynamic recoloring"},
+		{"touch order", func(po *ProcessOptions) { po.TouchOrder = []uint64{0} }, "touch-order"},
+	} {
+		procs := twoProcs(false)
+		for _, po := range procs {
+			if err := compilerLayout(progOf(po), smallConfig(4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tc.set(&procs[1])
+		m, err := New(Options{Config: smallConfig(4)})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	rp := vm.DefaultRecolorPolicy()
-	m, err := New(Options{Config: smallConfig(4), Recolor: &rp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunProcesses(procs, SchedOptions{}); err == nil {
-		t.Error("dynamic recoloring must be rejected in multiprocess runs")
+		if _, err := m.RunProcesses(procs, SchedOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -82,11 +82,11 @@ func TestRandomProgramsInvariants(t *testing.T) {
 		// Determinism requires identical options: fix SkipWarmup first.
 		skip := rng.Intn(2) == 0
 		mkRun := func() (*Result, *Machine) {
-			m, err := New(Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}, SkipWarmup: skip})
+			m, err := New(Options{Config: cfg, SkipWarmup: skip})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			res, err := m.Run(prog)
+			res, err := m.Run(ProcessOptions{Source: ProgramSource(prog), Policy: vm.PageColoring{Colors: cfg.Colors()}})
 			if err != nil {
 				t.Fatalf("trial %d: run: %v", trial, err)
 			}
@@ -119,11 +119,11 @@ func TestRandomProgramsInvariants(t *testing.T) {
 		// across policies for the same program (policies change timing,
 		// never the instruction stream) — checked against a bin-hopping
 		// run of the same program.
-		mBH, err := New(Options{Config: cfg, Policy: &vm.BinHopping{Colors: cfg.Colors()}, SkipWarmup: skip})
+		mBH, err := New(Options{Config: cfg, SkipWarmup: skip})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rBH, err := mBH.Run(prog)
+		rBH, err := mBH.Run(ProcessOptions{Source: ProgramSource(prog), Policy: &vm.BinHopping{Colors: cfg.Colors()}})
 		if err != nil {
 			t.Fatalf("trial %d: binhop run: %v", trial, err)
 		}

@@ -86,19 +86,18 @@ func runAheadRefs(rng *rand.Rand, cpu, n, conflictShare int) []trace.Ref {
 	return refs
 }
 
-// runBoth runs the same references on two identical machines, through
-// runParallel (runStream on one CPU) and through scanParallel, and fails
-// t unless the step order, every final clock and every CPU's stats
-// agree. It returns the runParallel (runStream) machine.
-func runBoth(t *testing.T, name string, opts func() Options, seed int64, conflictShare int) *Machine {
+// runBoth runs the same references on two identical machines running
+// a process placed by po, through runParallel (runStream on one CPU)
+// and through scanParallel, and fails t unless the step order, every
+// final clock and every CPU's stats agree. It returns the runParallel
+// (runStream) machine.
+func runBoth(t *testing.T, name string, opts Options, po ProcessOptions, seed int64, conflictShare int) *Machine {
 	t.Helper()
 	var logs [2][]int
 	var machines [2]*Machine
 	for side := range machines {
-		m, err := New(opts())
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := newSolo(t, opts, po)
+		var err error
 		rng := rand.New(rand.NewSource(seed))
 		streams := make([]trace.Stream, len(m.cpus))
 		for i, c := range m.cpus {
@@ -149,8 +148,7 @@ func runBoth(t *testing.T, name string, opts func() Options, seed int64, conflic
 func TestRunAheadMatchesScan(t *testing.T) {
 	for n := 1; n <= 17; n++ {
 		cfg := smallConfig(n)
-		opts := func() Options { return Options{Config: cfg} }
-		m := runBoth(t, fmt.Sprintf("%d cpus", n), opts, int64(n), 5)
+		m := runBoth(t, fmt.Sprintf("%d cpus", n), Options{Config: cfg}, ProcessOptions{}, int64(n), 5)
 		if st := &m.cpus[0].stats; n == 1 && (st.PrefetchesIssued == 0 || !m.cpus[0].fetched) {
 			t.Errorf("1 cpu: %d prefetches issued, fetched %v: the serial loop's fetch and prefetch paths are not covered",
 				st.PrefetchesIssued, m.cpus[0].fetched)
@@ -159,11 +157,9 @@ func TestRunAheadMatchesScan(t *testing.T) {
 	policy := vm.RecolorPolicy{MissThreshold: 4, MaxRecolorings: 8}
 	for _, n := range []int{3, 4, 8} {
 		cfg := smallConfig(n)
-		opts := func() Options {
-			return Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}, Recolor: &policy}
-		}
+		po := ProcessOptions{Policy: vm.PageColoring{Colors: cfg.Colors()}, Recolor: &policy}
 		name := fmt.Sprintf("recoloring on %d cpus", n)
-		if m := runBoth(t, name, opts, int64(100+n), 40); m.shootdowns == 0 {
+		if m := runBoth(t, name, Options{Config: cfg}, po, int64(100+n), 40); m.shootdowns == 0 {
 			t.Errorf("%s: no shootdown happened", name)
 		}
 	}

@@ -203,17 +203,25 @@ func (m *Machine) planWindows(n *ir.Nest, p, ord int) windowPlan {
 
 // RunSampled is the phase-sampled counterpart of Run: it simulates one
 // representative window per nest of each cluster's representative
-// phase and extrapolates to the full run. clusters must partition the
-// program's phases (the harness passes the compiler's access-pattern
-// clustering). Dynamic recoloring reacts to per-page miss counts a
-// window cannot reproduce, and the observability collector's event
-// stream is defined over the full reference trace, so a machine with
-// either is rejected rather than run at full fidelity.
-func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result, error) {
-	if m.recolorer != nil || m.obs != nil {
+// phase and extrapolates to the full run. Windows are cut from loop
+// nests, so po's source must be a ProgramSource. clusters must
+// partition the program's phases (the harness passes the compiler's
+// access-pattern clustering). Dynamic recoloring reacts to per-page
+// miss counts a window cannot reproduce, and the observability
+// collector's event stream is defined over the full reference trace,
+// so a process or machine with either is rejected rather than run at
+// full fidelity.
+func (m *Machine) RunSampled(po ProcessOptions, clusters []PhaseCluster) (*Result, error) {
+	if po.Recolor != nil || m.obs != nil {
 		return nil, fmt.Errorf("sim: sampled runs support neither dynamic recoloring nor an observability collector")
 	}
-	if err := prog.Validate(); err != nil {
+	ps, ok := po.Source.(*programSource)
+	if !ok {
+		return nil, fmt.Errorf("sim: sampled runs need a ProgramSource, got %T", po.Source)
+	}
+	prog := ps.prog
+	p, err := m.solo(po)
+	if err != nil {
 		return nil, err
 	}
 	if err := validateClusters(clusters, len(prog.Phases)); err != nil {
@@ -221,7 +229,7 @@ func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result
 	}
 
 	m.warmRefs = 0
-	err := m.prologue(ProgramSource(prog), func() error {
+	err = m.prologue(po.TouchOrder, func() error {
 		// Fault pre-touch: replay the program's first-touch pattern at
 		// page granularity — init phase first (it takes the first-touch
 		// faults in the full engine), then every steady-state phase, CPUs
@@ -247,8 +255,8 @@ func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result
 		return nil, err
 	}
 
-	res := m.newResult(prog.Name, FidelitySampled)
-	p := len(m.cpus)
+	res := &Result{PerCPU: make([]CPUStats, len(m.cpus))}
+	width := len(m.cpus)
 	for ci, cl := range clusters {
 		var weight uint64
 		for _, i := range cl.Members {
@@ -256,13 +264,13 @@ func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result
 		}
 		rep := prog.Phases[cl.Rep]
 		for ni, n := range rep.Nests {
-			plan := m.planWindows(n, p, ni)
-			if err := m.warmRanges(prog, n, p, plan.warmLo, plan.warmHi); err != nil {
+			plan := m.planWindows(n, width, ni)
+			if err := m.warmRanges(prog, n, width, plan.warmLo, plan.warmHi); err != nil {
 				return nil, err
 			}
 
 			d, err := m.measure(func() error {
-				return m.runRegionStreams(m.cpus, n.Parallel, n.Suppressed, &m.regions, func(p, cpu int) trace.Stream {
+				return m.runRegionStreams(m.cpus, n.Parallel, n.Suppressed, &p.regions, func(p, cpu int) trace.Stream {
 					return ir.NestWindowStream(prog, n, p, cpu, plan.measLo[cpu], plan.measHi[cpu])
 				})
 			})
@@ -287,7 +295,7 @@ func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result
 			// boundary. The very last nest has no consumer, so its tail
 			// sweep is skipped.
 			if ci < len(clusters)-1 || ni < len(rep.Nests)-1 {
-				if err := m.warmRanges(prog, n, p, plan.tailLo, plan.spanHi); err != nil {
+				if err := m.warmRanges(prog, n, width, plan.tailLo, plan.spanHi); err != nil {
 					return nil, err
 				}
 			}
@@ -295,8 +303,7 @@ func (m *Machine) RunSampled(prog *ir.Program, clusters []PhaseCluster) (*Result
 	}
 
 	res.WarmupRefs = m.warmRefs
-	m.closeResult(res)
-	return res, nil
+	return m.processResult(p, FidelitySampled, res), nil
 }
 
 // validateClusters checks that a caller-supplied clustering is a
@@ -349,7 +356,7 @@ func (m *Machine) touchProgramPages(prog *ir.Program) error {
 	// CPU 0 (code is read-shared, so placement attribution is moot).
 	if code && prog.CodeSize > 0 {
 		for off := 0; off < prog.CodeSize; off += m.cfg.PageSize {
-			if _, err := m.as.Touch((prog.CodeBase+uint64(off))>>m.pageShift, 0); err != nil {
+			if _, err := m.cpus[0].as.Touch((prog.CodeBase+uint64(off))>>m.pageShift, 0); err != nil {
 				return fmt.Errorf("sim: sampling pre-touch (code): %w", err)
 			}
 			m.warmRefs++
@@ -407,7 +414,7 @@ func (m *Machine) touchAccessPages(ac *ir.Access, i, inner, cpu int) error {
 	}
 	for j := 0; j < inner; {
 		va := ac.VAddr(i, j)
-		if _, err := m.as.Touch(va>>m.pageShift, cpu); err != nil {
+		if _, err := m.cpus[cpu].as.Touch(va>>m.pageShift, cpu); err != nil {
 			return fmt.Errorf("sim: sampling pre-touch: %w", err)
 		}
 		m.warmRefs++

@@ -5,25 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 // TestRunSampledRejects is the rejection table of the sampled entry
-// point: machines whose mechanisms need the full reference stream, and
-// clusterings that do not partition the program's phases. A valid
+// point: processes and machines whose mechanisms need the full
+// reference stream, a source with no loop nests to cut windows from,
+// and clusterings that do not partition the program's phases. A valid
 // clustering on a plain machine is the control row.
 func TestRunSampledRejects(t *testing.T) {
 	identity := []PhaseCluster{{Rep: 0, Members: []int{0}}, {Rep: 1, Members: []int{1}}, {Rep: 2, Members: []int{2}}}
 	recolor := vm.DefaultRecolorPolicy()
 	cases := []struct {
 		name     string
-		opts     func(*Options)
+		opts     func(*Options, *ProcessOptions)
 		clusters []PhaseCluster
 		want     string // error substring; "" means the run must succeed
 	}{
 		{"plain machine", nil, identity, ""},
-		{"recoloring", func(o *Options) { o.Recolor = &recolor }, identity, "dynamic recoloring"},
-		{"obs collector", func(o *Options) { o.Obs = obs.NewCollector(obs.Options{}) }, identity, "observability collector"},
+		{"recoloring", func(_ *Options, po *ProcessOptions) { po.Recolor = &recolor }, identity, "dynamic recoloring"},
+		{"obs collector", func(o *Options, _ *ProcessOptions) { o.Obs = obs.NewCollector(obs.Options{}) }, identity, "observability collector"},
+		{"trace source", func(_ *Options, po *ProcessOptions) {
+			po.Source = NewTraceSource("t", &trace.File{})
+		}, identity, "need a ProgramSource"},
 		{"representative out of range", nil,
 			[]PhaseCluster{{Rep: 3, Members: []int{0, 1, 2}}}, "representative 3 out of range"},
 		{"duplicated member", nil,
@@ -35,8 +40,9 @@ func TestRunSampledRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := makeChunkedProgram(8, 64, 0, 3)
 			opts := Options{Config: smallConfig(2)}
+			po := ProcessOptions{Source: ProgramSource(prog)}
 			if tc.opts != nil {
-				tc.opts(&opts)
+				tc.opts(&opts, &po)
 			}
 			if err := compilerLayout(prog, opts.Config); err != nil {
 				t.Fatal(err)
@@ -45,7 +51,7 @@ func TestRunSampledRejects(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.RunSampled(prog, tc.clusters)
+			res, err := m.RunSampled(po, tc.clusters)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatal(err)

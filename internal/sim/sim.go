@@ -8,7 +8,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/coherence"
-	"repro/internal/ir"
 	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/tlb"
@@ -16,23 +15,12 @@ import (
 	"repro/internal/vm"
 )
 
-// Options configures a simulation run.
+// Options configures the machine: its hardware and the run-wide
+// switches. A process's page placement — policy, hints, touch order,
+// recoloring — is not here; it lives in the ProcessOptions each run
+// entry takes.
 type Options struct {
 	Config arch.Config
-
-	// Policy constructs the page mapping policy; nil defaults to page
-	// coloring (IRIX's policy, the paper's base configuration).
-	Policy vm.Policy
-
-	// Hints, if non-nil, is installed through the address space's Advise
-	// call before execution (the CDPC path).
-	Hints map[uint64]int
-
-	// TouchOrder, if non-nil, faults these pages in order on CPU 0 before
-	// execution — the paper's Digital UNIX emulation of page coloring and
-	// CDPC on top of bin hopping (§5.3). The serialized fault time is
-	// charged to the master's kernel bucket.
-	TouchOrder []uint64
 
 	// SkipWarmup skips the unmeasured warm-up pass over the phases; unit
 	// tests use it, experiments leave it off so cold misses are discarded
@@ -43,12 +31,6 @@ type Options struct {
 	// split (replacement misses all count as capacity); the ablation
 	// benchmark measures its simulation cost.
 	DisableClassification bool
-
-	// Recolor, if non-nil, enables the dynamic page recoloring policy the
-	// paper contrasts CDPC against (§2.1/§2.2): conflicting pages are
-	// detected by miss counters and moved to colder colors at run time,
-	// paying copy, TLB-shootdown and invalidation costs.
-	Recolor *vm.RecolorPolicy
 
 	// ExhaustColors drains the free-frame pools of the given colors
 	// before execution, simulating memory pressure: faults preferring
@@ -80,8 +62,8 @@ type Options struct {
 	// preference, CDPC hint, pressure fallback — is clamped to the
 	// owner's partition. Cross-domain conflict misses become impossible
 	// by construction (audit invariant 12 proves it on every run).
-	// Ignored on the single-process path; unpartitioned runs are
-	// byte-identical with this off.
+	// Only RunProcesses reads it; unpartitioned runs are byte-identical
+	// with this off.
 	Isolate bool
 }
 
@@ -110,7 +92,6 @@ func (u *llcUnit) cacheFor(paddr uint64) *cache.Cache {
 // Machine is a configured simulator instance.
 type Machine struct {
 	cfg   arch.Config
-	as    *vm.AddressSpace
 	bus   *bus.Bus
 	dir   *coherence.Directory
 	alloc *memory.Allocator
@@ -140,7 +121,8 @@ type Machine struct {
 	// obs is the optional observability collector (Options.Obs).
 	obs *obs.Collector
 
-	// recolorer is non-nil when dynamic recoloring is enabled.
+	// recolorer is non-nil when the solo process enabled dynamic
+	// recoloring (ProcessOptions.Recolor).
 	recolorer *recolorAdapter
 
 	opts Options
@@ -149,12 +131,9 @@ type Machine struct {
 	// miss path. Set only for multiprocess or isolated runs so the
 	// single-process hot path pays nothing.
 	crossCheck bool
-	// procs is the multiprocess run's process table, in pid order.
+	// procs is the run's process table in pid order: the solo process
+	// (pid 0), or a mix's processes (pids 1..n).
 	procs []*Process
-
-	// regions counts parallel regions executed, seeding the per-region
-	// dispatch-order variation.
-	regions uint64
 
 	// warmRefs counts functional references executed by the sampling
 	// path (fault pre-touch pages plus warm-up window references).
@@ -188,7 +167,7 @@ type cpuState struct {
 	clock uint64
 
 	// as/pid identify the process currently scheduled on this CPU. A
-	// single-process machine points every CPU at m.as (pid 0) forever;
+	// solo run points every CPU at its process (pid 0) for the whole run;
 	// the space-sharing scheduler re-points them at dispatch time.
 	as  *vm.AddressSpace
 	pid int
@@ -245,14 +224,8 @@ func New(opts Options) (*Machine, error) {
 		colorOf = func(f uint64) int { return llcLevel.FrameColor(f, cfg.PageSize) }
 	}
 	alloc := memory.NewWithColorOf(frames, cfg.Colors(), colorOf)
-	policy := opts.Policy
-	if policy == nil {
-		policy = vm.PageColoring{Colors: cfg.Colors()}
-	}
-	bindPolicy(policy, alloc, nil)
 	m := &Machine{
 		cfg:       cfg,
-		as:        vm.NewAddressSpace(cfg.PageSize, alloc, policy),
 		bus:       bus.New(cfg.BusBytesPerCycle, cfg.BusOverhead),
 		dir:       coherence.New(units, llcLevel.Geom.LineSize),
 		alloc:     alloc,
@@ -292,9 +265,6 @@ func New(opts Options) (*Machine, error) {
 			midCaches[li][i] = cache.New(lvl.Geom)
 		}
 	}
-	if opts.Recolor != nil {
-		m.recolorer = newRecolorAdapter(m.as, cfg.NumCPUs, *opts.Recolor, cfg.PageSize)
-	}
 	for _, color := range opts.ExhaustColors {
 		for alloc.FreeOfColor(color) > 0 {
 			if _, _, err := alloc.Alloc(color, nil); err != nil {
@@ -305,7 +275,6 @@ func New(opts Options) (*Machine, error) {
 	for i := 0; i < cfg.NumCPUs; i++ {
 		c := &cpuState{
 			id:      i,
-			as:      m.as,
 			l1d:     cache.New(cfg.L1D),
 			l1i:     cache.New(cfg.L1I),
 			tlb:     tlb.New(cfg.TLBEntries),
@@ -323,7 +292,6 @@ func New(opts Options) (*Machine, error) {
 			m.obs.InitSlices(llcLevel.Slices, llcLevel.Geom.Sets())
 		}
 		m.enableSetProfiles()
-		m.as.OnFault = m.obsFaultHook()
 	}
 	return m, nil
 }
@@ -334,31 +302,6 @@ func (m *Machine) enableSetProfiles() {
 		for _, sc := range u.slices {
 			sc.EnableSetProfile()
 		}
-	}
-}
-
-// bindPolicy resolves allocator-dependent policies: a first-touch
-// policy is constructed by the harness before the machine (and so
-// before any allocator) exists, and is pointed at the machine's shared
-// frame allocator and the owning process's color partition here (nil
-// when unpartitioned), which scopes its free-list prediction.
-func bindPolicy(p vm.Policy, alloc *memory.Allocator, colors []int) {
-	if ft, ok := p.(*vm.FirstTouch); ok && ft.Alloc == nil {
-		ft.Alloc = alloc
-		ft.Colors = colors
-	}
-}
-
-// obsFaultHook builds the address-space fault callback feeding the
-// observability collector; every process's address space installs the
-// same hook, distinguished by the pid the callback carries.
-func (m *Machine) obsFaultHook() func(pid int, vpn uint64, cpu, color int, hinted, honored bool) {
-	return func(pid int, vpn uint64, cpu, color int, hinted, honored bool) {
-		var cycle uint64
-		if cpu >= 0 && cpu < len(m.cpus) {
-			cycle = m.cpus[cpu].clock
-		}
-		m.obs.RecordFaultPID(pid, cpu, cycle, vpn, color, hinted, honored)
 	}
 }
 
@@ -400,21 +343,23 @@ func (m *Machine) crossDomainVictim(pid int, victim uint64) bool {
 	return false
 }
 
-// Run executes prog's steady state on the machine's own address space
-// and returns the weighted result: the paper's methodology (warm-up
-// discard, phase-occurrence weighting). RunSampled is the phase-sampled
-// alternative.
-func (m *Machine) Run(prog *ir.Program) (*Result, error) {
-	return m.RunSource(ProgramSource(prog))
-}
-
 // finalizeObs snapshots the per-set external-cache profile (summed over
-// CPUs, occupancy averaged) and the VM/allocator color state into the
-// collector at the end of a run.
+// CPUs, occupancy averaged) and the VM and allocator color state,
+// summed over the run's processes, into the collector at the end of a
+// run.
 func (m *Machine) finalizeObs() {
 	m.recordSetProfiles()
-	m.obs.RecordAllocation(m.as.ColorOccupancy(), m.alloc.FreeByColor(),
-		m.as.Faults, m.as.HintedFaults, m.as.HonoredHints)
+	mapped := make([]int, m.colors)
+	var faults, hinted, honored uint64
+	for _, p := range m.procs {
+		for c, n := range p.as.ColorOccupancy() {
+			mapped[c] += n
+		}
+		faults += p.as.Faults
+		hinted += p.as.HintedFaults
+		honored += p.as.HonoredHints
+	}
+	m.obs.RecordAllocation(mapped, m.alloc.FreeByColor(), faults, hinted, honored)
 }
 
 // recordSetProfiles aggregates the per-set LLC counters over cache

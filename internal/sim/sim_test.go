@@ -51,16 +51,41 @@ func smallConfig(ncpu int) arch.Config {
 	return cfg
 }
 
+// newSolo builds a machine whose every CPU runs one process (pid 0)
+// placed by po, for tests that drive the engine below Run; a nil source
+// stands in a one-page program.
+func newSolo(t *testing.T, opts Options, po ProcessOptions) *Machine {
+	t.Helper()
+	if po.Source == nil {
+		po.Source = ProgramSource(makeProgram(1, 1, 0))
+	}
+	m, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.solo(po); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// mustRun lays prog out and runs it alone under the default placement.
 func mustRun(t *testing.T, prog *ir.Program, opts Options) *Result {
 	t.Helper()
-	if err := compilerLayout(prog, opts.Config); err != nil {
+	return mustRunProc(t, opts, ProcessOptions{Source: ProgramSource(prog)})
+}
+
+// mustRunProc lays out po's program and runs its process alone.
+func mustRunProc(t *testing.T, opts Options, po ProcessOptions) *Result {
+	t.Helper()
+	if err := compilerLayout(progOf(po), opts.Config); err != nil {
 		t.Fatal(err)
 	}
 	m, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(prog)
+	res, err := m.Run(po)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +132,7 @@ func TestCycleAccountingInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(prog); err != nil {
+	if _, err := m.Run(ProcessOptions{Source: ProgramSource(prog)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range m.cpus {
@@ -200,7 +225,7 @@ func TestPageColoringConflictVsCDPC(t *testing.T) {
 	colors := cfg.Colors() // 16 pages of 4KB = 64KB cache
 	prog := makeProgram(16, 16, 0)
 
-	base := mustRun(t, prog, Options{Config: cfg, Policy: vm.PageColoring{Colors: colors}})
+	base := mustRunProc(t, Options{Config: cfg}, ProcessOptions{Source: ProgramSource(prog), Policy: vm.PageColoring{Colors: colors}})
 	baseConf := base.Total(func(s *CPUStats) uint64 { return s.ConflictMisses })
 	if baseConf == 0 {
 		t.Fatal("expected conflict misses under page coloring with colliding arrays")
@@ -215,11 +240,11 @@ func TestPageColoringConflictVsCDPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Options{Config: cfg, Policy: vm.PageColoring{Colors: colors}, Hints: h.Colors})
+	m, err := New(Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdpc, err := m.Run(prog2)
+	cdpc, err := m.Run(ProcessOptions{Source: ProgramSource(prog2), Policy: vm.PageColoring{Colors: colors}, Hints: h.Colors})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +332,11 @@ func TestTouchOrderSerializesFaults(t *testing.T) {
 			order = append(order, vpn)
 		}
 	}
-	m, err := New(Options{Config: cfg, Policy: &vm.BinHopping{Colors: cfg.Colors()}, TouchOrder: order, SkipWarmup: true})
+	m, err := New(Options{Config: cfg, SkipWarmup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(prog)
+	res, err := m.Run(ProcessOptions{Source: ProgramSource(prog), Policy: &vm.BinHopping{Colors: cfg.Colors()}, TouchOrder: order})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +350,7 @@ func TestTouchOrderSerializesFaults(t *testing.T) {
 		t.Error("serialized fault time not booked as kernel time")
 	}
 	// All data pages were pre-faulted: the run itself faults only code pages.
-	if got := m.as.Faults; got < uint64(len(order)) {
+	if got := m.cpus[0].as.Faults; got < uint64(len(order)) {
 		t.Errorf("faults %d < touched pages %d", got, len(order))
 	}
 }
@@ -400,7 +425,7 @@ func TestDynamicRecoloringReducesConflicts(t *testing.T) {
 	colors := cfg.Colors()
 	mk := func() *ir.Program { return makeProgram(12, 12, 0) }
 
-	base := mustRun(t, mk(), Options{Config: cfg, Policy: vm.PageColoring{Colors: colors}})
+	base := mustRunProc(t, Options{Config: cfg}, ProcessOptions{Source: ProgramSource(mk()), Policy: vm.PageColoring{Colors: colors}})
 	baseConf := base.Total(func(s *CPUStats) uint64 { return s.ConflictMisses })
 	if baseConf == 0 {
 		t.Fatal("expected conflicts in the baseline")
@@ -413,11 +438,11 @@ func TestDynamicRecoloringReducesConflicts(t *testing.T) {
 	if err := compilerLayout(prog, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Options{Config: cfg, Policy: vm.PageColoring{Colors: colors}, Recolor: &policy})
+	m, err := New(Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := m.Run(prog)
+	dyn, err := m.Run(ProcessOptions{Source: ProgramSource(prog), Policy: vm.PageColoring{Colors: colors}, Recolor: &policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,11 +470,11 @@ func TestDynamicRecoloringChargesCosts(t *testing.T) {
 	if err := compilerLayout(prog, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Options{Config: cfg, Policy: vm.PageColoring{Colors: cfg.Colors()}, Recolor: &policy, SkipWarmup: true})
+	m, err := New(Options{Config: cfg, SkipWarmup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(prog)
+	res, err := m.Run(ProcessOptions{Source: ProgramSource(prog), Policy: vm.PageColoring{Colors: cfg.Colors()}, Recolor: &policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,10 +522,7 @@ func TestWriteBufferMechanism(t *testing.T) {
 	// first write-back's bus transaction completes.
 	cfg := smallConfig(1)
 	cfg.WriteBufferEntries = 1
-	m, err := New(Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newSolo(t, Options{Config: cfg}, ProcessOptions{})
 	c := m.cpus[0]
 	evict := func(victim uint64) {
 		if !m.evictLLC(c, cache.Result{Evicted: true, VictimAddr: victim, VictimDirty: true}) {
@@ -529,13 +551,10 @@ func TestWriteBufferMechanism(t *testing.T) {
 func TestLLCEvictionDropsEveryL1SubLine(t *testing.T) {
 	cfg := smallConfig(1)
 	cfg.L1I.LineSize = 16
-	m, err := New(Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newSolo(t, Options{Config: cfg}, ProcessOptions{})
 	c := m.cpus[0]
 	const vaddr = 0x40000 // page-aligned, so its frame address is LLC-line-aligned
-	paddr, _, err := m.as.Translate(vaddr, 0)
+	paddr, _, err := c.as.Translate(vaddr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,12 +588,9 @@ func TestLLCEvictionWritesBackDirtyMidLine(t *testing.T) {
 			{Name: "L2", Geom: arch.CacheGeometry{Size: 16 << 10, LineSize: 32, Assoc: 2}, CPUsPerCache: 1, HitCycles: 4, Inclusive: true, Slices: 1},
 			{Name: "L3", Geom: cfg.L2, CPUsPerCache: 1, HitCycles: cfg.L2HitCycles, Inclusive: true, Slices: 1},
 		}}
-		m, err := New(Options{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := newSolo(t, Options{Config: cfg}, ProcessOptions{})
 		c := m.cpus[0]
-		paddr, _, err := m.as.Translate(0x40000, 0)
+		paddr, _, err := c.as.Translate(0x40000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,11 +12,10 @@ import (
 // reference stream reaches the engine, so streams need not come from
 // an ir.Program. A source
 // describes its execution structure (unmeasured initialization
-// regions, then steady-state phases weighted by occurrence counts),
-// supplies the per-CPU reference stream of each region on demand, and
-// optionally carries page-color preferences (compiler summaries for
-// IR workloads, the online summarizer's inference for external
-// traces).
+// regions, then steady-state phases weighted by occurrence counts) and
+// supplies the per-CPU reference stream of each region on demand. Page
+// placement is not the source's: it rides in the ProcessOptions that
+// carries the source.
 //
 // The engine may ask for a region's streams more than once — the
 // warm-up pass re-runs every phase — so WarmupPass must be false for
@@ -38,11 +37,6 @@ type Source interface {
 	// WarmupPass reports whether the engine should run every phase once
 	// unmeasured first (the paper's §3.2 warm-up discard).
 	WarmupPass() bool
-	// Hints returns optional per-page preferred colors (VPN → color),
-	// consulted only when Options.Hints is nil. IR sources return nil —
-	// their compiler summaries arrive through Options — while trace
-	// sources carry the online summarizer's output here.
-	Hints() map[uint64]int
 }
 
 // SourcePhase is one steady-state phase: its regions run in order,
@@ -82,7 +76,6 @@ type programSource struct {
 func (p *programSource) Name() string               { return p.prog.Name }
 func (p *programSource) Validate(numCPUs int) error { return p.prog.Validate() }
 func (p *programSource) WarmupPass() bool           { return true }
-func (p *programSource) Hints() map[uint64]int      { return nil }
 
 func (p *programSource) InitRegions() []Region {
 	if p.prog.Init == nil {
@@ -125,23 +118,20 @@ func (r nestRegion) Stream(p, cpu int) trace.Stream {
 // decode lazily from the trace's compressed blocks (the run never
 // materializes the reference slice). There is no init region and no
 // warm-up pass — a recorded stream is finite and is measured whole,
-// cold faults included, like the multiprocess paths. hints, usually
-// trace.PreferredColors' output, rides along as the source's optional
-// page-color summary.
-func NewTraceSource(name string, f *trace.File, hints map[uint64]int) Source {
-	return &traceSource{name: name, f: f, hints: hints}
+// cold faults included, like the multiprocess paths. CDPC hints for a
+// trace (trace.PreferredColors' output) ride in ProcessOptions.Hints.
+func NewTraceSource(name string, f *trace.File) Source {
+	return &traceSource{name: name, f: f}
 }
 
 type traceSource struct {
-	name  string
-	f     *trace.File
-	hints map[uint64]int
+	name string
+	f    *trace.File
 }
 
 func (t *traceSource) Name() string          { return t.name }
 func (t *traceSource) InitRegions() []Region { return nil }
 func (t *traceSource) WarmupPass() bool      { return false }
-func (t *traceSource) Hints() map[uint64]int { return t.hints }
 
 func (t *traceSource) Validate(numCPUs int) error {
 	if n := t.f.NumCPUs(); n > numCPUs {
@@ -165,34 +155,77 @@ func (r traceRegion) Parallel() bool                 { return true }
 func (r traceRegion) Suppressed() bool               { return false }
 func (r traceRegion) Stream(p, cpu int) trace.Stream { return r.f.Stream(cpu) }
 
-// RunSource executes an abstract workload source on the machine's own
-// address space and returns the weighted result; Run is exactly this
-// with a ProgramSource. Cancellation is polled at every region boundary
-// and, for sources whose regions are long (a whole external trace is
-// one region), every 2^20 references inside the interleave loops, so
-// the server's drain bound holds for trace jobs too.
-func (m *Machine) RunSource(src Source) (*Result, error) {
-	if err := src.Validate(m.cfg.NumCPUs); err != nil {
+// Run executes po's process alone on the machine at full fidelity and
+// returns the weighted result: the paper's methodology (warm-up
+// discard, phase-occurrence weighting). RunSampled is the phase-sampled
+// alternative for a program. Cancellation is polled at every region
+// boundary and, for sources whose regions are long (a whole external
+// trace is one region), every 2^20 references inside the interleave
+// loops, so the server's drain bound holds for trace jobs too.
+func (m *Machine) Run(po ProcessOptions) (*Result, error) {
+	p, err := m.solo(po)
+	if err != nil {
 		return nil, err
 	}
-	return m.runSource(src)
+	phases, err := m.warmStart(p, po)
+	if err != nil {
+		return nil, err
+	}
+
+	// Attribution covers the measured region only, mirroring the Result:
+	// drop per-color/per-page counts and set profiles from init and
+	// warm-up. (Phases with Occurrences > 1 are still attributed once,
+	// unweighted, where the Result multiplies them out.)
+	if m.obs != nil {
+		m.obs.ResetAttribution()
+		m.enableSetProfiles()
+	}
+
+	res := &Result{PerCPU: make([]CPUStats, len(m.cpus))}
+	// Per-slice miss split, phase-weighted like everything else so audit
+	// invariant 13 (sum == total L2 misses) holds exactly.
+	if m.sliceMiss != nil {
+		res.SliceMisses = make([]uint64, len(m.sliceMiss))
+	}
+	for _, ph := range phases {
+		d, err := m.measure(func() error { return m.runRegions(p, ph.Regions) })
+		if err != nil {
+			return nil, err
+		}
+		res.accumulate(d, uint64(ph.Occurrences))
+	}
+	res = m.processResult(p, FidelityFull, res)
+	if m.obs != nil {
+		m.finalizeObs()
+	}
+	return res, nil
 }
 
-// prologue is the unmeasured start every single-address-space pass
-// shares: install the page-color hints (Options.Hints, else the
-// source's own), fault the touch order serially on the master, run the
-// pass's own warm-up, then synchronize clocks so measurement starts
-// from a common origin.
-func (m *Machine) prologue(src Source, warm func() error) error {
-	hints := m.opts.Hints
-	if hints == nil {
-		hints = src.Hints()
+// solo validates po's source against the whole machine and builds its
+// process, pid 0, on every CPU: the process table of a single-process
+// run.
+func (m *Machine) solo(po ProcessOptions) (*Process, error) {
+	if po.Source == nil {
+		return nil, fmt.Errorf("sim: nil source")
 	}
-	if hints != nil {
-		m.as.Advise(hints)
+	if err := po.Source.Validate(m.cfg.NumCPUs); err != nil {
+		return nil, err
 	}
-	if m.opts.TouchOrder != nil {
-		faults, err := m.as.TouchInOrder(m.opts.TouchOrder, 0)
+	p := m.newProcess(0, po, 0, nil)
+	p.cpus = m.cpus
+	for _, c := range m.cpus {
+		c.as = p.as
+	}
+	m.procs = []*Process{p}
+	return p, nil
+}
+
+// prologue is the unmeasured start every solo pass shares: fault the
+// touch order serially on the master, run the pass's own warm-up, then
+// synchronize clocks so measurement starts from a common origin.
+func (m *Machine) prologue(touchOrder []uint64, warm func() error) error {
+	if touchOrder != nil {
+		faults, err := m.cpus[0].as.TouchInOrder(touchOrder, 0)
 		if err != nil {
 			return fmt.Errorf("sim: touch-order faulting: %w", err)
 		}
@@ -220,24 +253,25 @@ func (m *Machine) prologue(src Source, warm func() error) error {
 	return nil
 }
 
-// warmStart runs a source through the prologue with the full engine's
-// warm-up: the unmeasured init regions (where first-touch page faults
-// happen for sources with an init phase), then every phase once with
-// its stats discarded — the paper's "discard the results from the
+// warmStart runs solo process p through the prologue with the full
+// engine's warm-up: the unmeasured init regions (where first-touch page
+// faults happen for sources with an init phase), then every phase once
+// with its stats discarded — the paper's "discard the results from the
 // first phases executed with the detailed simulator" (§3.2). Sources
 // that measure their whole stream (external traces) and SkipWarmup opt
 // out of the second part. It returns the phases to measure.
-func (m *Machine) warmStart(src Source) ([]SourcePhase, error) {
+func (m *Machine) warmStart(p *Process, po ProcessOptions) ([]SourcePhase, error) {
+	src := po.Source
 	phases := src.Phases()
-	err := m.prologue(src, func() error {
-		if err := m.runRegions(src.InitRegions()); err != nil {
+	err := m.prologue(po.TouchOrder, func() error {
+		if err := m.runRegions(p, src.InitRegions()); err != nil {
 			return err
 		}
 		if !src.WarmupPass() || m.opts.SkipWarmup {
 			return nil
 		}
 		for _, ph := range phases {
-			if err := m.runRegions(ph.Regions); err != nil {
+			if err := m.runRegions(p, ph.Regions); err != nil {
 				return err
 			}
 		}
@@ -246,69 +280,11 @@ func (m *Machine) warmStart(src Source) ([]SourcePhase, error) {
 	return phases, err
 }
 
-// runSource is the engine's main sequence: warm start, then the
-// measured pass with per-phase deltas weighted by occurrence counts.
-func (m *Machine) runSource(src Source) (*Result, error) {
-	phases, err := m.warmStart(src)
-	if err != nil {
-		return nil, err
-	}
-
-	// Attribution covers the measured region only, mirroring the Result:
-	// drop per-color/per-page counts and set profiles from init and
-	// warm-up. (Phases with Occurrences > 1 are still attributed once,
-	// unweighted, where the Result multiplies them out.)
-	if m.obs != nil {
-		m.obs.ResetAttribution()
-		m.enableSetProfiles()
-	}
-
-	res := m.newResult(src.Name(), FidelityFull)
-	// Per-slice miss split, phase-weighted like everything else so audit
-	// invariant 13 (sum == total L2 misses) holds exactly.
-	if m.sliceMiss != nil {
-		res.SliceMisses = make([]uint64, len(m.sliceMiss))
-	}
-	for _, ph := range phases {
-		d, err := m.measure(func() error { return m.runRegions(ph.Regions) })
-		if err != nil {
-			return nil, err
-		}
-		res.accumulate(d, uint64(ph.Occurrences))
-	}
-	m.closeResult(res)
-	if m.obs != nil {
-		m.finalizeObs()
-	}
-	return res, nil
-}
-
-// newResult starts a single-address-space Result whose counters the
-// caller accumulates from measured deltas.
-func (m *Machine) newResult(workload, fidelity string) *Result {
-	return &Result{
-		Workload: workload,
-		Machine:  m.cfg.Name,
-		Policy:   m.as.PolicyName(),
-		NumCPUs:  m.cfg.NumCPUs,
-		PerCPU:   make([]CPUStats, m.cfg.NumCPUs),
-		Fidelity: fidelity,
-	}
-}
-
-// closeResult copies the address space's fault counters, final once the
-// pass has ended, into res.
-func (m *Machine) closeResult(res *Result) {
-	res.PageFaults = m.as.Faults
-	res.HintedFaults = m.as.HintedFaults
-	res.HonoredHints = m.as.HonoredHints
-}
-
 // measure runs one measured stretch of whole barrier-to-barrier regions
 // and returns the machine's counter delta across it: per-CPU stats, bus
 // occupancy, wall time and per-slice LLC misses. A delta satisfies the
 // audit invariants on its own, which is what lets callers weight
-// (runSource), extrapolate (runSampled) or sum (SamplePhases) it.
+// (Run), extrapolate (RunSampled) or sum (SamplePhases) it.
 func (m *Machine) measure(run func() error) (*Result, error) {
 	d := &Result{PerCPU: make([]CPUStats, len(m.cpus))}
 	for i, c := range m.cpus {
@@ -361,10 +337,10 @@ func (r *Result) accumulate(d *Result, w uint64) {
 	}
 }
 
-// runRegions runs regions in order on the whole machine.
-func (m *Machine) runRegions(regions []Region) error {
+// runRegions runs regions in order on process p's CPU gang.
+func (m *Machine) runRegions(p *Process, regions []Region) error {
 	for _, reg := range regions {
-		if err := m.runRegion(m.cpus, reg, &m.regions); err != nil {
+		if err := m.runRegion(p.cpus, reg, &p.regions); err != nil {
 			return err
 		}
 	}

@@ -59,11 +59,7 @@ func TestAccountingTouchesNoHierarchyState(t *testing.T) {
 
 func newMachine(t *testing.T, cfg arch.Config) *Machine {
 	t.Helper()
-	m, err := New(Options{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return newSolo(t, Options{Config: cfg}, ProcessOptions{})
 }
 
 // randomSharedConfig draws a 2- or 4-CPU machine whose LLC units are
@@ -167,7 +163,7 @@ func hierarchyState(m *Machine, refs []trace.Ref) []string {
 				add("cpu %d l1 %d %#x: %v %v", c.id, li, va, present, dirty)
 			}
 		}
-		pa, ok := m.as.TranslateNoFault(va)
+		pa, ok := m.cpus[0].as.TranslateNoFault(va)
 		if !ok {
 			add("%#x unmapped", va)
 			continue

@@ -166,6 +166,12 @@ go run ./cmd/experiments -id fig6 -quick -audit > /dev/null
 go run ./cmd/experiments -id ext-pressure -quick -audit > /dev/null
 go run ./cmd/experiments -id ext-multiprog -quick -audit > /dev/null
 
+# Touch-order smoke: cdpc-touch realizes CDPC's hints by faulting the
+# pages in order on the master before execution (§5.3's Digital UNIX
+# emulation over bin hopping), the only path that serializes faults on
+# one CPU before the run; no other audited run reaches it.
+go run ./cmd/cdpcsim -machine alpha -variant cdpc-touch -cpus 8 -scale 32 -audit > /dev/null
+
 # cdpcd end-to-end: start the daemon on an ephemeral port, run sync and
 # async jobs, saturate the bounded queue with 64 concurrent mixed
 # repeated/unique submissions (429s observed, zero accepted jobs
