@@ -53,7 +53,7 @@ func smallConfig(ncpu int) arch.Config {
 
 // newSolo builds a machine whose every CPU runs one process (pid 0)
 // placed by po, for tests that drive the engine below Run; a nil source
-// stands in a one-page program.
+// becomes a one-page program.
 func newSolo(t *testing.T, opts Options, po ProcessOptions) *Machine {
 	t.Helper()
 	if po.Source == nil {
